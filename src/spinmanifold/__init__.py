@@ -1,9 +1,10 @@
 """Quantum-state-manifold geometry of the long-range zz-Ising spin-s system.
 
-Exact dense simulation of N spin-s particles coupled all-to-all through
-their z components, plus the closed-form Fubini-Study metric, scalar
-curvature, Gauss-Bonnet topology and evolution-speed results for the
-three-parameter family of states reached from a polarized product state.
+Exact simulation of N spin-s particles coupled all-to-all through their z
+components, in the C(N+2s, 2s)-dimensional symmetric subspace, plus the
+closed-form Fubini-Study metric, scalar curvature, Gauss-Bonnet topology
+and evolution-speed results for the three-parameter family of states
+reached from a polarized product state.
 """
 
 from .spin_ops import (

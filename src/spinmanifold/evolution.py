@@ -1,35 +1,44 @@
 """Initial-state preparation, Ising / field propagation and tangent states.
 
-The zero-field propagator is applied as per-basis-label phases (the
-generator is diagonal), never as a dense matrix exponential.  The field
-propagator goes through one cached eigendecomposition of the Hermitian
-generator per (system, field) pair.  Global phases are never stripped:
-all comparisons downstream are gauge invariant.
+Every family state and tangent vector is built once, in the occupation
+basis of the symmetric subspace (dimension C(N+2s, 2s); see
+:mod:`spinmanifold.spin_ops`): the polarized product state is
+sqrt(M(n)) prod_k c_k^{n_k} in that basis, the zero-field propagator is a
+diagonal phase, and the field propagator goes through the eigenvectors of
+the D x D generator.  Product-basis results are gathered from those
+vectors.  Global phases are never stripped: all comparisons downstream are
+gauge invariant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .spin_ops import (
     BASIS_CONVENTION,
+    OCCUPATION_BASIS,
     FieldConfig,
+    OccupationBasis,
     SpinSystem,
     _site_matrices,
-    _total_matrix,
     ising_pair_sums,
-    total_z_values,
+    occupation_basis,
+    occupation_spin_operator,
+    product_to_occupation,
 )
+
+#: Largest norm a state may have outside the symmetric subspace.
+SYMMETRIC_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(eq=False)
 class StateVector:
-    """Normalized complex amplitude vector over the product basis."""
+    """Normalized complex amplitude vector, by default over the product basis."""
 
     amplitudes: np.ndarray
     basis: str = BASIS_CONVENTION
@@ -83,44 +92,33 @@ def _rotated_site_vector(two_s: int, theta: float, phi: float) -> np.ndarray:
     return np.exp(-1j * phi * m) * v
 
 
-def _initial_amplitudes(sys: SpinSystem, theta: float, phi: float) -> np.ndarray:
-    site = _rotated_site_vector(sys.two_s, theta, phi)
-    return reduce(np.kron, [site] * sys.n_sites)
+def _symmetric_product(basis: OccupationBasis, site: np.ndarray) -> np.ndarray:
+    """The product state site^{(x)N} in the occupation basis: sqrt(M(n)) prod_k c_k^{n_k}.
 
-
-def initial_state(sys: SpinSystem, theta: float, phi: float = 0.0) -> StateVector:
-    """Polarized product state: every spin at maximal projection along n.
-
-    Constructed as e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>, which
-    factorizes into identical single-site rotations.
+    Evaluated in log space so that large N neither overflows sqrt(M) nor
+    underflows c^n.  The result is renormalized: the lgamma round-off
+    shared by all rows would otherwise enter the metric's projector term
+    multiplied by <G>^2, which grows as N^4.
     """
-    sys.check_dim_guard()
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must be in [0, pi], got {theta}")
-    return StateVector(_initial_amplitudes(sys, theta, phi))
+    occ = basis.occupations
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = np.log(np.abs(site))
+        log_terms = np.where(occ > 0, occ * log_c, 0.0)
+    amps = np.exp(basis.log_sqrt_multinomial + log_terms.sum(axis=1) + 1j * (occ @ np.angle(site)))
+    return amps / np.linalg.norm(amps)
 
 
-def evolve_ising(sys: SpinSystem, state: StateVector, chi: float) -> StateVector:
-    """Apply e^{-i 2 chi Sum_{i<j} S_i^z S_j^z} as diagonal phases."""
-    phases = np.exp(-2j * chi * ising_pair_sums(sys))
-    return StateVector(phases * state.amplitudes)
-
-
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _field_generator_eig(sys: SpinSystem, field: FieldConfig):
-    """Eigendecomposition of G = Sum S_i^z S_j^z + (h/2J) Sum S_j . n'.
+    """Eigendecomposition of G = Sum S_i^z S_j^z + (h/2J) Sum S_j . n' on the occupation basis.
 
     G is the dimensionless generator of Eq.-(33)-style evolution:
     U(chi) = exp(-i 2 chi G).
     """
-    nx, ny, nz = field.direction.unit_vector()
     half_ratio = field.ratio_h_over_j / 2.0
-    g = np.diag(ising_pair_sums(sys)).astype(complex)
-    g += half_ratio * (
-        nx * _total_matrix(sys.n_sites, sys.two_s, "x")
-        + ny * _total_matrix(sys.n_sites, sys.two_s, "y")
-        + nz * _total_matrix(sys.n_sites, sys.two_s, "z")
-    )
+    g = np.diag(occupation_basis(sys).ising_pair_sums).astype(complex)
+    for kind, n_kind in zip("xyz", field.direction.unit_vector()):
+        g += half_ratio * n_kind * occupation_spin_operator(sys, kind)
     try:
         evals, evecs = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on Hermitian
@@ -130,70 +128,123 @@ def _field_generator_eig(sys: SpinSystem, field: FieldConfig):
     return evals, evecs
 
 
-def _field_propagate(sys: SpinSystem, field: FieldConfig, vec: np.ndarray, chi: float) -> np.ndarray:
-    evals, evecs = _field_generator_eig(sys, field)
-    return evecs @ (np.exp(-2j * chi * evals) * (evecs.conj().T @ vec))
+@lru_cache(maxsize=1)
+def _family_vectors(
+    sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig]
+) -> Tuple[np.ndarray, TangentStates]:
+    """psi(theta, phi, chi) and its three parameter derivatives, read-only.
+
+    All vectors are in the occupation basis.  psi = U(chi) e^{-i phi Sum Sz}
+    e^{-i theta Sum Sy} |s, ..., s>; d_theta and d_phi are the initial-state
+    derivatives -i Sum Sy and -i Sum Sz (exact operator applications)
+    pushed through U(chi), and d_chi = -2i G psi.  The last point is
+    cached: the metric, the speed and verify ask for the state and the
+    tangents of one point back to back.
+    """
+    basis = occupation_basis(sys)
+    psi0 = _symmetric_product(basis, _rotated_site_vector(sys.two_s, point.theta, 0.0))
+    phi_phases = np.exp(-1j * point.phi * basis.total_z)
+    start = np.empty((3, len(psi0)), dtype=complex)
+    start[0] = phi_phases * psi0
+    start[1] = phi_phases * (-1j * (occupation_spin_operator(sys, "y") @ psi0))
+    start[2] = -1j * basis.total_z * start[0]
+    if field is None:
+        evolved = np.exp(-2j * point.chi * basis.ising_pair_sums) * start
+        g_psi = basis.ising_pair_sums * evolved[0]
+    else:
+        evals, evecs = _field_generator_eig(sys, field)
+        coeffs = np.exp(-2j * point.chi * evals) * (start @ evecs.conj())
+        evolved = coeffs @ evecs.T
+        g_psi = evecs @ (evals * coeffs[0])
+    d_chi = -2j * g_psi
+    evolved.setflags(write=False)
+    d_chi.setflags(write=False)
+    return evolved[0], TangentStates(d_theta=evolved[1], d_phi=evolved[2], d_chi=d_chi)
 
 
-def _apply_field_generator(sys: SpinSystem, field: FieldConfig, vec: np.ndarray) -> np.ndarray:
-    evals, evecs = _field_generator_eig(sys, field)
-    return evecs @ (evals * (evecs.conj().T @ vec))
+def _to_product(sys: SpinSystem, vec: np.ndarray) -> np.ndarray:
+    rows, weights = product_to_occupation(sys)
+    return vec[rows] * weights
+
+
+def initial_state(sys: SpinSystem, theta: float, phi: float = 0.0) -> StateVector:
+    """Polarized product state: every spin at maximal projection along n.
+
+    Constructed as e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>, which
+    factorizes into identical single-site rotations.
+    """
+    sys.check_dim_guard()
+    psi, _ = _family_vectors(sys, CoordinatePoint(theta, phi), None)
+    return StateVector(_to_product(sys, psi))
+
+
+def evolve_ising(sys: SpinSystem, state: StateVector, chi: float) -> StateVector:
+    """Apply e^{-i 2 chi Sum_{i<j} S_i^z S_j^z} as diagonal phases."""
+    phases = np.exp(-2j * chi * ising_pair_sums(sys))
+    return StateVector(phases * state.amplitudes)
 
 
 def evolve_with_field(
     sys: SpinSystem, field: FieldConfig, state: StateVector, chi: float
 ) -> StateVector:
-    """Apply exp{-i 2 chi (Sum S_i^z S_j^z + (h/2J) Sum S_j . n')}."""
+    """Apply exp{-i 2 chi (Sum S_i^z S_j^z + (h/2J) Sum S_j . n')} to a product-basis state.
+
+    The propagator is applied in the occupation basis, so ``state`` must
+    lie in the symmetric subspace (every family state does): a state with
+    norm above 1e-12 outside it raises ValueError.
+    """
     sys.check_dim_guard()
-    return StateVector(_field_propagate(sys, field, state.amplitudes, chi))
+    rows, weights = product_to_occupation(sys)
+    amps = state.amplitudes
+    occ = np.zeros(sys.occupation_dim, dtype=complex)
+    np.add.at(occ, rows, weights * amps)
+    residual = float(np.linalg.norm(amps - occ[rows] * weights))
+    if residual > SYMMETRIC_RESIDUAL_TOL:
+        raise ValueError(
+            f"state has norm {residual:.3e} outside the symmetric subspace "
+            f"(limit {SYMMETRIC_RESIDUAL_TOL:.0e}); field evolution is only defined there"
+        )
+    evals, evecs = _field_generator_eig(sys, field)
+    evolved = evecs @ (np.exp(-2j * chi * evals) * (evecs.conj().T @ occ))
+    return StateVector(_to_product(sys, evolved))
 
 
 def state_at(
-    sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
+    sys: SpinSystem,
+    point: CoordinatePoint,
+    field: Optional[FieldConfig] = None,
+    *,
+    occupation: bool = False,
 ) -> StateVector:
-    """Evolved family member at (theta, phi, chi), zero-field or dressed."""
-    psi0 = initial_state(sys, point.theta, point.phi)
-    if field is None:
-        return evolve_ising(sys, psi0, point.chi)
-    return evolve_with_field(sys, field, psi0, point.chi)
+    """Evolved family member at (theta, phi, chi), zero-field or dressed.
 
-
-def _initial_theta_derivative(sys: SpinSystem, theta: float, phi: float) -> np.ndarray:
-    """d/dtheta of the initial state (exact operator application)."""
-    site0 = _rotated_site_vector(sys.two_s, theta, 0.0)
-    u = reduce(np.kron, [site0] * sys.n_sites)
-    w = -1j * (_total_matrix(sys.n_sites, sys.two_s, "y") @ u)
-    return np.exp(-1j * phi * total_z_values(sys)) * w
+    In the product basis by default; ``occupation=True`` returns the
+    C(N+2s, 2s)-dimensional occupation-basis vector instead.
+    """
+    psi, _ = _family_vectors(sys, point, field)
+    if occupation:
+        return StateVector(psi, OCCUPATION_BASIS)
+    return StateVector(_to_product(sys, psi))
 
 
 def tangent_states(
-    sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
+    sys: SpinSystem,
+    point: CoordinatePoint,
+    field: Optional[FieldConfig] = None,
+    *,
+    occupation: bool = False,
 ) -> TangentStates:
     """Analytic derivatives of the evolved state w.r.t. (theta, phi, chi).
 
     No finite differencing: each derivative is an operator applied to the
-    exactly propagated state.  Zero field: the chi and phi generators are
-    diagonal, so they reduce to elementwise multiplications; the theta
-    derivative needs one dense matvec with Sum S_j^y.  With a field the
-    initial-state derivatives are pushed through the cached spectral
-    propagator and d_chi applies the full generator.
+    exactly propagated state (see :func:`_family_vectors`).  In the product
+    basis by default; ``occupation=True`` keeps the occupation basis.
     """
-    sys.check_dim_guard()
-    theta, phi, chi = point.theta, point.phi, point.chi
-    d_theta0 = _initial_theta_derivative(sys, theta, phi)
-    if field is None:
-        phases = np.exp(-2j * chi * ising_pair_sums(sys))
-        psi = phases * _initial_amplitudes(sys, theta, phi)
-        d_chi = -2j * ising_pair_sums(sys) * psi
-        d_phi = -1j * total_z_values(sys) * psi
-        d_theta = phases * d_theta0
-    else:
-        psi0 = _initial_amplitudes(sys, theta, phi)
-        psi = _field_propagate(sys, field, psi0, chi)
-        d_chi = -2j * _apply_field_generator(sys, field, psi)
-        d_phi = _field_propagate(sys, field, -1j * total_z_values(sys) * psi0, chi)
-        d_theta = _field_propagate(sys, field, d_theta0, chi)
-    return TangentStates(d_theta=d_theta, d_phi=d_phi, d_chi=d_chi)
+    _, tang = _family_vectors(sys, point, field)
+    vecs = (tang.d_theta, tang.d_phi, tang.d_chi)
+    if occupation:
+        return TangentStates(*vecs)
+    return TangentStates(*(_to_product(sys, v) for v in vecs))
 
 
 def chi_period(two_s: int) -> float:

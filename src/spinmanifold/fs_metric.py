@@ -1,8 +1,10 @@
 """Brute-force Fubini-Study metric, energy uncertainty and evolution speed.
 
-This is the oracle side: everything here is assembled from exact states
-and tangent vectors in the full Hilbert space, independent of the closed
-forms in :mod:`spinmanifold.analytic`.
+This is the oracle side: the metric is assembled from exact states and
+tangent vectors in the occupation basis of the symmetric subspace
+(dimension C(N+2s, 2s)), independent of the closed forms in
+:mod:`spinmanifold.analytic`.  The energy uncertainty takes a dense
+product-space Hamiltonian, as a cross-check of the metric.
 """
 
 from __future__ import annotations
@@ -70,18 +72,15 @@ def metric_numeric(
 ) -> MetricTensor:
     """g_{mu nu} = gamma^2 Re(<psi_mu|psi_nu> - <psi_mu|psi><psi|psi_nu>).
 
-    Assembled from the analytic tangent states; gauge invariant by
-    construction of the projector term.
+    Assembled from the analytic tangent states in the occupation basis, so
+    no product-space vector is built and the dimension guard applies to
+    C(N+2s, 2s); gauge invariant by construction of the projector term.
     """
-    psi = state_at(sys, point, field).amplitudes
-    tang = tangent_states(sys, point, field)
-    vecs = (tang.d_theta, tang.d_phi, tang.d_chi)
-    overlaps = np.array([np.vdot(psi, v) for v in vecs])
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            val = np.vdot(vecs[i], vecs[j]) - np.conj(overlaps[i]) * overlaps[j]
-            g[i, j] = g[j, i] = val.real
+    psi = state_at(sys, point, field, occupation=True).amplitudes
+    tang = tangent_states(sys, point, field, occupation=True)
+    vecs = np.stack((tang.d_theta, tang.d_phi, tang.d_chi))
+    overlaps = vecs @ psi.conj()  # <psi|psi_mu>
+    g = (vecs.conj() @ vecs.T - np.outer(overlaps.conj(), overlaps)).real
     return MetricTensor(sys.gamma**2 * g, gamma=sys.gamma)
 
 

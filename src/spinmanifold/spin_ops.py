@@ -1,31 +1,45 @@
-"""Dense spin-s operators, tensor-product embedding and Hamiltonians.
+"""Spin-s operators, tensor-product embedding, Hamiltonians and the
+symmetric-subspace (occupation-number) basis.
 
-Basis convention used everywhere: lexicographic product basis with site 1
-slowest, per-site magnetic quantum number m descending from s to -s.  With
-that ordering every S^z is diagonal and the all-to-all zz coupling is a
-diagonal matrix whose entries are enumerable from the basis labels.
+Product basis, used by the product-space constructions: lexicographic
+with site 1 slowest, per-site magnetic quantum number m descending from s
+to -s.  With that ordering every S^z is diagonal and the all-to-all zz
+coupling is a diagonal matrix whose entries are enumerable from the basis
+labels.
+
+Occupation basis, used by the oracle: the polarized product states and
+every Hamiltonian here are invariant under permuting sites, so the oracle
+works in the symmetric subspace, spanned by the normalized symmetrizations
+|n> of occupation vectors n = (n_0, ..., n_2s) (n_k sites at m = s - k,
+sum n = N).  Its dimension is C(N+2s, 2s), N+1 for s = 1/2, against
+(2s+1)^N for the product space.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-#: Default ceiling on the Hilbert-space dimension (2s+1)^N for dense work.
+#: Default ceiling on the dimension of a dense construction: (2s+1)^N in the
+#: product basis, C(N+2s, 2s) in the occupation basis.
 DIMENSION_GUARD = 20000
 
-#: Label attached to every state/operator built by this package.
+#: Label of states/operators in the product basis.
 BASIS_CONVENTION = "site1-slowest, m descending s..-s"
+
+#: Label of states in the occupation basis (see :func:`occupation_basis`).
+OCCUPATION_BASIS = "occupation numbers over m descending s..-s, first (N, 0, ..., 0)"
 
 TWO_PI = 2.0 * math.pi
 
 
 class DimensionGuardError(ValueError):
-    """Hilbert-space dimension exceeds the configured guard."""
+    """The dimension of a dense construction exceeds the configured guard."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +59,9 @@ class SpinSystem:
     gamma : float
         Scale factor of the metric, default 1.
     dim_guard : int
-        Maximum allowed Hilbert dimension for dense constructions.
+        Maximum allowed dimension for dense constructions, compared with
+        ``dim`` in the product basis and ``occupation_dim`` in the
+        occupation basis.
     """
 
     n_sites: int
@@ -74,10 +90,21 @@ class SpinSystem:
     def dim(self) -> int:
         return self.site_dim**self.n_sites
 
+    @property
+    def occupation_dim(self) -> int:
+        """Dimension C(N+2s, 2s) of the symmetric subspace."""
+        return math.comb(self.n_sites + self.two_s, self.two_s)
+
     def check_dim_guard(self):
         if self.dim > self.dim_guard:
             raise DimensionGuardError(
                 f"Hilbert dimension {self.dim} exceeds guard {self.dim_guard}"
+            )
+
+    def check_occupation_guard(self):
+        if self.occupation_dim > self.dim_guard:
+            raise DimensionGuardError(
+                f"occupation-basis dimension {self.occupation_dim} exceeds guard {self.dim_guard}"
             )
 
 
@@ -188,23 +215,26 @@ def _site_matrices(two_s: int) -> dict:
     return {"x": sx.matrix, "y": sy.matrix, "z": sz.matrix}
 
 
-@lru_cache(maxsize=64)
-def _total_matrix(n_sites: int, two_s: int, kind: str) -> np.ndarray:
-    """Sum over sites of the embedded spin component ``kind``."""
-    local = _site_matrices(two_s)[kind]
-    d1 = two_s + 1
-    total = np.zeros((d1**n_sites, d1**n_sites), dtype=complex)
-    for site in range(n_sites):
-        factors = [local if k == site else np.eye(d1, dtype=complex) for k in range(n_sites)]
-        total += reduce(np.kron, factors)
-    total.setflags(write=False)
-    return total
-
-
 def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
-    """Sum_j S_j^kind on the full product space."""
+    """Sum_j S_j^kind on the full product space, built on demand (no cache).
+
+    The metric oracle never uses it: it feeds the dense Hamiltonians of the
+    energy-uncertainty check and is the product-space cross-check of
+    :func:`occupation_spin_operator`.  Each site's term changes only that
+    site's digit of the basis index, so it is written in place.
+    """
     sys.check_dim_guard()
-    return ManyBodyOperator(_total_matrix(sys.n_sites, sys.two_s, kind))
+    local = _site_matrices(sys.two_s)[kind]
+    d1, n = sys.site_dim, sys.n_sites
+    states = np.arange(sys.dim)
+    total = np.zeros((sys.dim, sys.dim), dtype=complex)
+    for site in range(n):
+        stride = d1 ** (n - 1 - site)
+        digit = (states // stride) % d1
+        for k, l in zip(*np.nonzero(local)):
+            cols = states[digit == l]
+            total[cols + (k - l) * stride, cols] += local[k, l]
+    return ManyBodyOperator(total)
 
 
 @lru_cache(maxsize=64)
@@ -239,11 +269,6 @@ def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
     return _pair_sums(sys.n_sites, sys.two_s)
 
 
-def total_z_values(sys: SpinSystem) -> np.ndarray:
-    """Diagonal of Sum_j S_j^z (the total magnetization labels)."""
-    return basis_m_values(sys).sum(axis=1)
-
-
 def build_ising_hamiltonian(sys: SpinSystem) -> ManyBodyOperator:
     """H = 2J Sum_{i<j} S_i^z S_j^z, diagonal in the product basis."""
     sys.check_dim_guard()
@@ -251,15 +276,113 @@ def build_ising_hamiltonian(sys: SpinSystem) -> ManyBodyOperator:
 
 
 def build_field_hamiltonian(sys: SpinSystem, field: FieldConfig) -> ManyBodyOperator:
-    """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n', with h = (h/J) * J."""
+    """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n', with h = (h/J) * J.
+
+    Dense on the product space and built on demand, like
+    :func:`total_spin_operator`.
+    """
     sys.check_dim_guard()
     h = field.ratio_h_over_j * sys.coupling_j
-    nx, ny, nz = field.direction.unit_vector()
     mat = np.diag(2.0 * sys.coupling_j * ising_pair_sums(sys)).astype(complex)
     if h != 0.0:
-        mat = mat + h * (
-            nx * _total_matrix(sys.n_sites, sys.two_s, "x")
-            + ny * _total_matrix(sys.n_sites, sys.two_s, "y")
-            + nz * _total_matrix(sys.n_sites, sys.two_s, "z")
-        )
+        for kind, n_kind in zip("xyz", field.direction.unit_vector()):
+            mat += h * n_kind * total_spin_operator(sys, kind).matrix
     return ManyBodyOperator(mat)
+
+
+class OccupationBasis(NamedTuple):
+    """Tables of the occupation basis of one (N, 2s); row o is the state |n_o>.
+
+    Rows run over every n with sum n = N, first (N, 0, ..., 0): all sites
+    at m = s.  |n> is the normalized sum of the M(n) = N! / prod_k n_k!
+    product states with that occupation.
+    """
+
+    occupations: np.ndarray  # (D, 2s+1) integer n
+    log_sqrt_multinomial: np.ndarray  # log sqrt(M(n)), from lgamma
+    total_z: np.ndarray  # Sum_j S_j^z: (Sum_k m_k n_k)
+    ising_pair_sums: np.ndarray  # Sum_{i<j} S_i^z S_j^z: ((m.n)^2 - (m^2).n) / 2
+    index: Dict[Tuple[int, ...], int]  # occupation vector -> row
+
+
+@lru_cache(maxsize=64)
+def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
+    # stars and bars: 2s bar positions among N + 2s slots fix one occupation
+    slots = n_sites + two_s
+    bars = np.array(list(itertools.combinations(range(slots), two_s)), dtype=np.int64)
+    edges = np.concatenate(
+        [np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)], axis=1
+    )
+    occ = np.ascontiguousarray((np.diff(edges, axis=1) - 1)[::-1])
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_sites + 1)])
+    log_sqrt_m = 0.5 * (log_fact[n_sites] - log_fact[occ].sum(axis=1))
+    m = two_s / 2.0 - np.arange(two_s + 1)
+    total_z = occ @ m
+    ising = (total_z**2 - occ @ m**2) / 2.0
+    for arr in (occ, log_sqrt_m, total_z, ising):
+        arr.setflags(write=False)
+    index = {tuple(row): o for o, row in enumerate(occ.tolist())}
+    return OccupationBasis(occ, log_sqrt_m, total_z, ising, index)
+
+
+def occupation_basis(sys: SpinSystem) -> OccupationBasis:
+    """Occupation-basis tables of ``sys`` (cached per (N, 2s))."""
+    sys.check_occupation_guard()
+    return _occupation_basis(sys.n_sites, sys.two_s)
+
+
+@lru_cache(maxsize=16)
+def _occupation_spin_matrix(n_sites: int, two_s: int, kind: str) -> np.ndarray:
+    """Sum_j S_j^kind = Sum_{k,l} (S^kind)_{kl} a_k^dag a_l on the occupation basis.
+
+    a_k^dag a_l moves one site from level l to level k:
+    <n - e_l + e_k| a_k^dag a_l |n> = sqrt(n_l (n_k + 1)) for k != l, and
+    a_k^dag a_k counts n_k.
+    """
+    basis = _occupation_basis(n_sites, two_s)
+    occ = basis.occupations
+    local = _site_matrices(two_s)[kind]
+    out = np.zeros((len(occ), len(occ)), dtype=complex)
+    for k, l in zip(*np.nonzero(local)):
+        if k == l:
+            out[np.diag_indices(len(occ))] += local[k, k] * occ[:, k]
+            continue
+        src = np.nonzero(occ[:, l] > 0)[0]
+        moved = occ[src].copy()
+        moved[:, l] -= 1
+        moved[:, k] += 1
+        dst = np.array([basis.index[tuple(row)] for row in moved.tolist()], dtype=np.int64)
+        out[dst, src] += local[k, l] * np.sqrt(occ[src, l] * (occ[src, k] + 1.0))
+    out.setflags(write=False)
+    return out
+
+
+def occupation_spin_operator(sys: SpinSystem, kind: str) -> np.ndarray:
+    """Sum_j S_j^kind restricted to the symmetric subspace, a dense D x D array."""
+    sys.check_occupation_guard()
+    return _occupation_spin_matrix(sys.n_sites, sys.two_s, kind)
+
+
+@lru_cache(maxsize=16)
+def _product_gather(n_sites: int, two_s: int) -> Tuple[np.ndarray, np.ndarray]:
+    basis = _occupation_basis(n_sites, two_s)
+    d1 = two_s + 1
+    states = np.arange(d1**n_sites)
+    digits = (states[:, None] // d1 ** np.arange(n_sites - 1, -1, -1)) % d1
+    counts = (digits[:, :, None] == np.arange(d1)).sum(axis=1)
+    rows = np.array([basis.index[tuple(c)] for c in counts.tolist()], dtype=np.int64)
+    weights = np.exp(-basis.log_sqrt_multinomial[rows])
+    rows.setflags(write=False)
+    weights.setflags(write=False)
+    return rows, weights
+
+
+def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
+    """The isometry V from the occupation basis into the product basis.
+
+    Returns ``(rows, weights)``: product state i lies in occupation row
+    ``rows[i]`` with amplitude ``weights[i]`` = 1/sqrt(M(n)), so
+    ``V @ v == v[rows] * weights`` and V^dag is the matching weighted sum.
+    """
+    sys.check_dim_guard()
+    return _product_gather(sys.n_sites, sys.two_s)

@@ -2,12 +2,14 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from spinmanifold.analytic import ManifoldSpec
 from spinmanifold.spin_ops import SpinSystem
 from spinmanifold.verify import (
     CheckResult,
     SweepGrid,
+    _Deviation,
     run_full_suite,
     run_metric_equivalence,
     run_section7_vectors,
@@ -88,3 +90,19 @@ class TestCheckResult:
         )
         # exact zeros below the absolute floor never count against rel
         assert res.max_abs < 1e-12 or res.max_rel > 0
+
+
+class TestDeviation:
+    def test_array_matches_elementwise_rule(self):
+        a = np.array([0.0, 1e-13, 1.0, -2.0, 5.0])
+        b = np.array([0.0, 0.0, 1.0 + 1e-10, -2.0 - 4e-9, 5.0])
+        dev = _Deviation()
+        dev.add_arrays(a, b)
+        ref_abs = max(abs(x - y) for x, y in zip(a, b))
+        ref_rel = max(
+            abs(x - y) / max(abs(x), abs(y), 1e-12) for x, y in zip(a, b) if abs(x - y) > 1e-12
+        )
+        assert dev.max_abs == ref_abs
+        assert dev.max_rel == pytest.approx(ref_rel, rel=1e-15)
+        assert not dev.result("x", "5 points", 1e-9).passed
+        assert dev.result("x", "5 points", 3e-9).passed
