@@ -28,10 +28,12 @@ from .evolution import (
     evolve_with_field,
     tangent_states,
     state_at,
+    family_grid,
 )
 from .fs_metric import (
     MetricTensor,
     metric_numeric,
+    metric_grid,
     energy_uncertainty,
     speed_numeric,
     distance_along_evolution,
@@ -78,8 +80,10 @@ __all__ = [
     "evolve_with_field",
     "tangent_states",
     "state_at",
+    "family_grid",
     "MetricTensor",
     "metric_numeric",
+    "metric_grid",
     "energy_uncertainty",
     "speed_numeric",
     "distance_along_evolution",

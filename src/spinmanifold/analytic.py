@@ -15,13 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .evolution import chi_period
 from .fs_metric import MetricTensor
-from .spin_ops import Direction, FieldConfig, SpinSystem
-
-TWO_PI = 2.0 * math.pi
+from .spin_ops import TWO_PI, Direction, FieldConfig, SpinSystem
 
 
 class SingularPoint(ValueError):
@@ -188,6 +185,9 @@ def angular_defect(spec: ManifoldSpec) -> float:
 
 def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
     """Quadrature of (R/2) sqrt(g) over the manifold minus the pole cones."""
+    # imported here, its only use: scipy.integrate is most of the package's import time
+    from scipy.integrate import quad
+
     sys = spec.sys
     g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
 

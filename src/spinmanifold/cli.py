@@ -18,6 +18,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import SingularPoint
+from .fs_metric import speed_from_g_chi_chi
 from .spin_ops import Direction, FieldConfig, SpinSystem
 from .verify import run_full_suite
 
@@ -216,7 +217,7 @@ def cmd_speed(cfg: RunConfig) -> int:
                 v = analytic.speed_closed_form(sys, float(t))
             else:
                 g = analytic.metric_closed_form_field(sys, float(t), cfg.phi, fld)
-                v = abs(sys.coupling_j) * math.sqrt(max(g.g_chi_chi, 0.0))
+                v = speed_from_g_chi_chi(sys.coupling_j, g.g_chi_chi)
             rows.append({"theta": float(t), "v": v, "curve": label})
     header = ["theta", "v"] + (["curve"] if multi else [])
     _emit(rows, header, cfg)
@@ -285,7 +286,7 @@ def cmd_field_optimize(cfg: RunConfig, scan_direction: bool) -> int:
             for pp in np.linspace(0.0, 2.0 * math.pi, 61, endpoint=False):
                 fld = FieldConfig(cfg.h_over_j, Direction(float(tp), float(pp)))
                 g = analytic.metric_closed_form_field(sys, cfg.theta, cfg.phi, fld)
-                v = abs(sys.coupling_j) * math.sqrt(max(g.g_chi_chi, 0.0))
+                v = speed_from_g_chi_chi(sys.coupling_j, g.g_chi_chi)
                 if best_min is None or v < best_min[0]:
                     best_min = (v, float(tp), float(pp))
                 if best_max is None or v > best_max[0]:

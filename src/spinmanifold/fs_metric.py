@@ -3,8 +3,11 @@
 This is the oracle side: the metric is assembled from exact states and
 tangent vectors in the occupation basis of the symmetric subspace
 (dimension C(N+2s, 2s)), independent of the closed forms in
-:mod:`spinmanifold.analytic`.  The energy uncertainty takes a dense
-product-space Hamiltonian, as a cross-check of the metric.
+:mod:`spinmanifold.analytic`.  :func:`metric_grid` assembles and checks
+the metrics of a whole (theta, phi, chi) grid at once, with the same
+helpers as the single-point :func:`metric_numeric`.  The energy
+uncertainty takes a dense product-space Hamiltonian, as a cross-check of
+the metric.
 """
 
 from __future__ import annotations
@@ -15,10 +18,28 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evolution import CoordinatePoint, StateVector, state_at, tangent_states
+from .evolution import CoordinatePoint, StateVector, family_grid, state_at, tangent_states
 from .spin_ops import FieldConfig, ManyBodyOperator, SpinSystem
 
 COORD_NAMES = ("theta", "phi", "chi")
+
+
+def _validated_metrics(g: np.ndarray) -> np.ndarray:
+    """Symmetrized (..., 3, 3) metrics, each checked for symmetry and positive semidefiniteness.
+
+    With scale = max(1, max |g|) per metric, a metric fails when an entry
+    of |g - g^T| exceeds 1e-10 * scale (ValueError "not symmetric") or when
+    the least eigenvalue of (g + g^T) / 2 lies below -1e-10 * scale
+    (ValueError "not positive semidefinite").
+    """
+    g_t = g.swapaxes(-1, -2)
+    scale = np.abs(g).max(axis=(-2, -1), initial=1.0)
+    if (np.abs(g - g_t).max(axis=(-2, -1)) / scale).max() > 1e-10:
+        raise ValueError("metric components are not symmetric")
+    g = (g + g_t) / 2.0
+    if (np.linalg.eigvalsh(g)[..., 0] / scale).min() < -1e-10:
+        raise ValueError("metric is not positive semidefinite")
+    return g
 
 
 @dataclass(eq=False)
@@ -29,13 +50,7 @@ class MetricTensor:
     gamma: float = 1.0
 
     def __post_init__(self):
-        g = np.asarray(self.components, dtype=float)
-        scale = max(1.0, float(np.abs(g).max()))
-        if np.abs(g - g.T).max() > 1e-10 * scale:
-            raise ValueError("metric components are not symmetric")
-        self.components = (g + g.T) / 2.0
-        if np.linalg.eigvalsh(self.components).min() < -1e-10 * scale:
-            raise ValueError("metric is not positive semidefinite")
+        self.components = _validated_metrics(np.asarray(self.components, dtype=float))
 
     def __getitem__(self, key):
         i = COORD_NAMES.index(key[0])
@@ -67,46 +82,84 @@ class MetricTensor:
         return self.components[1, 2]
 
 
+def _metric_components(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """g_{mu nu} = gamma^2 Re(<psi_mu|psi_nu> - <psi_mu|psi><psi|psi_nu>), unvalidated.
+
+    ``psi`` is (..., D) and ``tangents`` (..., 3, D); the result is
+    (..., 3, 3).  Gauge invariant by construction of the projector term.
+    """
+    overlaps = tangents @ psi.conj()[..., None]  # <psi|psi_mu>, (..., 3, 1)
+    gram = tangents.conj() @ tangents.swapaxes(-1, -2)
+    return gamma**2 * (gram - overlaps.conj() * overlaps.swapaxes(-1, -2)).real
+
+
 def metric_numeric(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
 ) -> MetricTensor:
-    """g_{mu nu} = gamma^2 Re(<psi_mu|psi_nu> - <psi_mu|psi><psi|psi_nu>).
+    """The metric at one point, assembled from the analytic tangent states.
 
-    Assembled from the analytic tangent states in the occupation basis, so
-    no product-space vector is built and the dimension guard applies to
-    C(N+2s, 2s); gauge invariant by construction of the projector term.
+    Works in the occupation basis, so no product-space vector is built and
+    the dimension guard applies to C(N+2s, 2s).
     """
     psi = state_at(sys, point, field, occupation=True).amplitudes
     tang = tangent_states(sys, point, field, occupation=True)
-    vecs = np.stack((tang.d_theta, tang.d_phi, tang.d_chi))
-    overlaps = vecs @ psi.conj()  # <psi|psi_mu>
-    g = (vecs.conj() @ vecs.T - np.outer(overlaps.conj(), overlaps)).real
-    return MetricTensor(sys.gamma**2 * g, gamma=sys.gamma)
+    tangents = np.array((tang.d_theta, tang.d_phi, tang.d_chi))
+    return MetricTensor(_metric_components(sys.gamma, psi, tangents), gamma=sys.gamma)
 
 
-def energy_uncertainty(state: StateVector, ham: ManyBodyOperator) -> float:
-    """sqrt(<H^2> - <H>^2) for a normalized state.
+def metric_from_vectors(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """Validated (..., 3, 3) metrics from :func:`~spinmanifold.evolution.family_grid` output.
+
+    Every point passes :class:`MetricTensor`'s symmetry and PSD checks.
+    """
+    return _validated_metrics(_metric_components(gamma, psi, tangents))
+
+
+def metric_grid(
+    sys: SpinSystem, theta, phi, chi, field: Optional[FieldConfig] = None
+) -> np.ndarray:
+    """Metrics on the product grid theta x phi x chi, shape (n_theta, n_phi, n_chi, 3, 3).
+
+    The batched :func:`metric_numeric`: point for point the same assembly
+    and the same checks.
+    """
+    return metric_from_vectors(sys.gamma, *family_grid(sys, theta, phi, chi, field))
+
+
+def speed_from_g_chi_chi(coupling_j: float, g_chi_chi):
+    """Anandan-Aharonov speed |J| sqrt(g_chichi), a scalar or an array like g_chichi.
+
+    Round-off negatives of g_chichi count as zero.
+    """
+    return abs(coupling_j) * np.sqrt(np.maximum(g_chi_chi, 0.0))
+
+
+def energy_uncertainties(ham: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """sqrt(<H^2> - <H>^2) of every normalized state in a (..., d) stack.
 
     Tiny negative variances (round-off on eigenstates) are clamped to
     zero; anything below -1e-12 is an internal error.
     """
-    psi = state.amplitudes
-    hpsi = ham.matrix @ psi
-    mean = np.vdot(psi, hpsi).real
+    hpsi = amplitudes @ ham.T
+    mean = np.einsum("...d,...d->...", amplitudes.conj(), hpsi).real
     # ||(H - <H>) psi||^2 avoids the <H^2> - <H>^2 cancellation
-    shifted = hpsi - mean * psi
-    var = np.vdot(shifted, shifted).real
-    if var < -1e-12:
-        raise ArithmeticError(f"variance {var:.3e} is negative beyond round-off")
-    return math.sqrt(max(var, 0.0))
+    shifted = hpsi - mean[..., None] * amplitudes
+    var = np.einsum("...d,...d->...", shifted.conj(), shifted).real
+    if (var < -1e-12).any():
+        raise ArithmeticError(f"variance {var.min():.3e} is negative beyond round-off")
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+def energy_uncertainty(state: StateVector, ham: ManyBodyOperator) -> float:
+    """sqrt(<H^2> - <H>^2) for a normalized state (see :func:`energy_uncertainties`)."""
+    return float(energy_uncertainties(ham.matrix, state.amplitudes))
 
 
 def speed_numeric(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
 ) -> float:
     """Anandan-Aharonov speed |J| sqrt(g_chichi) from the numeric metric."""
-    g = metric_numeric(sys, point, field)
-    return abs(sys.coupling_j) * math.sqrt(max(g.g_chi_chi, 0.0))
+    return float(speed_from_g_chi_chi(sys.coupling_j, metric_numeric(sys, point, field).g_chi_chi))
 
 
 def _adaptive_chi_integral(f: Callable[[float], float], chi: float, rtol: float = 1e-8) -> float:

@@ -1,8 +1,9 @@
 """Oracle-vs-closed-form verification sweeps and the consistency report.
 
-Each check walks a deterministic coordinate grid, compares the exact
-Hilbert-space computation against the corresponding closed form, and
-records the worst deviation.  A component passes when its absolute
+Each check evaluates the exact Hilbert-space computation on a
+deterministic coordinate grid, one batched oracle call per field, compares
+every point against the corresponding closed form, and records the worst
+deviation.  A component passes when its absolute
 deviation is below the 1e-12 floor or its relative deviation (denominator
 max(|a|, |b|, 1e-12)) is below the check tolerance.
 """
@@ -17,14 +18,21 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .evolution import CoordinatePoint, state_at
-from .fs_metric import metric_numeric, energy_uncertainty, speed_numeric
+from .evolution import CoordinatePoint, family_grid
+from .fs_metric import (
+    energy_uncertainties,
+    metric_from_vectors,
+    metric_grid,
+    speed_from_g_chi_chi,
+    speed_numeric,
+)
 from .spin_ops import (
     Direction,
     FieldConfig,
     SpinSystem,
     build_field_hamiltonian,
     build_ising_hamiltonian,
+    product_to_occupation,
 )
 
 ABS_FLOOR = 1e-12
@@ -90,12 +98,6 @@ class SweepGrid:
         chi = np.linspace(0.0, analytic.chi_max_for(sys.two_s), n_chi)
         return cls(theta=theta, phi=phi, chi=chi, fields=fields)
 
-    def points(self):
-        for t in self.theta:
-            for p in self.phi:
-                for c in self.chi:
-                    yield CoordinatePoint(float(t), float(p), float(c))
-
 
 class _Deviation:
     """Running worst absolute / effective-relative deviation."""
@@ -122,6 +124,28 @@ def _sys_tag(sys: SpinSystem) -> str:
     return f"N{sys.n_sites}_2s{sys.two_s}"
 
 
+def _closed_form_grid(
+    sys: SpinSystem, grid: SweepGrid, field: Optional[FieldConfig]
+) -> np.ndarray:
+    """Closed-form metrics broadcast to the grid's (n_theta, n_phi, n_chi, 3, 3).
+
+    The zero-field form depends on theta alone and is evaluated once per
+    theta; the dressed form once per (theta, phi).
+    """
+    if field is None:
+        ref = [[analytic.metric_closed_form(sys, float(t)).components] for t in grid.theta]
+    else:
+        ref = [
+            [
+                analytic.metric_closed_form_field(sys, float(t), float(p), field).components
+                for p in grid.phi
+            ]
+            for t in grid.theta
+        ]
+    shape = (grid.theta.size, grid.phi.size, grid.chi.size, 3, 3)
+    return np.broadcast_to(np.array(ref)[:, :, None], shape)
+
+
 def run_metric_equivalence(
     sys: SpinSystem,
     grid: SweepGrid,
@@ -133,14 +157,9 @@ def run_metric_equivalence(
     n_points = 0
     fields = grid.fields if (field is None and grid.fields) else [field]
     for fld in fields:
-        for point in grid.points():
-            num = metric_numeric(sys, point, fld).components
-            if fld is None:
-                ref = analytic.metric_closed_form(sys, point.theta).components
-            else:
-                ref = analytic.metric_closed_form_field(sys, point.theta, point.phi, fld).components
-            dev.add_arrays(num, ref)
-            n_points += 1
+        num = metric_grid(sys, grid.theta, grid.phi, grid.chi, fld)
+        dev.add_arrays(num, _closed_form_grid(sys, grid, fld))
+        n_points += math.prod(num.shape[:3])
     name = f"metric_equivalence[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"
     return dev.result(name, f"{n_points} points", tol)
 
@@ -153,6 +172,8 @@ def run_speed_uncertainty_identity(
 ) -> CheckResult:
     """|J| sqrt(g_chichi) vs gamma * (energy uncertainty of the generator).
 
+    The speed comes from the numeric metric, the uncertainty from the
+    dense product-space Hamiltonian applied to the product-basis states.
     Compared on squared speeds: at stationary points both sides are the
     square root of ~eps round-off, so the raw values carry O(sqrt(eps))
     noise that is not a real deviation.  Squared agreement within tol
@@ -161,13 +182,15 @@ def run_speed_uncertainty_identity(
     dev = _Deviation()
     n_points = 0
     fields = grid.fields if (field is None and grid.fields) else [field]
+    rows, weights = product_to_occupation(sys)
     for fld in fields:
         ham = build_ising_hamiltonian(sys) if fld is None else build_field_hamiltonian(sys, fld)
-        for point in grid.points():
-            v = speed_numeric(sys, point, fld)
-            de = energy_uncertainty(state_at(sys, point, fld), ham)
-            dev.add(v * v, (sys.gamma * de) ** 2)
-            n_points += 1
+        psi, tangents = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
+        g = metric_from_vectors(sys.gamma, psi, tangents)
+        v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
+        de = energy_uncertainties(ham.matrix, psi[..., rows] * weights)
+        dev.add_arrays(v * v, (sys.gamma * de) ** 2)
+        n_points += v.size
     name = f"speed_uncertainty[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"
     return dev.result(name, f"{n_points} points", tol)
 
@@ -200,7 +223,7 @@ def run_section7_vectors(tol: float = 1e-9) -> CheckResult:
 
     def check_speed(theta, fld, expected):
         g_cf = analytic.metric_closed_form_field(sys, theta, phi, fld)
-        v_cf = abs(sys.coupling_j) * math.sqrt(g_cf.g_chi_chi)
+        v_cf = float(speed_from_g_chi_chi(sys.coupling_j, g_cf.g_chi_chi))
         dev.add(v_cf, expected)
         v_num = speed_numeric(sys, CoordinatePoint(theta, phi, 0.4), fld)
         dev.add(v_num, expected)

@@ -1,0 +1,56 @@
+"""Byte-exact CLI outputs against committed golden files.
+
+The files under ``tests/golden/`` hold the standard output of each command
+below.  A refactor of the CLI or of the closed forms it calls must leave
+every byte unchanged.  Regenerate them, only for an intended output
+change, with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+"""
+
+import contextlib
+import io
+import math
+import os
+import sys
+
+import pytest
+
+from spinmanifold.cli import EXIT_OK, main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+PRESETS = ("fig1", "fig2", "fig3", "fig5a", "fig5b", "fig6", "methane")
+
+#: golden file name -> CLI arguments
+CASES = {
+    **{f"{cmd}_{p}.csv": [cmd, "--preset", p] for cmd in ("speed", "curvature") for p in PRESETS},
+    "curvature_vs_speed_n4_2s1.csv": ["curvature-vs-speed", "--n", "4", "--two-s", "1"],
+    "field_optimize_scan.json": [
+        "field-optimize", "--scan-direction", "--n", "4", "--two-s", "2", "--h-over-j", "1",
+        "--theta", repr(math.pi / 4), "--phi", "0.9",
+        "--theta-prime", repr(3 * math.pi / 4), "--phi-prime", "0.9",
+    ],
+    "verify_topology.txt": ["verify", "--only", "topology"],
+}
+
+
+def _run(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == EXIT_OK, argv
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name):
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        expected = fh.read()
+    assert _run(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name, argv in CASES.items():
+        with open(os.path.join(GOLDEN_DIR, name), "wb") as fh:
+            fh.write(_run(argv))
+    print(f"wrote {len(CASES)} files to {GOLDEN_DIR}", file=sys.stderr)

@@ -1,0 +1,114 @@
+"""The batched grid oracle against its size-1 case, point for point.
+
+``family_grid`` and ``metric_grid`` evaluate a whole (theta, phi, chi)
+grid at once; ``state_at``, ``tangent_states`` and ``metric_numeric`` are
+the scalar calls.  Both must give the same numbers under verify's rule.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinmanifold.evolution import CoordinatePoint, family_grid, state_at, tangent_states
+from spinmanifold.fs_metric import (
+    _validated_metrics,
+    energy_uncertainties,
+    energy_uncertainty,
+    metric_grid,
+    metric_numeric,
+)
+from spinmanifold.spin_ops import (
+    Direction,
+    FieldConfig,
+    SpinSystem,
+    build_field_hamiltonian,
+    build_ising_hamiltonian,
+    product_to_occupation,
+)
+from spinmanifold.verify import DEFAULT_SYSTEMS
+
+THETA = np.array([0.0, 0.6, math.pi / 2, 2.5, math.pi])
+PHI = np.array([0.0, 1.9, 4.4])
+CHI = np.array([0.0, 1.3])
+FIELDS = [FieldConfig(1.0, Direction(0.8, 2.2)), FieldConfig(1.0, Direction(2.9, 5.6))]
+
+
+def agrees(a, b):
+    """verify's rule per component: <= 1e-12 absolute or <= 1e-9 relative."""
+    a, b = np.ravel(a), np.ravel(b)
+    dev = np.abs(a - b)
+    return bool(np.all((dev <= 1e-12) | (dev <= 1e-9 * np.maximum(np.abs(a), np.abs(b)))))
+
+
+def stacked_metric_numeric(sys, field=None):
+    return np.array(
+        [
+            [
+                [metric_numeric(sys, CoordinatePoint(t, p, c), field).components for c in CHI]
+                for p in PHI
+            ]
+            for t in THETA
+        ]
+    )
+
+
+@pytest.mark.parametrize("sys", DEFAULT_SYSTEMS, ids=lambda s: f"N{s.n_sites}_2s{s.two_s}")
+def test_metric_grid_matches_metric_numeric(sys):
+    grid = metric_grid(sys, THETA, PHI, CHI)
+    assert grid.shape == (THETA.size, PHI.size, CHI.size, 3, 3)
+    assert agrees(grid, stacked_metric_numeric(sys))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["dir_a", "dir_b"])
+def test_metric_grid_matches_metric_numeric_with_field(field):
+    sys = SpinSystem(4, 2)
+    assert agrees(metric_grid(sys, THETA, PHI, CHI, field), stacked_metric_numeric(sys, field))
+
+
+@pytest.mark.parametrize("field", [None, FIELDS[0]], ids=["zero_field", "field"])
+def test_family_grid_size_one_is_state_at(field):
+    sys = SpinSystem(3, 2)
+    point = CoordinatePoint(1.1, 0.4, 2.3)
+    psi, tangents = family_grid(sys, point.theta, point.phi, point.chi, field)
+    assert psi.shape == (1, 1, 1, sys.occupation_dim)
+    assert tangents.shape == (1, 1, 1, 3, sys.occupation_dim)
+    ref = tangent_states(sys, point, field, occupation=True)
+    assert np.array_equal(psi[0, 0, 0], state_at(sys, point, field, occupation=True).amplitudes)
+    for got, want in zip(tangents[0, 0, 0], (ref.d_theta, ref.d_phi, ref.d_chi)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("theta", [[0.3, 3.2], [-0.1], [0.3, math.nan]])
+def test_family_grid_rejects_theta_out_of_range(theta):
+    with pytest.raises(ValueError):
+        family_grid(SpinSystem(2, 1), theta, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("field", [None, FIELDS[1]], ids=["zero_field", "field"])
+def test_batched_energy_uncertainty_matches_scalar(field):
+    sys = SpinSystem(3, 2, coupling_j=-1.3)
+    ham = build_ising_hamiltonian(sys) if field is None else build_field_hamiltonian(sys, field)
+    psi, _ = family_grid(sys, THETA, PHI, CHI, field)
+    rows, weights = product_to_occupation(sys)
+    batched = energy_uncertainties(ham.matrix, psi[..., rows] * weights)
+    assert batched.shape == psi.shape[:3]
+    scalar = [
+        energy_uncertainty(state_at(sys, CoordinatePoint(t, p, c), field), ham)
+        for t in THETA
+        for p in PHI
+        for c in CHI
+    ]
+    assert agrees(batched, scalar)
+
+
+def test_batched_checks_reject_a_bad_point_anywhere():
+    good = np.repeat(np.eye(3)[None], 4, axis=0)
+    asymmetric, indefinite = good.copy(), good.copy()
+    asymmetric[2, 0, 1] = 0.5
+    indefinite[3, 1, 1] = -1.0
+    assert np.array_equal(_validated_metrics(good), good)
+    with pytest.raises(ValueError, match="not symmetric"):
+        _validated_metrics(asymmetric)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        _validated_metrics(indefinite)
