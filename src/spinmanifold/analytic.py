@@ -10,6 +10,7 @@ minimal-speed field conditions.  The numeric oracle lives in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -183,11 +184,77 @@ def angular_defect(spec: ManifoldSpec) -> float:
     return 2.0 * (TWO_PI - 2.0 * (n - 1) * s * spec.chi_max)
 
 
-def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
-    """Quadrature of (R/2) sqrt(g) over the manifold minus the pole cones."""
-    # imported here, its only use: scipy.integrate is most of the package's import time
-    from scipy.integrate import quad
+#: Panel acceptance tolerance, relative to the integral, and the two caps
+#: past which _adaptive_gauss_legendre gives up.
+_QUAD_RTOL = 1e-13
+_QUAD_MAX_DEPTH = 30
+_QUAD_MAX_PANELS = 1024
 
+
+@functools.cache
+def _gauss_legendre_16():
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre estimates of the integral of f over each [lo_i, hi_i]."""
+    nodes, weights = _gauss_legendre_16()
+    half = (hi - lo) / 2.0
+    x = ((hi + lo) / 2.0)[:, None] + half[:, None] * nodes
+    return half * (f(x.ravel()).reshape(x.shape) @ weights)
+
+
+def _adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+    """Integral of f over [a, b] by bisected 16-point Gauss-Legendre panels.
+
+    ``f`` maps a 1-D array of abscissae to the array of its values.
+    Starting from the whole interval, every panel is compared with the
+    sum of its two halves; the halves are accepted when the two differ by
+    at most _QUAD_RTOL times the running estimate of the whole integral,
+    and are bisected again otherwise.  Returns (value, error), the error
+    being the summed panel-versus-halves differences, a bound on the
+    coarser estimates' error.  Raises RuntimeError when a panel is still
+    unresolved after _QUAD_MAX_DEPTH bisections or more than
+    _QUAD_MAX_PANELS panels would be refined at once (a non-integrable
+    integrand, or one whose integral vanishes).
+    """
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    whole = _panel_estimates(f, lo, hi)
+    value = error = 0.0
+    for _ in range(_QUAD_MAX_DEPTH):
+        n = lo.size
+        mid = (lo + hi) / 2.0
+        halves = _panel_estimates(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        refined = halves[:n] + halves[n:]
+        diff = np.abs(refined - whole)
+        done = diff <= _QUAD_RTOL * abs(value + refined.sum())
+        value += refined[done].sum()
+        error += diff[done].sum()
+        keep = ~done
+        if not keep.any():
+            return float(value), float(error)
+        if 2 * np.count_nonzero(keep) > _QUAD_MAX_PANELS:
+            break
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        whole = np.concatenate([halves[:n][keep], halves[n:][keep]])
+    raise RuntimeError(
+        f"adaptive quadrature left {np.count_nonzero(keep)} panels unresolved "
+        f"(largest panel-versus-halves difference {diff[keep].max():.3e})"
+    )
+
+
+def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
+    """Quadrature of (R/2) sqrt(g) over the manifold minus the pole cones.
+
+    The theta integral over [eps, pi - eps] uses bisected 16-point
+    Gauss-Legendre panels (:func:`_adaptive_gauss_legendre`), which
+    resolve the waist feature of R, of width ~ 1/sqrt(4 (N-1) s), at
+    theta = pi/2.
+    """
     sys = spec.sys
     g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
 
@@ -195,7 +262,11 @@ def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
         g_cc = sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, theta)
         return 0.5 * scalar_curvature(sys, theta) * math.sqrt(g_thth * max(g_cc, 0.0))
 
-    val, err = quad(integrand, eps, math.pi - eps, limit=200)
+    val, err = _adaptive_gauss_legendre(
+        lambda thetas: np.fromiter(map(integrand, thetas.tolist()), float, thetas.size),
+        eps,
+        math.pi - eps,
+    )
     if abs(err) > 1e-6 * max(1.0, abs(val)):
         raise RuntimeError(f"curvature quadrature did not converge (err={err:.3e})")
     return spec.chi_max * val

@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import analytic
-from .analytic import SingularPoint
 from .fs_metric import speed_from_g_chi_chi
 from .spin_ops import Direction, FieldConfig, SpinSystem
 from .verify import run_full_suite
@@ -141,7 +140,7 @@ _FIGURE_CURVES = [
 _METHANE = dict(n_sites=4, two_s=1, coupling_j=-6.2)
 
 
-def _preset_curves(cfg: RunConfig, command: str):
+def _preset_curves(cfg: RunConfig):
     """Yield (label, SpinSystem, FieldConfig or None) for the active preset."""
     guard = 10**9
     preset = cfg.preset
@@ -165,7 +164,7 @@ def _preset_curves(cfg: RunConfig, command: str):
         raise ConfigError(f"unknown preset {preset!r}")
 
 
-def _theta_sweep(sys: SpinSystem, samples: int, include_poles: bool) -> np.ndarray:
+def _theta_sweep(samples: int, include_poles: bool) -> np.ndarray:
     thetas = np.linspace(0.0, math.pi, samples)
     if include_poles:
         return thetas
@@ -182,10 +181,10 @@ def _field_g_chichi(sys: SpinSystem, fld: FieldConfig, phi: float):
 def cmd_curvature(cfg: RunConfig) -> int:
     rows = []
     multi = False
-    for label, sys, fld in _preset_curves(cfg, "curvature"):
+    for label, sys, fld in _preset_curves(cfg):
         multi = multi or bool(label)
         smooth_poles = sys.n_sites == 2 and sys.two_s == 1 and fld is None
-        thetas = _theta_sweep(sys, cfg.samples, smooth_poles)
+        thetas = _theta_sweep(cfg.samples, smooth_poles)
         if not smooth_poles:
             print(
                 f"note: singular endpoints theta=0, pi omitted for {label or 'system'}",
@@ -209,9 +208,9 @@ def cmd_curvature(cfg: RunConfig) -> int:
 def cmd_speed(cfg: RunConfig) -> int:
     rows = []
     multi = False
-    for label, sys, fld in _preset_curves(cfg, "speed"):
+    for label, sys, fld in _preset_curves(cfg):
         multi = multi or bool(label)
-        thetas = _theta_sweep(sys, cfg.samples, True)
+        thetas = _theta_sweep(cfg.samples, True)
         for t in thetas:
             if fld is None:
                 v = analytic.speed_closed_form(sys, float(t))
@@ -227,7 +226,7 @@ def cmd_speed(cfg: RunConfig) -> int:
 def cmd_curvature_vs_speed(cfg: RunConfig) -> int:
     rows = []
     multi = False
-    for label, sys, _ in _preset_curves(cfg, "curvature_vs_speed"):
+    for label, sys, _ in _preset_curves(cfg):
         multi = multi or bool(label)
         ext = analytic.speed_extrema(sys)
         n_half = max(cfg.samples // 2, 2)

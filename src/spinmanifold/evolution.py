@@ -92,13 +92,10 @@ def _site_y_eig(two_s: int):
     return evals, rows
 
 
-def _rotated_site_vector(two_s: int, theta, phi: float = 0.0) -> np.ndarray:
-    """Single-site e^{-i phi Sz} e^{-i theta Sy} |s>, one row per entry of an array theta."""
+def _rotated_site_vector(two_s: int, theta) -> np.ndarray:
+    """Single-site e^{-i theta Sy} |s>, one row per entry of an array theta."""
     evals, rows = _site_y_eig(two_s)
-    v = np.exp(-1j * np.multiply.outer(theta, evals)) @ rows
-    if phi:
-        v = np.exp(-1j * phi * ((two_s / 2.0) - np.arange(two_s + 1))) * v
-    return v
+    return np.exp(-1j * np.multiply.outer(theta, evals)) @ rows
 
 
 def _symmetric_product(basis: OccupationBasis, sites: np.ndarray) -> np.ndarray:

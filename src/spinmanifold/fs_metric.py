@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -162,27 +162,6 @@ def speed_numeric(
     return float(speed_from_g_chi_chi(sys.coupling_j, metric_numeric(sys, point, field).g_chi_chi))
 
 
-def _adaptive_chi_integral(f: Callable[[float], float], chi: float, rtol: float = 1e-8) -> float:
-    """Trapezoid rule over [0, chi] with interval doubling until converged."""
-    n = 8
-    xs = np.linspace(0.0, chi, n + 1)
-    vals = np.array([f(x) for x in xs])
-    est = np.trapezoid(vals, xs)
-    for _ in range(20):
-        mids = (xs[:-1] + xs[1:]) / 2.0
-        mid_vals = np.array([f(x) for x in mids])
-        xs = np.sort(np.concatenate([xs, mids]))
-        vals_new = np.empty(xs.size)
-        vals_new[0::2] = vals
-        vals_new[1::2] = mid_vals
-        vals = vals_new
-        new_est = np.trapezoid(vals, xs)
-        if abs(new_est - est) <= rtol * max(abs(new_est), 1e-300):
-            return new_est
-        est = new_est
-    raise RuntimeError("distance quadrature did not converge")
-
-
 def distance_along_evolution(
     sys: SpinSystem,
     theta: float,
@@ -190,23 +169,16 @@ def distance_along_evolution(
     chi: float,
     field: Optional[FieldConfig] = None,
 ) -> float:
-    """State-space distance accumulated from chi' = 0 to chi.
+    """State-space distance accumulated from chi' = 0 to chi: sqrt(g_chichi) * chi.
 
-    For zero field, or a field along z, g_chichi is constant along the
-    trajectory and the distance is sqrt(g_chichi) * chi.  For a generic
-    field direction the line integral is evaluated by adaptive quadrature
-    (relative tolerance 1e-8).
+    The family evolves as exp(-i chi H/J) with H independent of chi, so
+    g_chichi = gamma^2 Var(H/J) is conserved along the trajectory for
+    every field direction, and one metric at chi' = 0 gives the whole
+    line integral.
     """
     if chi < 0.0:
         raise ValueError(f"chi must be >= 0, got {chi}")
     if chi == 0.0:
         return 0.0
-    if field is None or field.along_z:
-        g = metric_numeric(sys, CoordinatePoint(theta, phi, 0.0), field)
-        return math.sqrt(max(g.g_chi_chi, 0.0)) * chi
-
-    def integrand(c: float) -> float:
-        g = metric_numeric(sys, CoordinatePoint(theta, phi, c), field)
-        return math.sqrt(max(g.g_chi_chi, 0.0))
-
-    return _adaptive_chi_integral(integrand, chi)
+    g = metric_numeric(sys, CoordinatePoint(theta, phi, 0.0), field)
+    return math.sqrt(max(g.g_chi_chi, 0.0)) * chi

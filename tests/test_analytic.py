@@ -27,6 +27,7 @@ from spinmanifold.analytic import (
     thermo_limit,
 )
 from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem
+from spinmanifold.verify import TOPOLOGY_SYSTEMS
 
 METHANE = SpinSystem(4, 1, coupling_j=-6.2)
 
@@ -181,6 +182,53 @@ class TestTopology:
     def test_smooth_sphere_pure_integral(self):
         spec = ManifoldSpec.for_system(SpinSystem(2, 1))
         assert analytic.curvature_integral(spec) == pytest.approx(4 * math.pi, rel=1e-6)
+
+
+def _boundary_term(spec: ManifoldSpec, eps: float) -> float:
+    """Exact curvature integral by Gauss-Bonnet on the surface of revolution.
+
+    With f = g_chichi(theta), K sqrt(g) = -(sqrt f)'' / sqrt(g_thth), so the
+    integral over [eps, pi - eps] x [0, chi_max] is
+    chi_max [(sqrt f)'(eps) - (sqrt f)'(pi - eps)] / sqrt(g_thth).
+    """
+    sys = spec.sys
+    n, s, g2 = sys.n_sites, sys.s, sys.gamma**2
+    a = 2.0 * s * (n - 1)
+    c = g2 * n * (n - 1) * s**2
+
+    def d_sqrt_f(theta):
+        u = math.sin(theta) ** 2
+        f = c * u * (a - (a - 0.5) * u)
+        df = c * (a - 2.0 * (a - 0.5) * u) * math.sin(2.0 * theta)
+        return df / (2.0 * math.sqrt(f))
+
+    g_thth = g2 * n * s / 2.0
+    return spec.chi_max * (d_sqrt_f(eps) - d_sqrt_f(math.pi - eps)) / math.sqrt(g_thth)
+
+
+LARGE_SYSTEMS = [SpinSystem(n, two_s) for n, two_s in [(20, 5), (200, 20), (1000, 1), (5000, 40)]]
+
+
+class TestCurvatureQuadrature:
+    @pytest.mark.parametrize(
+        "sys,rel",
+        [(sys, 1e-12) for sys in TOPOLOGY_SYSTEMS] + [(sys, 1e-10) for sys in LARGE_SYSTEMS],
+        ids=lambda v: f"N{v.n_sites}_2s{v.two_s}" if isinstance(v, SpinSystem) else f"{v:g}",
+    )
+    def test_matches_boundary_term(self, sys, rel):
+        spec = ManifoldSpec.for_system(sys)
+        exact = _boundary_term(spec, 1e-4)
+        assert analytic.curvature_integral(spec) == pytest.approx(exact, rel=rel, abs=0.0)
+
+    def test_rule_is_exact_on_a_polynomial(self):
+        val, err = analytic._adaptive_gauss_legendre(lambda x: 7.0 * x**30 - x**3, -1.0, 2.0)
+        exact = 7.0 * (2.0**31 + 1.0) / 31.0 - (2.0**4 - 1.0) / 4.0
+        assert val == pytest.approx(exact, rel=1e-14)
+        assert err <= 1e-13 * abs(exact)
+
+    def test_non_integrable_integrand_raises(self):
+        with pytest.raises(RuntimeError, match="unresolved"):
+            analytic._adaptive_gauss_legendre(lambda x: 1.0 / (x - 0.5) ** 2, 0.0, 1.0)
 
 
 class TestSpeed:

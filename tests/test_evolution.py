@@ -35,7 +35,7 @@ class TestInitialState:
         assert np.allclose(psi.amplitudes, expected)
 
     def test_single_site_rotation(self):
-        v = _rotated_site_vector(1, math.pi / 2, 0.0)
+        v = _rotated_site_vector(1, math.pi / 2)
         assert np.allclose(v, [math.cos(math.pi / 4), math.sin(math.pi / 4)])
 
     def test_bloch_vector_per_site(self):

@@ -168,3 +168,30 @@ class TestDistance:
     def test_rejects_negative_chi(self):
         with pytest.raises(ValueError):
             distance_along_evolution(SpinSystem(2, 1), 1.0, 0.0, -1.0)
+
+
+GENERIC_FIELDS = [
+    (SpinSystem(3, 2, gamma=1.3), FieldConfig(0.8, Direction(1.0, 0.3))),
+    (SpinSystem(4, 1), FieldConfig(-1.7, Direction(2.2, 4.1))),
+]
+
+
+@pytest.mark.parametrize("sys,fld", GENERIC_FIELDS, ids=["N3_2s2", "N4_2s1"])
+class TestDistanceUnderField:
+    def test_g_chi_chi_is_conserved_under_a_generic_field(self, sys, fld):
+        chis = (0.0, 0.7, 1.9, 3.1, 6.0)
+        g = [metric_numeric(sys, CoordinatePoint(1.1, 0.4, c), fld).g_chi_chi for c in chis]
+        dev = np.abs(np.array(g) - g[0])
+        # verify's rule: <= 1e-12 absolute or <= 1e-9 relative
+        assert np.all((dev <= 1e-12) | (dev <= 1e-9 * np.maximum(np.abs(g), abs(g[0]))))
+
+    def test_distance_matches_a_trapezoid_over_chi(self, sys, fld):
+        chis = np.linspace(0.0, 2.5, 65)
+        speeds = [
+            math.sqrt(metric_numeric(sys, CoordinatePoint(1.1, 0.4, c), fld).g_chi_chi)
+            for c in chis
+        ]
+        expected = np.trapezoid(speeds, chis)
+        assert distance_along_evolution(sys, 1.1, 0.4, 2.5, fld) == pytest.approx(
+            expected, rel=1e-8
+        )

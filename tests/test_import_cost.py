@@ -1,10 +1,13 @@
-"""Importing the package must not pull in scipy.integrate.
+"""The package runs without scipy: importing it, the full verify suite and
+the CLI's topology check load no scipy module.
 
-``scipy.integrate`` takes most of the package's import time and only
-``analytic.curvature_integral`` uses it, so it is imported there, on
-first use.  Each check runs in a fresh interpreter.
+The Gauss-Bonnet curvature integral uses a numpy Gauss-Legendre rule, so
+only some tests' references need scipy.  Each check
+runs in a fresh interpreter and reports the scipy modules it finds in
+``sys.modules`` as the last line of its output.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,24 +16,36 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+_REPORT = (
+    "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+)
 
-def _loaded_after(statement: str) -> bool:
-    code = f"import sys; {statement}; print('scipy.integrate' in sys.modules)"
+
+def _scipy_modules_after(*statements: str) -> list:
+    """Scipy modules loaded after each statement, run in order in one fresh interpreter."""
+    code = "\n".join(["import json, sys"] + [f"{s}\n{_REPORT}" for s in statements])
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip() == "True"
+    reports = proc.stdout.strip().splitlines()[-len(statements):]
+    return [json.loads(line) for line in reports]
 
 
 @pytest.mark.parametrize("module", ["spinmanifold", "spinmanifold.cli"])
-def test_import_leaves_scipy_integrate_unloaded(module):
-    assert not _loaded_after(f"import {module}")
+def test_import_leaves_scipy_unloaded(module):
+    assert _scipy_modules_after(f"import {module}") == [[]]
 
 
-def test_curvature_integral_loads_it_on_first_use():
-    assert _loaded_after(
-        "from spinmanifold import analytic, SpinSystem;"
-        "analytic.curvature_integral(analytic.ManifoldSpec.for_system(SpinSystem(2, 1)))"
+def test_verify_suite_and_cli_topology_leave_scipy_unloaded():
+    after_suite, after_cli = _scipy_modules_after(
+        "from spinmanifold.verify import run_full_suite\n"
+        "assert run_full_suite().overall",
+        "import contextlib, io\n"
+        "from spinmanifold import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--only', 'topology']) == 0",
     )
+    assert after_suite == []
+    assert after_cli == []
