@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .evolution import chi_period
 from .fs_metric import MetricTensor
 from .spin_ops import TWO_PI, Direction, FieldConfig, SpinSystem
 
@@ -148,7 +147,7 @@ def chi_max_for(two_s: int, field: Optional[FieldConfig] = None) -> float:
     by q.  An undeclared (irrational) nonzero ratio leaves chi unbounded,
     and a generic field direction has no known period; both are rejected.
     """
-    base = chi_period(two_s)
+    base = TWO_PI if two_s % 2 == 1 else math.pi
     if field is None or field.ratio_h_over_j == 0.0:
         return base
     if not field.along_z:
@@ -166,7 +165,7 @@ class ManifoldSpec:
     chi_max: float
 
     def __post_init__(self):
-        base = chi_period(self.sys.two_s)
+        base = chi_max_for(self.sys.two_s)
         mult = self.chi_max / base
         if self.chi_max <= 0.0 or abs(mult - round(mult)) > 1e-9 or round(mult) < 1:
             raise ValueError(

@@ -47,10 +47,8 @@ class RunConfig:
     out: Optional[str] = None
     format: str = "csv"
 
-    def system(self, dim_guard: int = 10**9) -> SpinSystem:
-        # closed-form sweeps never build dense matrices, so the guard is
-        # relaxed here; dense commands construct their own SpinSystem
-        return SpinSystem(self.n, self.two_s, self.j, self.gamma, dim_guard=dim_guard)
+    def system(self) -> SpinSystem:
+        return SpinSystem(self.n, self.two_s, self.j, self.gamma)
 
     def field(self) -> Optional[FieldConfig]:
         if self.h_over_j is None:
@@ -75,25 +73,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if key == "ratio" and value is not None:
                 value = tuple(value)
             setattr(cfg, key, value)
-    # CLI flags override file values
-    overrides = {
-        "n": args.n,
-        "two_s": args.two_s,
-        "j": args.j,
-        "gamma": args.gamma,
-        "h_over_j": args.h_over_j,
-        "theta_prime": args.theta_prime,
-        "phi_prime": args.phi_prime,
-        "theta": args.theta,
-        "phi": args.phi,
-        "samples": args.samples,
-        "preset": getattr(args, "preset", None),
-        "out": args.out,
-        "format": args.format,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+    # CLI flags override file values; --ratio is parsed from P/Q below
+    for f in dc_fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if f.name != "ratio" and value is not None:
+            setattr(cfg, f.name, value)
     if args.ratio is not None:
         try:
             p, q = args.ratio.split("/")
@@ -129,39 +113,32 @@ def _emit(rows: List[dict], header: List[str], cfg: RunConfig):
             stream.close()
 
 
-# preset curves: label -> (SpinSystem kwargs, h/J values along z or None)
-_FIGURE_CURVES = [
-    ("N2_s1/2", dict(n_sites=2, two_s=1)),
-    ("N3_s1", dict(n_sites=3, two_s=2)),
-    ("N6_s3/2", dict(n_sites=6, two_s=3)),
-    ("N9_s2", dict(n_sites=9, two_s=4)),
-]
+_FIGURE_CURVES = (
+    ("N2_s1/2", SpinSystem(2, 1), None),
+    ("N3_s1", SpinSystem(3, 2), None),
+    ("N6_s3/2", SpinSystem(6, 3), None),
+    ("N9_s2", SpinSystem(9, 4), None),
+)
+_METHANE = (("", SpinSystem(n_sites=4, two_s=1, coupling_j=-6.2), None),)
 
-_METHANE = dict(n_sites=4, two_s=1, coupling_j=-6.2)
+#: preset name -> curves as (label, SpinSystem, FieldConfig or None)
+_PRESETS = {
+    **dict.fromkeys(("fig1", "fig2", "fig3"), _FIGURE_CURVES),
+    **dict.fromkeys(("fig5a", "fig5b", "methane"), _METHANE),
+    "fig6": tuple(
+        (f"hJ{r:g}", SpinSystem(6, 3), FieldConfig(r, Direction(0.0, 0.0)) if r else None)
+        for r in (0.0, 3.0, 10.0)
+    ),
+}
 
 
 def _preset_curves(cfg: RunConfig):
-    """Yield (label, SpinSystem, FieldConfig or None) for the active preset."""
-    guard = 10**9
-    preset = cfg.preset
-    if preset is None:
-        yield ("", cfg.system(), cfg.field())
-        return
-    if preset in ("fig1", "fig2", "fig3"):
-        for label, kwargs in _FIGURE_CURVES:
-            yield (label, SpinSystem(coupling_j=1.0, dim_guard=guard, **kwargs), None)
-    elif preset in ("methane", "fig5a", "fig5b"):
-        yield ("", SpinSystem(dim_guard=guard, **_METHANE), None)
-    elif preset == "fig6":
-        for ratio in (0.0, 3.0, 10.0):
-            fld = FieldConfig(ratio, Direction(0.0, 0.0)) if ratio else None
-            yield (
-                f"hJ{ratio:g}",
-                SpinSystem(n_sites=6, two_s=3, coupling_j=1.0, dim_guard=guard),
-                fld,
-            )
-    else:
-        raise ConfigError(f"unknown preset {preset!r}")
+    """(label, SpinSystem, FieldConfig or None) per curve of the active preset."""
+    if cfg.preset is None:
+        return [("", cfg.system(), cfg.field())]
+    if cfg.preset not in _PRESETS:
+        raise ConfigError(f"unknown preset {cfg.preset!r}")
+    return _PRESETS[cfg.preset]
 
 
 def _theta_sweep(samples: int, include_poles: bool) -> np.ndarray:
@@ -336,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument(
             "--preset",
-            choices=("fig1", "fig2", "fig3", "fig5a", "fig5b", "fig6", "methane"),
+            choices=sorted(_PRESETS),
             help="named figure recipe",
         )
 

@@ -22,11 +22,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .spin_ops import (
-    BASIS_CONVENTION,
-    OCCUPATION_BASIS,
     FieldConfig,
     OccupationBasis,
     SpinSystem,
+    _generator_matrix,
     _occupation_basis,
     _site_matrices,
     ising_pair_sums,
@@ -44,7 +43,6 @@ class StateVector:
     """Normalized complex amplitude vector, by default over the product basis."""
 
     amplitudes: np.ndarray
-    basis: str = BASIS_CONVENTION
 
     def __post_init__(self):
         norm = np.linalg.norm(self.amplitudes)
@@ -119,15 +117,16 @@ def _symmetric_product(basis: OccupationBasis, sites: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _field_generator_eig(sys: SpinSystem, field: FieldConfig):
-    """Eigendecomposition of G = Sum S_i^z S_j^z + (h/2J) Sum S_j . n' on the occupation basis.
+    """Eigendecomposition of the generator G on the occupation basis.
 
-    G is the dimensionless generator of Eq.-(33)-style evolution:
-    U(chi) = exp(-i 2 chi G).
+    G = Sum S_i^z S_j^z + (h/2J) Sum S_j . n' is the dimensionless
+    generator of Eq.-(33)-style evolution: U(chi) = exp(-i 2 chi G).
     """
-    half_ratio = field.ratio_h_over_j / 2.0
-    g = np.diag(occupation_basis(sys).ising_pair_sums).astype(complex)
-    for kind, n_kind in zip("xyz", field.direction.unit_vector()):
-        g += half_ratio * n_kind * occupation_spin_operator(sys, kind)
+    g = _generator_matrix(
+        occupation_basis(sys).ising_pair_sums,
+        lambda kind: occupation_spin_operator(sys, kind),
+        field,
+    )
     try:
         evals, evecs = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on Hermitian
@@ -284,7 +283,7 @@ def state_at(
     """
     psi, _ = _family_vectors(sys, point, field)
     if occupation:
-        return StateVector(psi, OCCUPATION_BASIS)
+        return StateVector(psi)
     return StateVector(_to_product(sys, psi))
 
 
@@ -307,7 +306,3 @@ def tangent_states(
         return TangentStates(*vecs)
     return TangentStates(*(_to_product(sys, v) for v in vecs))
 
-
-def chi_period(two_s: int) -> float:
-    """Zero-field period of chi: 2*pi for half-integer s, pi for integer s."""
-    return 2.0 * math.pi if two_s % 2 == 1 else math.pi

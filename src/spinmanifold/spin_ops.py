@@ -21,19 +21,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 #: Default ceiling on the dimension of a dense construction: (2s+1)^N in the
 #: product basis, C(N+2s, 2s) in the occupation basis.
 DIMENSION_GUARD = 20000
-
-#: Label of states/operators in the product basis.
-BASIS_CONVENTION = "site1-slowest, m descending s..-s"
-
-#: Label of states in the occupation basis (see :func:`occupation_basis`).
-OCCUPATION_BASIS = "occupation numbers over m descending s..-s, first (N, 0, ..., 0)"
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,7 +107,6 @@ class SiteOperator:
     """Single-site spin component, dense (2s+1) x (2s+1)."""
 
     matrix: np.ndarray
-    kind: str  # one of "x", "y", "z"
 
 
 @dataclass(eq=False)
@@ -121,7 +114,6 @@ class ManyBodyOperator:
     """Dense operator on the full (2s+1)^N product space."""
 
     matrix: np.ndarray
-    basis: str = BASIS_CONVENTION
 
 
 @dataclass(frozen=True)
@@ -192,11 +184,7 @@ def build_spin_operators(two_s: int) -> Tuple[SiteOperator, SiteOperator, SiteOp
     sminus = splus.conj().T
     sx = (splus + sminus) / 2.0
     sy = (splus - sminus) / 2.0j
-    return (
-        SiteOperator(sx, "x"),
-        SiteOperator(sy, "y"),
-        SiteOperator(sz, "z"),
-    )
+    return SiteOperator(sx), SiteOperator(sy), SiteOperator(sz)
 
 
 def embed_site_operator(op: SiteOperator, site: int, sys: SpinSystem) -> ManyBodyOperator:
@@ -269,25 +257,42 @@ def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
     return _pair_sums(sys.n_sites, sys.two_s)
 
 
-def build_ising_hamiltonian(sys: SpinSystem) -> ManyBodyOperator:
-    """H = 2J Sum_{i<j} S_i^z S_j^z, diagonal in the product basis."""
-    sys.check_dim_guard()
-    return ManyBodyOperator(np.diag(2.0 * sys.coupling_j * ising_pair_sums(sys)).astype(complex))
+def _generator_matrix(
+    ising_diag: np.ndarray,
+    total_spin: Callable[[str], np.ndarray],
+    field: Optional[FieldConfig],
+) -> np.ndarray:
+    """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n', dense, with H = 2J G.
+
+    Built in whichever basis its arguments use: ``ising_diag`` is the
+    diagonal of the zz term and ``total_spin(kind)`` returns Sum_j S_j^kind.
+    ``field=None`` and h/J = 0 both give the zero-field generator.
+    """
+    g = np.diag(ising_diag).astype(complex)
+    if field is not None and field.ratio_h_over_j != 0.0:
+        half_ratio = field.ratio_h_over_j / 2.0
+        for kind, n_kind in zip("xyz", field.direction.unit_vector()):
+            g += half_ratio * n_kind * total_spin(kind)
+    return g
 
 
-def build_field_hamiltonian(sys: SpinSystem, field: FieldConfig) -> ManyBodyOperator:
+def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> ManyBodyOperator:
     """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n', with h = (h/J) * J.
 
     Dense on the product space and built on demand, like
-    :func:`total_spin_operator`.
+    :func:`total_spin_operator`; ``field=None`` gives the Ising Hamiltonian.
     """
     sys.check_dim_guard()
-    h = field.ratio_h_over_j * sys.coupling_j
-    mat = np.diag(2.0 * sys.coupling_j * ising_pair_sums(sys)).astype(complex)
-    if h != 0.0:
-        for kind, n_kind in zip("xyz", field.direction.unit_vector()):
-            mat += h * n_kind * total_spin_operator(sys, kind).matrix
-    return ManyBodyOperator(mat)
+    g = _generator_matrix(
+        ising_pair_sums(sys), lambda kind: total_spin_operator(sys, kind).matrix, field
+    )
+    g *= 2.0 * sys.coupling_j
+    return ManyBodyOperator(g)
+
+
+def build_ising_hamiltonian(sys: SpinSystem) -> ManyBodyOperator:
+    """H = 2J Sum_{i<j} S_i^z S_j^z, diagonal in the product basis."""
+    return build_field_hamiltonian(sys, None)
 
 
 class OccupationBasis(NamedTuple):

@@ -27,11 +27,11 @@ from .fs_metric import (
     speed_numeric,
 )
 from .spin_ops import (
+    TWO_PI,
     Direction,
     FieldConfig,
     SpinSystem,
     build_field_hamiltonian,
-    build_ising_hamiltonian,
     product_to_occupation,
 )
 
@@ -146,16 +146,11 @@ def _closed_form_grid(
     return np.broadcast_to(np.array(ref)[:, :, None], shape)
 
 
-def run_metric_equivalence(
-    sys: SpinSystem,
-    grid: SweepGrid,
-    field: Optional[FieldConfig] = None,
-    tol: float = 1e-9,
-) -> CheckResult:
+def run_metric_equivalence(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> CheckResult:
     """Numeric metric vs the closed form at every grid point."""
     dev = _Deviation()
     n_points = 0
-    fields = grid.fields if (field is None and grid.fields) else [field]
+    fields = grid.fields or [None]
     for fld in fields:
         num = metric_grid(sys, grid.theta, grid.phi, grid.chi, fld)
         dev.add_arrays(num, _closed_form_grid(sys, grid, fld))
@@ -165,10 +160,7 @@ def run_metric_equivalence(
 
 
 def run_speed_uncertainty_identity(
-    sys: SpinSystem,
-    grid: SweepGrid,
-    field: Optional[FieldConfig] = None,
-    tol: float = 1e-9,
+    sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9
 ) -> CheckResult:
     """|J| sqrt(g_chichi) vs gamma * (energy uncertainty of the generator).
 
@@ -181,10 +173,10 @@ def run_speed_uncertainty_identity(
     """
     dev = _Deviation()
     n_points = 0
-    fields = grid.fields if (field is None and grid.fields) else [field]
+    fields = grid.fields or [None]
     rows, weights = product_to_occupation(sys)
     for fld in fields:
-        ham = build_ising_hamiltonian(sys) if fld is None else build_field_hamiltonian(sys, fld)
+        ham = build_field_hamiltonian(sys, fld)
         psi, tangents = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
         g = metric_from_vectors(sys.gamma, psi, tangents)
         v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
@@ -202,9 +194,8 @@ def run_topology_suite(
     results = []
     for spec in specs:
         dev = _Deviation()
-        euler = analytic.gauss_bonnet_euler(spec)
-        dev.add(euler, 2.0)
         integral = analytic.curvature_integral(spec)
+        dev.add((integral + analytic.angular_defect(spec)) / TWO_PI, 2.0)
         expected = 4.0 * spec.chi_max * (spec.sys.n_sites - 1) * spec.sys.s
         dev.add(integral / expected, 1.0)
         results.append(

@@ -5,7 +5,15 @@ import math
 import pytest
 
 from spinmanifold.analytic import scalar_curvature, speed_extrema
-from spinmanifold.cli import EXIT_BAD_CONFIG, EXIT_OK, EXIT_VERIFY_FAILED, main
+from spinmanifold.cli import (
+    EXIT_BAD_CONFIG,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    RunConfig,
+    _build_parser,
+    _load_config,
+    main,
+)
 from spinmanifold.spin_ops import SpinSystem
 
 METHANE = SpinSystem(4, 1, coupling_j=-6.2)
@@ -135,6 +143,33 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"nn": 2}))
         assert main(["speed", "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_unknown_preset_in_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"preset": "fig9"}))
+        assert main(["speed", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "unknown preset 'fig9'" in capsys.readouterr().err
+
+    def test_every_flag_overrides_the_config_file(self, tmp_path):
+        file_values = {
+            "n": 5, "two_s": 3, "j": 2.0, "gamma": 3.0, "h_over_j": 4.0,
+            "theta_prime": 0.1, "phi_prime": 0.2, "ratio": [1, 1], "theta": 0.3,
+            "phi": 0.4, "samples": 7, "preset": "fig1", "out": "file.csv", "format": "json",
+        }
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(file_values))
+        argv = [
+            "speed", "--config", str(cfg), "--n", "2", "--two-s", "1", "--j", "1.5",
+            "--gamma", "2.5", "--h-over-j", "0.5", "--theta-prime", "1.1",
+            "--phi-prime", "1.2", "--ratio", "1/2", "--theta", "1.3", "--phi", "1.4",
+            "--samples", "9", "--preset", "fig6", "--out", "flag.csv", "--format", "csv",
+        ]
+        got = _load_config(_build_parser().parse_args(argv))
+        assert got == RunConfig(
+            n=2, two_s=1, j=1.5, gamma=2.5, h_over_j=0.5, theta_prime=1.1, phi_prime=1.2,
+            ratio=(1, 2), theta=1.3, phi=1.4, samples=9, preset="fig6", out="flag.csv",
+            format="csv",
+        )
 
     def test_bad_ratio_rejected(self, capsys):
         assert main(["speed", "--n", "2", "--two-s", "1", "--ratio", "abc"]) == EXIT_BAD_CONFIG

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinmanifold.analytic import chi_max_for
 from spinmanifold.evolution import (
     CoordinatePoint,
     StateVector,
     _rotated_site_vector,
-    chi_period,
     evolve_ising,
     evolve_with_field,
     initial_state,
@@ -89,9 +89,9 @@ class TestIsingEvolution:
         assert fidelity(psi, evolve_ising(sys, psi, math.pi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_period_rule(self):
-        assert chi_period(1) == pytest.approx(2 * math.pi)
-        assert chi_period(2) == pytest.approx(math.pi)
-        assert chi_period(3) == pytest.approx(2 * math.pi)
+        assert chi_max_for(1) == pytest.approx(2 * math.pi)
+        assert chi_max_for(2) == pytest.approx(math.pi)
+        assert chi_max_for(3) == pytest.approx(2 * math.pi)
 
 
 class TestFieldEvolution:
@@ -123,7 +123,7 @@ class TestFieldEvolution:
         sys = SpinSystem(3, 1)
         fld = FieldConfig(0.5, Direction(0.0, 0.0), rational_ratio=(1, 2))
         psi = initial_state(sys, 1.0, 0.3)
-        looped = evolve_with_field(sys, fld, psi, 2 * chi_period(sys.two_s))
+        looped = evolve_with_field(sys, fld, psi, 2 * chi_max_for(sys.two_s))
         assert fidelity(psi, looped) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -152,7 +152,7 @@ class TestTangentStates:
         s = sys.s
         for theta in np.linspace(0.2, math.pi - 0.2, 5):
             for phi in np.linspace(0.0, 2 * math.pi, 5, endpoint=False):
-                for chi in np.linspace(0.0, chi_period(two_s), 5):
+                for chi in np.linspace(0.0, chi_max_for(two_s), 5):
                     point = CoordinatePoint(theta, phi, chi)
                     psi = state_at(sys, point).amplitudes
                     tang = tangent_states(sys, point)

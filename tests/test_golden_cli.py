@@ -24,6 +24,15 @@ PRESETS = ("fig1", "fig2", "fig3", "fig5a", "fig5b", "fig6", "methane")
 CASES = {
     **{f"{cmd}_{p}.csv": [cmd, "--preset", p] for cmd in ("speed", "curvature") for p in PRESETS},
     "curvature_vs_speed_n4_2s1.csv": ["curvature-vs-speed", "--n", "4", "--two-s", "1"],
+    "curvature_vs_speed_fig1.csv": ["curvature-vs-speed", "--preset", "fig1"],
+    "speed_field_n4_2s2.csv": [
+        "speed", "--n", "4", "--two-s", "2", "--h-over-j", "3", "--theta-prime", "0",
+        "--ratio", "3/1",
+    ],
+    "curvature_field_n4_2s2.json": [
+        "curvature", "--format", "json", "--n", "4", "--two-s", "2", "--h-over-j", "1",
+        "--theta-prime", "0.7", "--phi-prime", "0.3", "--phi", "0.9", "--samples", "40",
+    ],
     "field_optimize_scan.json": [
         "field-optimize", "--scan-direction", "--n", "4", "--two-s", "2", "--h-over-j", "1",
         "--theta", repr(math.pi / 4), "--phi", "0.9",

@@ -143,10 +143,10 @@ class TestIsingHamiltonian:
 class TestFieldHamiltonian:
     def test_zero_field_matches_ising(self):
         sys = SpinSystem(3, 1, coupling_j=1.3)
-        fld = FieldConfig(0.0, Direction(0.7, 0.2))
-        assert np.allclose(
-            build_field_hamiltonian(sys, fld).matrix, build_ising_hamiltonian(sys).matrix
-        )
+        for fld in (FieldConfig(0.0, Direction(0.7, 0.2)), None):
+            assert np.allclose(
+                build_field_hamiltonian(sys, fld).matrix, build_ising_hamiltonian(sys).matrix
+            )
 
     def test_field_along_z_stays_diagonal(self):
         sys = SpinSystem(2, 1, coupling_j=1.0)

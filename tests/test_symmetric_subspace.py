@@ -21,6 +21,7 @@ from spinmanifold import analytic
 from spinmanifold.evolution import (
     CoordinatePoint,
     StateVector,
+    _field_generator_eig,
     evolve_with_field,
     initial_state,
     state_at,
@@ -32,9 +33,11 @@ from spinmanifold.spin_ops import (
     DimensionGuardError,
     FieldConfig,
     SpinSystem,
+    build_field_hamiltonian,
     build_spin_operators,
     occupation_basis,
     occupation_spin_operator,
+    product_to_occupation,
     total_spin_operator,
 )
 
@@ -128,6 +131,21 @@ def test_total_spin_restricts_to_occupation_operator(n, two_s):
         assert np.abs(restricted - occupation_spin_operator(sys, kind)).max() < 1e-12, kind
         # Sum_j S_j^kind maps the symmetric subspace into itself
         assert np.abs(dense @ v - v @ restricted).max() < 1e-12, kind
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["zero_field", "field_a", "field_b"])
+@pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
+def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
+    # the occupation-basis G, rebuilt from the eigendecomposition the oracle
+    # propagates with, against V^dag H V / 2J from the dense product-space H
+    sys = SpinSystem(n, two_s, coupling_j=-1.7)
+    evals, evecs = _field_generator_eig(sys, field)
+    rows, weights = product_to_occupation(sys)
+    v = np.zeros((sys.dim, sys.occupation_dim))
+    v[np.arange(sys.dim), rows] = weights
+    ham = build_field_hamiltonian(sys, field).matrix
+    expected = v.T @ ham @ v / (2.0 * sys.coupling_j)
+    assert np.abs((evecs * evals) @ evecs.conj().T - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
