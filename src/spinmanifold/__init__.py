@@ -9,23 +9,17 @@ reached from a polarized product state.
 
 from .spin_ops import (
     SpinSystem,
-    SiteOperator,
     ManyBodyOperator,
     Direction,
     FieldConfig,
     DimensionGuardError,
     build_spin_operators,
-    embed_site_operator,
-    build_ising_hamiltonian,
     build_field_hamiltonian,
 )
 from .evolution import (
     StateVector,
     CoordinatePoint,
     TangentStates,
-    initial_state,
-    evolve_ising,
-    evolve_with_field,
     tangent_states,
     state_at,
     family_grid,
@@ -34,7 +28,6 @@ from .fs_metric import (
     MetricTensor,
     metric_numeric,
     metric_grid,
-    energy_uncertainty,
     speed_numeric,
     distance_along_evolution,
 )
@@ -63,28 +56,21 @@ from .verify import SweepGrid, VerificationReport, run_full_suite
 
 __all__ = [
     "SpinSystem",
-    "SiteOperator",
     "ManyBodyOperator",
     "Direction",
     "FieldConfig",
     "DimensionGuardError",
     "build_spin_operators",
-    "embed_site_operator",
-    "build_ising_hamiltonian",
     "build_field_hamiltonian",
     "StateVector",
     "CoordinatePoint",
     "TangentStates",
-    "initial_state",
-    "evolve_ising",
-    "evolve_with_field",
     "tangent_states",
     "state_at",
     "family_grid",
     "MetricTensor",
     "metric_numeric",
     "metric_grid",
-    "energy_uncertainty",
     "speed_numeric",
     "distance_along_evolution",
     "ManifoldSpec",

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .fs_metric import MetricTensor
+from .fs_metric import MetricTensor, speed_from_g_chi_chi
 from .spin_ops import TWO_PI, Direction, FieldConfig, SpinSystem
 
 
@@ -278,9 +278,8 @@ def gauss_bonnet_euler(spec: ManifoldSpec, eps: float = 1e-4) -> float:
 
 def speed_closed_form(sys: SpinSystem, theta: float) -> float:
     """v = |J| sqrt(g_chichi); independent of phi and chi."""
-    return abs(sys.coupling_j) * sys.gamma * math.sqrt(
-        max(_g_chi_chi_bare(sys.n_sites, sys.s, theta), 0.0)
-    )
+    g_cc = sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, theta)
+    return float(speed_from_g_chi_chi(sys.coupling_j, g_cc))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import json
 import math
 import sys as _sysmod
 from dataclasses import dataclass, fields as dc_fields
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -58,6 +58,30 @@ class RunConfig:
         )
 
 
+def _fits(value, kind: type) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _config_value(key: str, value, hint):
+    """A config-file value checked against its RunConfig annotation ``hint``."""
+    if get_origin(hint) is Union:  # Optional[X]: null is allowed
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:  # ratio, written [P, Q]
+        if isinstance(value, list) and len(value) == 2 and all(_fits(v, int) for v in value):
+            return tuple(value)
+        expected = "a list of two integers"
+    elif _fits(value, hint):
+        return value
+    else:
+        expected = hint.__name__
+    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
@@ -66,13 +90,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
-        known = {f.name for f in dc_fields(RunConfig)}
+        hints = get_type_hints(RunConfig)
         for key, value in data.items():
-            if key not in known:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key == "ratio" and value is not None:
-                value = tuple(value)
-            setattr(cfg, key, value)
+            setattr(cfg, key, _config_value(key, value, hints[key]))
     # CLI flags override file values; --ratio is parsed from P/Q below
     for f in dc_fields(RunConfig):
         value = getattr(args, f.name, None)
@@ -88,6 +110,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             cfg.h_over_j = cfg.ratio[0] / cfg.ratio[1]
     if cfg.samples < 2:
         raise ConfigError("samples must be >= 2")
+    for name in ("theta", "phi"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     return cfg
 
 

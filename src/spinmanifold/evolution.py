@@ -1,15 +1,17 @@
-"""Initial-state preparation, Ising / field propagation and tangent states.
+"""Family states and their tangent states, in the occupation basis.
 
-Every family state and tangent vector is built once, in the occupation
-basis of the symmetric subspace (dimension C(N+2s, 2s); see
-:mod:`spinmanifold.spin_ops`): the polarized product state is
-sqrt(M(n)) prod_k c_k^{n_k} in that basis, the zero-field propagator is a
-diagonal phase, and the field propagator goes through the eigenvectors of
-the D x D generator.  :func:`family_grid` builds them on a whole
-(theta, phi, chi) grid in a few array operations; :func:`state_at` and
-:func:`tangent_states` are its size-1 case.  Product-basis results are
-gathered from those vectors.  Global phases are never stripped: all
-comparisons downstream are gauge invariant.
+Every family state and tangent vector is built in the occupation basis
+of the symmetric subspace (dimension C(N+2s, 2s); see
+:mod:`spinmanifold.spin_ops`), and that is the only basis they are
+returned in: the polarized product state is sqrt(M(n)) prod_k c_k^{n_k}
+in that basis, the zero-field propagator is a diagonal phase, and the
+field propagator goes through the eigenvectors of the D x D generator.
+:func:`family_grid` builds them on a whole (theta, phi, chi) grid in a
+few array operations; :func:`state_at` and :func:`tangent_states` are
+its size-1 case.  A product-basis vector, where one is needed, is
+gathered with :func:`spinmanifold.spin_ops.product_to_occupation`.
+Global phases are never stripped: all comparisons downstream are gauge
+invariant.
 """
 
 from __future__ import annotations
@@ -28,19 +30,14 @@ from .spin_ops import (
     _generator_matrix,
     _occupation_basis,
     _site_matrices,
-    ising_pair_sums,
     occupation_basis,
     occupation_spin_operator,
-    product_to_occupation,
 )
-
-#: Largest norm a state may have outside the symmetric subspace.
-SYMMETRIC_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(eq=False)
 class StateVector:
-    """Normalized complex amplitude vector, by default over the product basis."""
+    """Normalized complex amplitude vector over the occupation basis."""
 
     amplitudes: np.ndarray
 
@@ -54,8 +51,8 @@ class StateVector:
 class CoordinatePoint:
     """A point (theta, phi, chi) of the three-parameter state family.
 
-    chi = J*t is dimensionless and unrestricted; periodicity is the
-    caller's business.
+    chi = J*t is dimensionless and unrestricted apart from being finite;
+    periodicity is the caller's business.
     """
 
     theta: float
@@ -65,6 +62,8 @@ class CoordinatePoint:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
+        if not (math.isfinite(self.phi) and math.isfinite(self.chi)):
+            raise ValueError(f"phi and chi must be finite, got phi={self.phi}, chi={self.chi}")
 
 
 @dataclass(eq=False)
@@ -203,6 +202,8 @@ def family_grid(
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
     if not (theta.min() >= 0.0 and theta.max() <= math.pi):  # NaN fails too
         raise ValueError(f"theta must be in [0, pi], got {theta}")
+    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
+        raise ValueError(f"phi and chi must be finite, got phi={phi}, chi={chi}")
     vecs = _family_block(sys, theta, phi, chi, field)
     return vecs[..., 0, :], vecs[..., 1:, :]
 
@@ -210,8 +211,8 @@ def family_grid(
 @lru_cache(maxsize=1)
 def _family_vectors(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig]
-) -> Tuple[np.ndarray, TangentStates]:
-    """psi and its tangents at one point, read-only: the size-1 :func:`family_grid`.
+) -> np.ndarray:
+    """Read-only rows psi, d_theta, d_phi, d_chi at one point: the size-1 :func:`family_grid`.
 
     The last point is cached: the metric, the speed and verify ask for the
     state and the tangents of one point back to back.
@@ -219,90 +220,26 @@ def _family_vectors(
     coords = (np.array([x]) for x in (point.theta, point.phi, point.chi))
     vecs = _family_block(sys, *coords, field)[0, 0, 0]
     vecs.setflags(write=False)
-    return vecs[0], TangentStates(vecs[1], vecs[2], vecs[3])
-
-
-def _to_product(sys: SpinSystem, vec: np.ndarray) -> np.ndarray:
-    rows, weights = product_to_occupation(sys)
-    return vec[rows] * weights
-
-
-def initial_state(sys: SpinSystem, theta: float, phi: float = 0.0) -> StateVector:
-    """Polarized product state: every spin at maximal projection along n.
-
-    Constructed as e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>, which
-    factorizes into identical single-site rotations.
-    """
-    sys.check_dim_guard()
-    psi, _ = _family_vectors(sys, CoordinatePoint(theta, phi), None)
-    return StateVector(_to_product(sys, psi))
-
-
-def evolve_ising(sys: SpinSystem, state: StateVector, chi: float) -> StateVector:
-    """Apply e^{-i 2 chi Sum_{i<j} S_i^z S_j^z} as diagonal phases."""
-    phases = np.exp(-2j * chi * ising_pair_sums(sys))
-    return StateVector(phases * state.amplitudes)
-
-
-def evolve_with_field(
-    sys: SpinSystem, field: FieldConfig, state: StateVector, chi: float
-) -> StateVector:
-    """Apply exp{-i 2 chi (Sum S_i^z S_j^z + (h/2J) Sum S_j . n')} to a product-basis state.
-
-    The propagator is applied in the occupation basis, so ``state`` must
-    lie in the symmetric subspace (every family state does): a state with
-    norm above 1e-12 outside it raises ValueError.
-    """
-    sys.check_dim_guard()
-    rows, weights = product_to_occupation(sys)
-    amps = state.amplitudes
-    occ = np.zeros(sys.occupation_dim, dtype=complex)
-    np.add.at(occ, rows, weights * amps)
-    residual = float(np.linalg.norm(amps - occ[rows] * weights))
-    if residual > SYMMETRIC_RESIDUAL_TOL:
-        raise ValueError(
-            f"state has norm {residual:.3e} outside the symmetric subspace "
-            f"(limit {SYMMETRIC_RESIDUAL_TOL:.0e}); field evolution is only defined there"
-        )
-    evals, evecs = _field_generator_eig(sys, field)
-    evolved = evecs @ (np.exp(-2j * chi * evals) * (evecs.conj().T @ occ))
-    return StateVector(_to_product(sys, evolved))
+    return vecs
 
 
 def state_at(
-    sys: SpinSystem,
-    point: CoordinatePoint,
-    field: Optional[FieldConfig] = None,
-    *,
-    occupation: bool = False,
+    sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
 ) -> StateVector:
     """Evolved family member at (theta, phi, chi), zero-field or dressed.
 
-    In the product basis by default; ``occupation=True`` returns the
-    C(N+2s, 2s)-dimensional occupation-basis vector instead.
+    A C(N+2s, 2s)-dimensional occupation-basis vector.
     """
-    psi, _ = _family_vectors(sys, point, field)
-    if occupation:
-        return StateVector(psi)
-    return StateVector(_to_product(sys, psi))
+    return StateVector(_family_vectors(sys, point, field)[0])
 
 
 def tangent_states(
-    sys: SpinSystem,
-    point: CoordinatePoint,
-    field: Optional[FieldConfig] = None,
-    *,
-    occupation: bool = False,
+    sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
 ) -> TangentStates:
     """Analytic derivatives of the evolved state w.r.t. (theta, phi, chi).
 
     No finite differencing: each derivative is an operator applied to the
-    exactly propagated state (see :func:`_family_vectors`).  In the product
-    basis by default; ``occupation=True`` keeps the occupation basis.
+    exactly propagated state (see :func:`family_grid`).  Occupation-basis
+    vectors, like :func:`state_at`.
     """
-    _, tang = _family_vectors(sys, point, field)
-    vecs = (tang.d_theta, tang.d_phi, tang.d_chi)
-    if occupation:
-        return TangentStates(*vecs)
-    return TangentStates(*(_to_product(sys, v) for v in vecs))
-
+    return TangentStates(*_family_vectors(sys, point, field)[1:])

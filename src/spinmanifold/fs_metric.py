@@ -5,9 +5,10 @@ tangent vectors in the occupation basis of the symmetric subspace
 (dimension C(N+2s, 2s)), independent of the closed forms in
 :mod:`spinmanifold.analytic`.  :func:`metric_grid` assembles and checks
 the metrics of a whole (theta, phi, chi) grid at once, with the same
-helpers as the single-point :func:`metric_numeric`.  The energy
-uncertainty takes a dense product-space Hamiltonian, as a cross-check of
-the metric.
+helpers as the single-point :func:`metric_numeric`.
+:func:`energy_uncertainties` takes a stack of states and a dense
+Hamiltonian in the same basis (verify gathers product-basis states for
+the product-space Hamiltonian), as a cross-check of the metric.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import CoordinatePoint, StateVector, family_grid, state_at, tangent_states
-from .spin_ops import FieldConfig, ManyBodyOperator, SpinSystem
+from .evolution import CoordinatePoint, family_grid, state_at, tangent_states
+from .spin_ops import FieldConfig, SpinSystem
 
 COORD_NAMES = ("theta", "phi", "chi")
 
@@ -101,8 +102,8 @@ def metric_numeric(
     Works in the occupation basis, so no product-space vector is built and
     the dimension guard applies to C(N+2s, 2s).
     """
-    psi = state_at(sys, point, field, occupation=True).amplitudes
-    tang = tangent_states(sys, point, field, occupation=True)
+    psi = state_at(sys, point, field).amplitudes
+    tang = tangent_states(sys, point, field)
     tangents = np.array((tang.d_theta, tang.d_phi, tang.d_chi))
     return MetricTensor(_metric_components(sys.gamma, psi, tangents), gamma=sys.gamma)
 
@@ -148,11 +149,6 @@ def energy_uncertainties(ham: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     if (var < -1e-12).any():
         raise ArithmeticError(f"variance {var.min():.3e} is negative beyond round-off")
     return np.sqrt(np.maximum(var, 0.0))
-
-
-def energy_uncertainty(state: StateVector, ham: ManyBodyOperator) -> float:
-    """sqrt(<H^2> - <H>^2) for a normalized state (see :func:`energy_uncertainties`)."""
-    return float(energy_uncertainties(ham.matrix, state.amplitudes))
 
 
 def speed_numeric(

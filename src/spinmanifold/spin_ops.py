@@ -1,11 +1,12 @@
-"""Spin-s operators, tensor-product embedding, Hamiltonians and the
-symmetric-subspace (occupation-number) basis.
+"""Spin-s operators, Hamiltonians and the symmetric-subspace
+(occupation-number) basis.
 
-Product basis, used by the product-space constructions: lexicographic
-with site 1 slowest, per-site magnetic quantum number m descending from s
-to -s.  With that ordering every S^z is diagonal and the all-to-all zz
-coupling is a diagonal matrix whose entries are enumerable from the basis
-labels.
+Product basis, used only by the dense cross-check operators
+(:func:`total_spin_operator`, :func:`build_field_hamiltonian`) and by
+:func:`product_to_occupation`: lexicographic with site 1 slowest,
+per-site magnetic quantum number m descending from s to -s.  With that
+ordering every S^z is diagonal and the all-to-all zz coupling is a
+diagonal matrix whose entries are enumerable from the basis labels.
 
 Occupation basis, used by the oracle: the polarized product states and
 every Hamiltonian here are invariant under permuting sites, so the oracle
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -49,9 +50,9 @@ class SpinSystem:
         half-integer spins exact (the evolution period depends on the
         parity of two_s).
     coupling_j : float
-        Pair coupling J in Hz (hbar = 1).
+        Pair coupling J in Hz (hbar = 1), finite.
     gamma : float
-        Scale factor of the metric, default 1.
+        Scale factor of the metric, positive and finite, default 1.
     dim_guard : int
         Maximum allowed dimension for dense constructions, compared with
         ``dim`` in the product basis and ``occupation_dim`` in the
@@ -69,8 +70,10 @@ class SpinSystem:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         if self.two_s < 1:
             raise ValueError(f"two_s must be >= 1, got {self.two_s}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not math.isfinite(self.coupling_j):
+            raise ValueError(f"coupling_j must be finite, got {self.coupling_j}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
     @property
     def s(self) -> float:
@@ -103,13 +106,6 @@ class SpinSystem:
 
 
 @dataclass(eq=False)
-class SiteOperator:
-    """Single-site spin component, dense (2s+1) x (2s+1)."""
-
-    matrix: np.ndarray
-
-
-@dataclass(eq=False)
 class ManyBodyOperator:
     """Dense operator on the full (2s+1)^N product space."""
 
@@ -120,8 +116,8 @@ class ManyBodyOperator:
 class Direction:
     """Unit vector given by polar/azimuthal angles (radians).
 
-    The azimuth is normalized into [0, 2*pi); the polar angle must lie in
-    [0, pi].
+    The azimuth must be finite and is normalized into [0, 2*pi); the polar
+    angle must lie in [0, pi].
     """
 
     polar: float
@@ -130,6 +126,8 @@ class Direction:
     def __post_init__(self):
         if not 0.0 <= self.polar <= math.pi:
             raise ValueError(f"polar angle must be in [0, pi], got {self.polar}")
+        if not math.isfinite(self.azimuth):
+            raise ValueError(f"azimuth must be finite, got {self.azimuth}")
         object.__setattr__(self, "azimuth", self.azimuth % TWO_PI)
 
     def unit_vector(self) -> np.ndarray:
@@ -151,6 +149,8 @@ class FieldConfig:
     rational_ratio: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.ratio_h_over_j):
+            raise ValueError(f"h/J must be finite, got {self.ratio_h_over_j}")
         if self.rational_ratio is not None:
             p, q = self.rational_ratio
             if q < 1 or math.gcd(p, q) != 1:
@@ -166,8 +166,8 @@ class FieldConfig:
         return math.sin(self.direction.polar) == 0.0
 
 
-def build_spin_operators(two_s: int) -> Tuple[SiteOperator, SiteOperator, SiteOperator]:
-    """Build (Sx, Sy, Sz) for spin s = two_s / 2.
+def build_spin_operators(two_s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build (Sx, Sy, Sz) for spin s = two_s / 2, dense (2s+1) x (2s+1).
 
     Sz is diagonal with entries s, s-1, ..., -s; Sx and Sy follow from the
     ladder operators, S+/- |m> = sqrt(s(s+1) - m(m +/- 1)) |m +/- 1>.
@@ -184,29 +184,18 @@ def build_spin_operators(two_s: int) -> Tuple[SiteOperator, SiteOperator, SiteOp
     sminus = splus.conj().T
     sx = (splus + sminus) / 2.0
     sy = (splus - sminus) / 2.0j
-    return SiteOperator(sx), SiteOperator(sy), SiteOperator(sz)
-
-
-def embed_site_operator(op: SiteOperator, site: int, sys: SpinSystem) -> ManyBodyOperator:
-    """Embed a single-site operator at 1-based ``site``, identity elsewhere."""
-    if not 1 <= site <= sys.n_sites:
-        raise ValueError(f"site {site} out of range 1..{sys.n_sites}")
-    sys.check_dim_guard()
-    eye = np.eye(sys.site_dim, dtype=complex)
-    factors = [op.matrix if k == site else eye for k in range(1, sys.n_sites + 1)]
-    return ManyBodyOperator(reduce(np.kron, factors))
+    return sx, sy, sz
 
 
 @lru_cache(maxsize=64)
 def _site_matrices(two_s: int) -> dict:
-    sx, sy, sz = build_spin_operators(two_s)
-    return {"x": sx.matrix, "y": sy.matrix, "z": sz.matrix}
+    return dict(zip("xyz", build_spin_operators(two_s)))
 
 
 def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
     """Sum_j S_j^kind on the full product space, built on demand (no cache).
 
-    The metric oracle never uses it: it feeds the dense Hamiltonians of the
+    The metric oracle never uses it: it feeds the dense Hamiltonian of the
     energy-uncertainty check and is the product-space cross-check of
     :func:`occupation_spin_operator`.  Each site's term changes only that
     site's digit of the basis index, so it is written in place.
@@ -226,25 +215,11 @@ def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
 
 
 @lru_cache(maxsize=64)
-def _basis_m_table(n_sites: int, two_s: int) -> np.ndarray:
-    """Per-basis-state m labels, shape (d, N), following the basis order."""
-    s = two_s / 2.0
-    single = s - np.arange(two_s + 1)
+def _pair_sums(n_sites: int, two_s: int) -> np.ndarray:
+    """Sum_{i<j} m_i m_j per basis state, from the (d, N) table of m labels."""
+    single = two_s / 2.0 - np.arange(two_s + 1)
     grids = np.meshgrid(*([single] * n_sites), indexing="ij")
     table = np.stack([g.ravel() for g in grids], axis=1)
-    table.setflags(write=False)
-    return table
-
-
-def basis_m_values(sys: SpinSystem) -> np.ndarray:
-    """m labels (m_1 ... m_N) of every product-basis state, shape (d, N)."""
-    return _basis_m_table(sys.n_sites, sys.two_s)
-
-
-@lru_cache(maxsize=64)
-def _pair_sums(n_sites: int, two_s: int) -> np.ndarray:
-    """Sum_{i<j} m_i m_j per basis state."""
-    table = _basis_m_table(n_sites, two_s)
     totals = table.sum(axis=1)
     squares = (table**2).sum(axis=1)
     out = (totals**2 - squares) / 2.0
@@ -288,11 +263,6 @@ def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> Ma
     )
     g *= 2.0 * sys.coupling_j
     return ManyBodyOperator(g)
-
-
-def build_ising_hamiltonian(sys: SpinSystem) -> ManyBodyOperator:
-    """H = 2J Sum_{i<j} S_i^z S_j^z, diagonal in the product basis."""
-    return build_field_hamiltonian(sys, None)
 
 
 class OccupationBasis(NamedTuple):

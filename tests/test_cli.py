@@ -130,6 +130,26 @@ class TestFieldOptimize:
         assert main(["field-optimize", "--n", "3", "--two-s", "1"]) == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["speed", "--j", "nan"], "coupling_j must be finite"),
+        (["speed", "--j", "inf"], "coupling_j must be finite"),
+        (["curvature", "--gamma", "inf"], "gamma must be positive and finite"),
+        (["speed", "--h-over-j", "nan"], "h/J must be finite"),
+        (["speed", "--h-over-j", "1", "--phi-prime", "inf"], "azimuth must be finite"),
+        (["speed", "--h-over-j", "1", "--phi", "nan"], "phi must be finite"),
+        (["field-optimize", "--theta", "nan"], "theta must be finite"),
+        (["field-optimize", "--theta", "0.7", "--phi=-inf"], "phi must be finite"),
+    ],
+)
+def test_non_finite_input_is_a_config_error(capsys, argv, message):
+    assert main(argv) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -170,6 +190,31 @@ class TestConfigHandling:
             ratio=(1, 2), theta=1.3, phi=1.4, samples=9, preset="fig6", out="flag.csv",
             format="csv",
         )
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"n": "4"}, "config key 'n' must be int, got '4'"),
+            ({"samples": 2.5}, "config key 'samples' must be int"),
+            ({"two_s": True}, "config key 'two_s' must be int"),
+            ({"j": "1.0"}, "config key 'j' must be float"),
+            ({"theta": [0.5]}, "config key 'theta' must be float"),
+            ({"preset": 1}, "config key 'preset' must be str"),
+            ({"ratio": [1, "2"]}, "config key 'ratio' must be a list of two integers"),
+            ({"ratio": [1, 2, 3]}, "config key 'ratio' must be a list of two integers"),
+        ],
+    )
+    def test_wrong_value_type_in_config_rejected(self, capsys, tmp_path, data, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["speed", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_config_accepts_int_for_float_and_null_for_optional(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"j": 2, "h_over_j": None, "theta": 1, "ratio": None}))
+        got = _load_config(_build_parser().parse_args(["speed", "--config", str(cfg)]))
+        assert (got.j, got.h_over_j, got.theta, got.ratio) == (2, None, 1, None)
 
     def test_bad_ratio_rejected(self, capsys):
         assert main(["speed", "--n", "2", "--two-s", "1", "--ratio", "abc"]) == EXIT_BAD_CONFIG

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,9 +10,6 @@ from spinmanifold.evolution import (
     CoordinatePoint,
     StateVector,
     _rotated_site_vector,
-    evolve_ising,
-    evolve_with_field,
-    initial_state,
     state_at,
     tangent_states,
 )
@@ -19,6 +17,9 @@ from spinmanifold.spin_ops import (
     Direction,
     FieldConfig,
     SpinSystem,
+    build_spin_operators,
+    occupation_basis,
+    occupation_spin_operator,
     total_spin_operator,
 )
 
@@ -27,10 +28,36 @@ def fidelity(a, b):
     return abs(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def polarized(sys, theta, phi):
+    """Occupation-basis sqrt(M(n)) prod_k c_k^{n_k} of the polarized state, exact factorials."""
+    m = sys.s - np.arange(sys.site_dim)
+    site = np.exp(-1j * phi * m) * _rotated_site_vector(sys.two_s, theta)
+    out = []
+    for n in occupation_basis(sys).occupations.tolist():
+        multinomial = math.factorial(sys.n_sites) // math.prod(map(math.factorial, n))
+        out.append(math.sqrt(multinomial) * np.prod(site**n))
+    return np.array(out)
+
+
+def occupation_generator(sys, field=None):
+    """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum S.n' from the occupation-basis Sum S^alpha."""
+    m = sys.s - np.arange(sys.site_dim)
+    sz = occupation_spin_operator(sys, "z")
+    # Sum_{i<j} S_i^z S_j^z = ((Sum S^z)^2 - Sum (S^z)^2) / 2, the last term diagonal
+    g = (sz @ sz - np.diag(occupation_basis(sys).occupations @ m**2)) / 2.0
+    if field is not None:
+        n = field.direction.unit_vector()
+        g = g + field.ratio_h_over_j / 2.0 * sum(
+            n[i] * occupation_spin_operator(sys, k) for i, k in enumerate("xyz")
+        )
+    return g
+
+
 class TestInitialState:
     def test_north_pole_is_all_up(self):
-        psi = initial_state(SpinSystem(3, 2), 0.0, 0.0)
-        expected = np.zeros(27)
+        # occupation row 0 is (N, 0, ..., 0): every site at m = s
+        psi = state_at(SpinSystem(3, 2), CoordinatePoint(0.0, 0.0))
+        expected = np.zeros(10)
         expected[0] = 1.0
         assert np.allclose(psi.amplitudes, expected)
 
@@ -41,12 +68,12 @@ class TestInitialState:
     def test_bloch_vector_per_site(self):
         sys = SpinSystem(2, 1)
         theta, phi = math.pi / 3, math.pi / 5
-        psi = initial_state(sys, theta, phi).amplitudes
+        psi = state_at(sys, CoordinatePoint(theta, phi)).amplitudes
         expected = 0.5 * np.array(
             [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
         )
         for i, kind in enumerate("xyz"):
-            op = total_spin_operator(sys, kind).matrix
+            op = occupation_spin_operator(sys, kind)
             # both sites identical, so the total expectation is twice per-site
             val = np.vdot(psi, op @ psi).real / sys.n_sites
             assert val == pytest.approx(expected[i], abs=1e-10)
@@ -54,39 +81,38 @@ class TestInitialState:
     def test_projection_along_n_is_maximal(self):
         sys = SpinSystem(2, 3)
         theta, phi = 1.1, 2.7
-        psi = initial_state(sys, theta, phi).amplitudes
+        psi = state_at(sys, CoordinatePoint(theta, phi)).amplitudes
         n = Direction(theta, phi).unit_vector()
-        op = sum(
-            n[i] * total_spin_operator(sys, k).matrix for i, k in enumerate("xyz")
-        )
+        op = sum(n[i] * occupation_spin_operator(sys, k) for i, k in enumerate("xyz"))
         assert np.vdot(psi, op @ psi).real / sys.n_sites == pytest.approx(sys.s, abs=1e-10)
 
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
-            initial_state(SpinSystem(2, 1), -0.1)
+            state_at(SpinSystem(2, 1), CoordinatePoint(-0.1))
 
 
 class TestIsingEvolution:
     def test_chi_zero_is_identity(self):
         sys = SpinSystem(3, 1)
-        psi = initial_state(sys, 0.8, 0.3)
-        assert np.array_equal(evolve_ising(sys, psi, 0.0).amplitudes, psi.amplitudes)
+        psi = state_at(sys, CoordinatePoint(0.8, 0.3, 0.0))
+        assert np.abs(psi.amplitudes - polarized(sys, 0.8, 0.3)).max() < 1e-12
 
     def test_norm_preserved(self):
         sys = SpinSystem(3, 2)
-        psi = initial_state(sys, 1.2, 0.4)
-        evolved = evolve_ising(sys, psi, 5.3)
+        evolved = state_at(sys, CoordinatePoint(1.2, 0.4, 5.3))
         assert np.linalg.norm(evolved.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_integer_period_two_pi(self):
         sys = SpinSystem(3, 1)
-        psi = initial_state(sys, 1.0, 0.5)
-        assert fidelity(psi, evolve_ising(sys, psi, 2 * math.pi)) == pytest.approx(1.0, abs=1e-12)
+        psi = state_at(sys, CoordinatePoint(1.0, 0.5))
+        looped = state_at(sys, CoordinatePoint(1.0, 0.5, 2 * math.pi))
+        assert fidelity(psi, looped) == pytest.approx(1.0, abs=1e-12)
 
     def test_integer_period_pi(self):
         sys = SpinSystem(2, 2)
-        psi = initial_state(sys, 1.0, 0.5)
-        assert fidelity(psi, evolve_ising(sys, psi, math.pi)) == pytest.approx(1.0, abs=1e-12)
+        psi = state_at(sys, CoordinatePoint(1.0, 0.5))
+        looped = state_at(sys, CoordinatePoint(1.0, 0.5, math.pi))
+        assert fidelity(psi, looped) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_period_rule(self):
         assert chi_max_for(1) == pytest.approx(2 * math.pi)
@@ -98,32 +124,32 @@ class TestFieldEvolution:
     def test_zero_ratio_matches_ising(self):
         sys = SpinSystem(3, 1)
         fld = FieldConfig(0.0, Direction(1.0, 2.0))
-        psi = initial_state(sys, 0.9, 1.4)
-        a = evolve_ising(sys, psi, 1.7).amplitudes
-        b = evolve_with_field(sys, fld, psi, 1.7).amplitudes
+        point = CoordinatePoint(0.9, 1.4, 1.7)
+        a = state_at(sys, point).amplitudes
+        b = state_at(sys, point, fld).amplitudes
         assert np.abs(a - b).max() < 1e-10
 
     def test_forward_backward_returns_start(self):
+        # undo the oracle's U(chi) with a test-local exp(+2i chi G)
         sys = SpinSystem(2, 2)
         fld = FieldConfig(1.3, Direction(0.8, 0.1))
-        psi = initial_state(sys, 1.1, 0.6)
-        there = evolve_with_field(sys, fld, psi, 2.4)
-        back = evolve_with_field(sys, fld, there, -2.4)
-        assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-10
+        psi = state_at(sys, CoordinatePoint(1.1, 0.6), fld).amplitudes
+        there = state_at(sys, CoordinatePoint(1.1, 0.6, 2.4), fld).amplitudes
+        back = expm(2j * 2.4 * occupation_generator(sys, fld)) @ there
+        assert np.abs(back - psi).max() < 1e-10
 
     def test_unitary_norm(self):
         sys = SpinSystem(3, 3)
         fld = FieldConfig(2.1, Direction(1.9, 4.0))
-        psi = initial_state(sys, 0.4, 0.2)
-        evolved = evolve_with_field(sys, fld, psi, 3.7)
+        evolved = state_at(sys, CoordinatePoint(0.4, 0.2, 3.7), fld)
         assert np.linalg.norm(evolved.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     def test_rational_field_along_z_closes_loop(self):
         # h/J = 1/2 along z for half-integer s: period is q * chi_max
         sys = SpinSystem(3, 1)
         fld = FieldConfig(0.5, Direction(0.0, 0.0), rational_ratio=(1, 2))
-        psi = initial_state(sys, 1.0, 0.3)
-        looped = evolve_with_field(sys, fld, psi, 2 * chi_max_for(sys.two_s))
+        psi = state_at(sys, CoordinatePoint(1.0, 0.3), fld)
+        looped = state_at(sys, CoordinatePoint(1.0, 0.3, 2 * chi_max_for(sys.two_s)), fld)
         assert fidelity(psi, looped) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -186,18 +212,28 @@ class TestTangentStates:
 class TestBakerCampbellHausdorff:
     @pytest.mark.parametrize("theta", [0.3, 1.1, 2.4])
     def test_rotated_sz(self, theta):
-        from spinmanifold.spin_ops import build_spin_operators, embed_site_operator
-
         sys = SpinSystem(2, 1)
         sx, sy, sz = build_spin_operators(1)
         sy_tot = total_spin_operator(sys, "y").matrix
         rot = expm(1j * theta * sy_tot)
+
+        def embed(op, site):
+            return reduce(np.kron, [op if k == site else np.eye(2) for k in (1, 2)])
+
         for site in (1, 2):
-            sz_i = embed_site_operator(sz, site, sys).matrix
-            sx_i = embed_site_operator(sx, site, sys).matrix
+            sz_i = embed(sz, site)
+            sx_i = embed(sx, site)
             conjugated = rot @ sz_i @ rot.conj().T
             expected = sz_i * math.cos(theta) - sx_i * math.sin(theta)
             assert np.abs(conjugated - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "phi,chi", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, -math.inf)]
+)
+def test_coordinate_point_rejects_non_finite(phi, chi):
+    with pytest.raises(ValueError, match="finite"):
+        CoordinatePoint(0.5, phi, chi)
 
 
 class TestStateVector:

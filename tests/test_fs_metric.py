@@ -8,7 +8,7 @@ from spinmanifold.evolution import CoordinatePoint, state_at, tangent_states
 from spinmanifold.fs_metric import (
     MetricTensor,
     distance_along_evolution,
-    energy_uncertainty,
+    energy_uncertainties,
     metric_numeric,
     speed_numeric,
 )
@@ -17,10 +17,20 @@ from spinmanifold.spin_ops import (
     FieldConfig,
     SpinSystem,
     build_field_hamiltonian,
-    build_ising_hamiltonian,
+    product_to_occupation,
 )
 
 METHANE = SpinSystem(4, 1, coupling_j=-6.2)
+
+
+def product_state(sys, point, field=None):
+    """state_at's occupation-basis vector gathered into the product basis."""
+    rows, weights = product_to_occupation(sys)
+    return state_at(sys, point, field).amplitudes[rows] * weights
+
+
+def energy_uncertainty(ham, psi):
+    return float(energy_uncertainties(ham, psi))
 
 
 def assemble_metric(gamma, psi, vecs):
@@ -98,15 +108,15 @@ class TestMetricNumeric:
 class TestEnergyUncertainty:
     def test_eigenstate_has_zero_variance(self):
         sys = SpinSystem(3, 1)
-        psi = state_at(sys, CoordinatePoint(0.0, 0.0, 0.0))
-        assert energy_uncertainty(psi, build_ising_hamiltonian(sys)) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        psi = product_state(sys, CoordinatePoint(0.0, 0.0, 0.0))
+        ham = build_field_hamiltonian(sys, None).matrix
+        assert energy_uncertainty(ham, psi) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_chi_metric_component(self):
         sys = SpinSystem(2, 1, coupling_j=1.0)
         point = CoordinatePoint(math.pi / 2, 0.0, 0.0)
-        de = energy_uncertainty(state_at(sys, point), build_ising_hamiltonian(sys))
+        ham = build_field_hamiltonian(sys, None).matrix
+        de = energy_uncertainty(ham, product_state(sys, point))
         g = metric_numeric(sys, point)
         assert de == pytest.approx(
             abs(sys.coupling_j) * math.sqrt(g.g_chi_chi) / sys.gamma, abs=1e-10
@@ -114,11 +124,10 @@ class TestEnergyUncertainty:
 
     def test_scaling_is_linear(self):
         sys = SpinSystem(3, 2)
-        psi = state_at(sys, CoordinatePoint(1.0, 0.2, 0.5))
-        ham = build_ising_hamiltonian(sys)
-        doubled = type(ham)(2.0 * ham.matrix)
-        assert energy_uncertainty(psi, doubled) == pytest.approx(
-            2.0 * energy_uncertainty(psi, ham)
+        psi = product_state(sys, CoordinatePoint(1.0, 0.2, 0.5))
+        ham = build_field_hamiltonian(sys, None).matrix
+        assert energy_uncertainty(2.0 * ham, psi) == pytest.approx(
+            2.0 * energy_uncertainty(ham, psi)
         )
 
 
@@ -145,7 +154,8 @@ class TestSpeedNumeric:
         fld = FieldConfig(0.8, Direction(1.0, 0.3))
         point = CoordinatePoint(1.2, 0.7, 1.9)
         v = speed_numeric(sys, point, fld)
-        de = energy_uncertainty(state_at(sys, point, fld), build_field_hamiltonian(sys, fld))
+        ham = build_field_hamiltonian(sys, fld).matrix
+        de = energy_uncertainty(ham, product_state(sys, point, fld))
         assert v == pytest.approx(sys.gamma * de, rel=1e-9)
 
 

@@ -14,7 +14,6 @@ from spinmanifold.evolution import CoordinatePoint, family_grid, state_at, tange
 from spinmanifold.fs_metric import (
     _validated_metrics,
     energy_uncertainties,
-    energy_uncertainty,
     metric_grid,
     metric_numeric,
 )
@@ -23,7 +22,6 @@ from spinmanifold.spin_ops import (
     FieldConfig,
     SpinSystem,
     build_field_hamiltonian,
-    build_ising_hamiltonian,
     product_to_occupation,
 )
 from spinmanifold.verify import DEFAULT_SYSTEMS
@@ -73,8 +71,8 @@ def test_family_grid_size_one_is_state_at(field):
     psi, tangents = family_grid(sys, point.theta, point.phi, point.chi, field)
     assert psi.shape == (1, 1, 1, sys.occupation_dim)
     assert tangents.shape == (1, 1, 1, 3, sys.occupation_dim)
-    ref = tangent_states(sys, point, field, occupation=True)
-    assert np.array_equal(psi[0, 0, 0], state_at(sys, point, field, occupation=True).amplitudes)
+    ref = tangent_states(sys, point, field)
+    assert np.array_equal(psi[0, 0, 0], state_at(sys, point, field).amplitudes)
     for got, want in zip(tangents[0, 0, 0], (ref.d_theta, ref.d_phi, ref.d_chi)):
         assert np.array_equal(got, want)
 
@@ -85,16 +83,29 @@ def test_family_grid_rejects_theta_out_of_range(theta):
         family_grid(SpinSystem(2, 1), theta, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "phi,chi",
+    [([0.3, math.nan], 0.0), ([math.inf], 0.0), (0.0, [1.0, math.nan]), (0.0, -math.inf)],
+)
+def test_family_grid_rejects_non_finite_phi_chi(phi, chi):
+    with pytest.raises(ValueError, match="finite"):
+        family_grid(SpinSystem(2, 1), [0.3], phi, chi)
+
+
 @pytest.mark.parametrize("field", [None, FIELDS[1]], ids=["zero_field", "field"])
 def test_batched_energy_uncertainty_matches_scalar(field):
     sys = SpinSystem(3, 2, coupling_j=-1.3)
-    ham = build_ising_hamiltonian(sys) if field is None else build_field_hamiltonian(sys, field)
+    ham = build_field_hamiltonian(sys, field).matrix
     psi, _ = family_grid(sys, THETA, PHI, CHI, field)
     rows, weights = product_to_occupation(sys)
-    batched = energy_uncertainties(ham.matrix, psi[..., rows] * weights)
+    batched = energy_uncertainties(ham, psi[..., rows] * weights)
     assert batched.shape == psi.shape[:3]
     scalar = [
-        energy_uncertainty(state_at(sys, CoordinatePoint(t, p, c), field), ham)
+        float(
+            energy_uncertainties(
+                ham, state_at(sys, CoordinatePoint(t, p, c), field).amplitudes[rows] * weights
+            )
+        )
         for t in THETA
         for p in PHI
         for c in CHI

@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,14 +10,23 @@ from spinmanifold.spin_ops import (
     DimensionGuardError,
     FieldConfig,
     SpinSystem,
-    basis_m_values,
     build_field_hamiltonian,
-    build_ising_hamiltonian,
     build_spin_operators,
-    embed_site_operator,
     ising_pair_sums,
     total_spin_operator,
 )
+
+
+def embed(site_op, site, sys):
+    """Test-local kron: ``site_op`` at 1-based ``site``, identity elsewhere, site 1 slowest."""
+    eye = np.eye(sys.site_dim)
+    return reduce(np.kron, [site_op if k == site else eye for k in range(1, sys.n_sites + 1)])
+
+
+def basis_labels(sys):
+    """(m_1, ..., m_N) of every product-basis state, lexicographic with site 1 slowest."""
+    levels = sys.s - np.arange(sys.site_dim)
+    return np.array(list(itertools.product(levels, repeat=sys.n_sites)))
 
 
 class TestSpinSystem:
@@ -30,7 +41,21 @@ class TestSpinSystem:
     def test_dimension_guard(self):
         sys = SpinSystem(10, 3, dim_guard=20000)  # 4^10 >> 20000
         with pytest.raises(DimensionGuardError):
-            build_ising_hamiltonian(sys)
+            build_field_hamiltonian(sys, None)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"coupling_j": math.nan},
+            {"coupling_j": math.inf},
+            {"gamma": math.nan},
+            {"gamma": math.inf},
+            {"gamma": -math.inf},
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            SpinSystem(3, 1, **kwargs)
 
     def test_half_integer_bookkeeping(self):
         sys = SpinSystem(3, 3)
@@ -42,16 +67,16 @@ class TestSpinSystem:
 class TestSpinOperators:
     def test_spin_half_is_pauli_over_two(self):
         sx, sy, sz = build_spin_operators(1)
-        assert np.allclose(sz.matrix, np.diag([0.5, -0.5]))
-        assert np.allclose(sx.matrix, [[0, 0.5], [0.5, 0]])
-        assert np.allclose(sy.matrix, [[0, -0.5j], [0.5j, 0]])
+        assert np.allclose(sz, np.diag([0.5, -0.5]))
+        assert np.allclose(sx, [[0, 0.5], [0.5, 0]])
+        assert np.allclose(sy, [[0, -0.5j], [0.5j, 0]])
 
     def test_spin_one_ladder_coefficients(self):
         sx, sy, sz = build_spin_operators(2)
-        assert np.allclose(sz.matrix, np.diag([1.0, 0.0, -1.0]))
+        assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]))
         # sqrt(s(s+1) - m(m+1)) / 2 = 1/sqrt(2) on both off-diagonals
-        assert sx.matrix[0, 1] == pytest.approx(1 / math.sqrt(2))
-        assert sx.matrix[1, 2] == pytest.approx(1 / math.sqrt(2))
+        assert sx[0, 1] == pytest.approx(1 / math.sqrt(2))
+        assert sx[1, 2] == pytest.approx(1 / math.sqrt(2))
 
     def test_rejects_trivial_spin(self):
         with pytest.raises(ValueError):
@@ -60,80 +85,81 @@ class TestSpinOperators:
     @pytest.mark.parametrize("two_s", range(1, 9))
     def test_commutation_algebra(self, two_s):
         sx, sy, sz = build_spin_operators(two_s)
-        comm = sx.matrix @ sy.matrix - sy.matrix @ sx.matrix
-        assert np.abs(comm - 1j * sz.matrix).max() < 1e-12
-        comm = sy.matrix @ sz.matrix - sz.matrix @ sy.matrix
-        assert np.abs(comm - 1j * sx.matrix).max() < 1e-12
-        comm = sz.matrix @ sx.matrix - sx.matrix @ sz.matrix
-        assert np.abs(comm - 1j * sy.matrix).max() < 1e-12
+        comm = sx @ sy - sy @ sx
+        assert np.abs(comm - 1j * sz).max() < 1e-12
+        comm = sy @ sz - sz @ sy
+        assert np.abs(comm - 1j * sx).max() < 1e-12
+        comm = sz @ sx - sx @ sz
+        assert np.abs(comm - 1j * sy).max() < 1e-12
 
     @pytest.mark.parametrize("two_s", range(1, 9))
     def test_hermitian(self, two_s):
         for op in build_spin_operators(two_s):
-            assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-14
+            assert np.abs(op - op.conj().T).max() < 1e-14
 
     def test_sz_eigenbasis_is_canonical(self):
         _, _, sz = build_spin_operators(4)
-        assert np.allclose(sz.matrix, np.diag(np.diag(sz.matrix)))
-        assert np.allclose(np.diag(sz.matrix).real, [2, 1, 0, -1, -2])
+        assert np.allclose(sz, np.diag(np.diag(sz)))
+        assert np.allclose(np.diag(sz).real, [2, 1, 0, -1, -2])
 
 
 class TestEmbedding:
+    """The product-basis order: lexicographic, site 1 slowest, m descending per site."""
+
     def test_site_one_is_slowest(self):
-        sys = SpinSystem(2, 1)
-        _, _, sz = build_spin_operators(1)
-        op = embed_site_operator(sz, 1, sys)
-        assert np.allclose(np.diag(op.matrix).real, [0.5, 0.5, -0.5, -0.5])
+        # index i = 3 m-digits of (N=3, s=1), site 1 the most significant
+        sys = SpinSystem(3, 2)
+        labels = basis_labels(sys)
+        assert labels[:4].tolist() == [[1, 1, 1], [1, 1, 0], [1, 1, -1], [1, 0, 1]]
+        _, _, sz = build_spin_operators(2)
+        assert np.allclose(embed(sz, 1, sys).diagonal().real, labels[:, 0])
+        total_z = total_spin_operator(sys, "z").matrix
+        assert np.allclose(total_z.diagonal().real, labels.sum(axis=1))
 
     def test_site_two_is_fastest(self):
         sys = SpinSystem(2, 1)
         _, _, sz = build_spin_operators(1)
-        op = embed_site_operator(sz, 2, sys)
-        assert np.allclose(np.diag(op.matrix).real, [0.5, -0.5, 0.5, -0.5])
+        assert np.allclose(embed(sz, 2, sys).diagonal().real, [0.5, -0.5, 0.5, -0.5])
+        # Sum_{i<j} m_i m_j of (1/2, 1/2), (1/2, -1/2), (-1/2, 1/2), (-1/2, -1/2)
+        assert np.allclose(ising_pair_sums(sys), [0.25, -0.25, -0.25, 0.25])
 
     def test_distinct_sites_commute(self):
         sys = SpinSystem(3, 2)
         sx, sy, _ = build_spin_operators(2)
-        a = embed_site_operator(sx, 1, sys).matrix
-        b = embed_site_operator(sy, 3, sys).matrix
+        a = embed(sx, 1, sys)
+        b = embed(sy, 3, sys)
         assert np.abs(a @ b - b @ a).max() == 0.0
 
-    def test_out_of_range_site(self):
-        sys = SpinSystem(2, 1)
-        sx, _, _ = build_spin_operators(1)
-        with pytest.raises(ValueError):
-            embed_site_operator(sx, 3, sys)
-
     def test_total_operator_is_site_sum(self):
-        sys = SpinSystem(3, 1)
-        sx, _, _ = build_spin_operators(1)
-        total = sum(embed_site_operator(sx, k, sys).matrix for k in (1, 2, 3))
-        assert np.allclose(total_spin_operator(sys, "x").matrix, total)
+        sys = SpinSystem(3, 2)
+        for kind, site_op in zip("xyz", build_spin_operators(2)):
+            total = sum(embed(site_op, k, sys) for k in (1, 2, 3))
+            assert np.abs(total_spin_operator(sys, kind).matrix - total).max() < 1e-14, kind
 
 
 class TestIsingHamiltonian:
     def test_two_site_diagonal(self):
-        h = build_ising_hamiltonian(SpinSystem(2, 1, coupling_j=1.0))
+        h = build_field_hamiltonian(SpinSystem(2, 1, coupling_j=1.0), None)
         assert np.allclose(np.diag(h.matrix).real, [0.5, -0.5, -0.5, 0.5])
 
     def test_all_up_eigenvalue(self):
-        h = build_ising_hamiltonian(SpinSystem(3, 1, coupling_j=1.0))
+        h = build_field_hamiltonian(SpinSystem(3, 1, coupling_j=1.0), None)
         # three pairs, each contributing 2 J (1/2)^2
         assert np.diag(h.matrix)[0].real == pytest.approx(1.5)
 
     def test_zero_coupling(self):
-        h = build_ising_hamiltonian(SpinSystem(2, 2, coupling_j=0.0))
+        h = build_field_hamiltonian(SpinSystem(2, 2, coupling_j=0.0), None)
         assert np.abs(h.matrix).max() == 0.0
 
     def test_commutes_with_total_z(self):
         sys = SpinSystem(3, 2)
-        h = build_ising_hamiltonian(sys).matrix
+        h = build_field_hamiltonian(sys, None).matrix
         sz_tot = total_spin_operator(sys, "z").matrix
         assert np.abs(h @ sz_tot - sz_tot @ h).max() == 0.0
 
     def test_pair_sums_match_basis_labels(self):
         sys = SpinSystem(3, 2)
-        table = basis_m_values(sys)
+        table = basis_labels(sys)
         explicit = np.array(
             [sum(r[i] * r[j] for i in range(3) for j in range(i + 1, 3)) for r in table]
         )
@@ -143,10 +169,12 @@ class TestIsingHamiltonian:
 class TestFieldHamiltonian:
     def test_zero_field_matches_ising(self):
         sys = SpinSystem(3, 1, coupling_j=1.3)
+        # 2J Sum_{i<j} S_i^z S_j^z from test-local krons, site pairs (1,2), (1,3), (2,3)
+        _, _, sz = build_spin_operators(1)
+        pairs = itertools.combinations(range(1, 4), 2)
+        ising = 2.0 * 1.3 * sum(embed(sz, i, sys) @ embed(sz, j, sys) for i, j in pairs)
         for fld in (FieldConfig(0.0, Direction(0.7, 0.2)), None):
-            assert np.allclose(
-                build_field_hamiltonian(sys, fld).matrix, build_ising_hamiltonian(sys).matrix
-            )
+            assert np.allclose(build_field_hamiltonian(sys, fld).matrix, ising)
 
     def test_field_along_z_stays_diagonal(self):
         sys = SpinSystem(2, 1, coupling_j=1.0)
@@ -195,3 +223,13 @@ class TestDirectionAndFieldConfig:
             FieldConfig(0.5, Direction(0.0), rational_ratio=(2, 4))
         fld = FieldConfig(0.5, Direction(0.0), rational_ratio=(1, 2))
         assert fld.along_z
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match="finite"):
+            FieldConfig(ratio, Direction(0.3, 1.0))
+
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf])
+    def test_rejects_non_finite_azimuth(self, azimuth):
+        with pytest.raises(ValueError, match="finite"):
+            Direction(0.3, azimuth)

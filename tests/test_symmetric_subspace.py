@@ -20,10 +20,7 @@ from scipy.sparse.linalg import expm_multiply
 from spinmanifold import analytic
 from spinmanifold.evolution import (
     CoordinatePoint,
-    StateVector,
     _field_generator_eig,
-    evolve_with_field,
-    initial_state,
     state_at,
     tangent_states,
 )
@@ -87,7 +84,7 @@ def kron_total(sys, site_op):
 
 def reference_vectors(sys, point, field):
     """Product-space psi and (d_theta, d_phi, d_chi), all test-only arithmetic."""
-    sx, sy, sz = (sp.csr_matrix(op.matrix) for op in build_spin_operators(sys.two_s))
+    sx, sy, sz = (sp.csr_matrix(op) for op in build_spin_operators(sys.two_s))
     tot = {"x": kron_total(sys, sx), "y": kron_total(sys, sy), "z": kron_total(sys, sz)}
     # Sum_{i<j} S_i^z S_j^z = ((Sum S^z)^2 - Sum (S^z)^2) / 2
     gen = (tot["z"] @ tot["z"] - kron_total(sys, sz @ sz)) / 2.0
@@ -152,7 +149,7 @@ def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
 def test_total_spin_operator_matches_kron_sum(n, two_s):
     sys = SpinSystem(n, two_s)
     for kind, op in zip("xyz", build_spin_operators(two_s)):
-        expected = kron_total(sys, sp.csr_matrix(op.matrix)).toarray()
+        expected = kron_total(sys, sp.csr_matrix(op)).toarray()
         assert np.abs(total_spin_operator(sys, kind).matrix - expected).max() < 1e-14, kind
 
 
@@ -165,40 +162,37 @@ def test_metric_matches_product_space(n, two_s, field):
         ref = reference_metric(sys, psi, vecs)
         # the reference propagator carries ~1e-12 relative round-off of its own
         assert agrees(metric_numeric(sys, point, field).components, ref, 1e-10 * np.abs(ref).max())
-        # the product-basis results are the same vectors, gathered from the occupation basis
-        assert np.abs(state_at(sys, point, field).amplitudes - psi).max() < 1e-10
+        # the oracle's vectors are the reference ones, mapped in through V
+        v = isometry(sys)
+        assert np.abs(v @ state_at(sys, point, field).amplitudes - psi).max() < 1e-10
         tang = tangent_states(sys, point, field)
         for got, want in zip((tang.d_theta, tang.d_phi, tang.d_chi), vecs):
-            assert np.abs(got - want).max() < 1e-9 * max(1.0, np.abs(want).max())
-
-
-def test_field_evolution_rejects_non_symmetric_state():
-    sys = SpinSystem(2, 1)
-    up_down = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)  # |+1/2, -1/2>, not symmetric
-    fld = FieldConfig(1.0, Direction(0.7, 0.2))
-    with pytest.raises(ValueError, match=r"7\.071e-01 outside the symmetric subspace"):
-        evolve_with_field(sys, fld, StateVector(up_down), 0.3)
-    # a symmetric state of the same system is accepted
-    triplet = StateVector(np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0))
-    evolved = evolve_with_field(sys, fld, triplet, 0.3).amplitudes
-    assert np.linalg.norm(evolved) == pytest.approx(1.0)
+            assert np.abs(v @ got - want).max() < 1e-9 * max(1.0, np.abs(want).max())
 
 
 def test_field_evolution_of_initial_state_matches_state_at():
+    # the dense product-space propagator exp(-i chi H / J) applied to V psi(chi = 0)
     sys = SpinSystem(3, 2)
     fld = FieldConfig(1.3, Direction(0.8, 0.1))
-    psi0 = initial_state(sys, 1.1, 0.6)
-    evolved = evolve_with_field(sys, fld, psi0, 2.4).amplitudes
-    direct = state_at(sys, CoordinatePoint(1.1, 0.6, 2.4), fld).amplitudes
+    v = isometry(sys)
+    psi0 = v @ state_at(sys, CoordinatePoint(1.1, 0.6), fld).amplitudes
+    ham = build_field_hamiltonian(sys, fld).matrix
+    evolved = expm(-1j * 2.4 * ham / sys.coupling_j) @ psi0
+    direct = v @ state_at(sys, CoordinatePoint(1.1, 0.6, 2.4), fld).amplitudes
     assert np.abs(evolved - direct).max() < 1e-12
 
 
 def test_metric_guard_counts_occupation_dimension():
-    # d = 2^12 exceeds the guard, D = 13 does not: the metric needs only D
+    # d = 2^12 exceeds the guard, D = 13 does not: the oracle needs only D
     small_guard = SpinSystem(12, 1, dim_guard=20)
-    metric_numeric(small_guard, CoordinatePoint(0.9, 0.2, 0.4))
-    with pytest.raises(DimensionGuardError):
-        state_at(small_guard, CoordinatePoint(0.9, 0.2, 0.4))
+    point = CoordinatePoint(0.9, 0.2, 0.4)
+    metric_numeric(small_guard, point)
+    assert state_at(small_guard, point).amplitudes.shape == (13,)
+    tang = tangent_states(small_guard, point)
+    assert all(vec.shape == (13,) for vec in (tang.d_theta, tang.d_phi, tang.d_chi))
+    # gathering into the product basis is a d-dimensional construction
+    with pytest.raises(DimensionGuardError, match="Hilbert dimension 4096"):
+        product_to_occupation(small_guard)
     with pytest.raises(DimensionGuardError, match="occupation-basis dimension 496"):
         metric_numeric(SpinSystem(30, 2, dim_guard=100), CoordinatePoint(0.9))
 
