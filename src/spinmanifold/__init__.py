@@ -27,7 +27,6 @@ from .evolution import (
 from .fs_metric import (
     MetricTensor,
     metric_numeric,
-    metric_grid,
     speed_numeric,
     distance_along_evolution,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "family_grid",
     "MetricTensor",
     "metric_numeric",
-    "metric_grid",
     "speed_numeric",
     "distance_along_evolution",
     "ManifoldSpec",

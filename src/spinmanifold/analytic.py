@@ -60,7 +60,7 @@ def metric_closed_form(sys: SpinSystem, theta: float) -> MetricTensor:
     g[1, 1] = g2 * n * s / 2.0 * st2
     g[2, 2] = g2 * _g_chi_chi_bare(n, s, theta)
     g[1, 2] = g[2, 1] = g2 * n * (n - 1) * s**2 * math.cos(theta) * st2
-    return MetricTensor(g, gamma=sys.gamma)
+    return MetricTensor(g)
 
 
 def metric_closed_form_field(
@@ -86,7 +86,7 @@ def metric_closed_form_field(
     )
     g[0, 2] = g[2, 0] = g2 * r * n * s / 2.0 * b
     g[1, 2] = g[2, 1] = g2 * (n * (n - 1) * s**2 * ct * st**2 - r * n * s / 2.0 * a * st)
-    return MetricTensor(g, gamma=sys.gamma)
+    return MetricTensor(g)
 
 
 def scalar_curvature(sys: SpinSystem, theta: float) -> float:
@@ -386,7 +386,7 @@ def rescaled_metric_closed_form(sys: SpinSystem, theta: float) -> MetricTensor:
     g[2, 1] /= n
     g[0, 2] /= n
     g[2, 0] /= n
-    return MetricTensor(g, gamma=sys.gamma)
+    return MetricTensor(g)
 
 
 class MinSpeedField(NamedTuple):
@@ -403,8 +403,10 @@ def min_speed_field(
     g_chichi is a quadratic in h/J; the returned ratio is its minimizer
     and v_min the speed there.  When the second scalar product vanishes
     the pair reduces to the minimal-possible-speed form (flagged by
-    ``reduction_applied``).
+    ``reduction_applied``).  Raises ValueError for theta outside [0, pi].
     """
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must be in [0, pi], got {theta}")
     n, s = sys.n_sites, sys.s
     a, b = _field_scalar_products(theta, phi, direction)
     den = a**2 + b**2

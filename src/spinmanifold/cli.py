@@ -106,6 +106,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             cfg.ratio = (int(p), int(q))
         except ValueError:
             raise ConfigError(f"--ratio must look like P/Q, got {args.ratio!r}")
+        if cfg.ratio[1] <= 0:
+            raise ConfigError(f"--ratio denominator must be positive, got {args.ratio!r}")
         if cfg.h_over_j is None:
             cfg.h_over_j = cfg.ratio[0] / cfg.ratio[1]
     if cfg.samples < 2:

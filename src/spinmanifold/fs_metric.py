@@ -3,8 +3,9 @@
 This is the oracle side: the metric is assembled from exact states and
 tangent vectors in the occupation basis of the symmetric subspace
 (dimension C(N+2s, 2s)), independent of the closed forms in
-:mod:`spinmanifold.analytic`.  :func:`metric_grid` assembles and checks
-the metrics of a whole (theta, phi, chi) grid at once, with the same
+:mod:`spinmanifold.analytic`.  :func:`metric_from_vectors` assembles and
+checks the metrics of a whole
+:func:`~spinmanifold.evolution.family_grid` at once, with the same
 helpers as the single-point :func:`metric_numeric`.
 :func:`energy_uncertainties` takes a stack of states and a dense
 Hamiltonian in the same basis (verify gathers product-basis states for
@@ -19,10 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import CoordinatePoint, family_grid, state_at, tangent_states
+from .evolution import CoordinatePoint, state_at, tangent_states
 from .spin_ops import FieldConfig, SpinSystem
-
-COORD_NAMES = ("theta", "phi", "chi")
 
 
 def _validated_metrics(g: np.ndarray) -> np.ndarray:
@@ -48,15 +47,9 @@ class MetricTensor:
     """Symmetric 3x3 real metric over coordinates (theta, phi, chi)."""
 
     components: np.ndarray
-    gamma: float = 1.0
 
     def __post_init__(self):
         self.components = _validated_metrics(np.asarray(self.components, dtype=float))
-
-    def __getitem__(self, key):
-        i = COORD_NAMES.index(key[0])
-        j = COORD_NAMES.index(key[1])
-        return self.components[i, j]
 
     @property
     def g_theta_theta(self) -> float:
@@ -105,7 +98,7 @@ def metric_numeric(
     psi = state_at(sys, point, field).amplitudes
     tang = tangent_states(sys, point, field)
     tangents = np.array((tang.d_theta, tang.d_phi, tang.d_chi))
-    return MetricTensor(_metric_components(sys.gamma, psi, tangents), gamma=sys.gamma)
+    return MetricTensor(_metric_components(sys.gamma, psi, tangents))
 
 
 def metric_from_vectors(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -114,17 +107,6 @@ def metric_from_vectors(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> 
     Every point passes :class:`MetricTensor`'s symmetry and PSD checks.
     """
     return _validated_metrics(_metric_components(gamma, psi, tangents))
-
-
-def metric_grid(
-    sys: SpinSystem, theta, phi, chi, field: Optional[FieldConfig] = None
-) -> np.ndarray:
-    """Metrics on the product grid theta x phi x chi, shape (n_theta, n_phi, n_chi, 3, 3).
-
-    The batched :func:`metric_numeric`: point for point the same assembly
-    and the same checks.
-    """
-    return metric_from_vectors(sys.gamma, *family_grid(sys, theta, phi, chi, field))
 
 
 def speed_from_g_chi_chi(coupling_j: float, g_chi_chi):

@@ -1,9 +1,9 @@
 """Oracle-vs-closed-form verification sweeps and the consistency report.
 
-Each check evaluates the exact Hilbert-space computation on a
-deterministic coordinate grid, one batched oracle call per field, compares
-every point against the corresponding closed form, and records the worst
-deviation.  A component passes when its absolute
+The metric and speed checks share one batched evaluation of the exact
+Hilbert-space computation per field on a deterministic coordinate grid,
+compare every point against the corresponding reference, and record the
+worst deviation.  A component passes when its absolute
 deviation is below the 1e-12 floor or its relative deviation (denominator
 max(|a|, |b|, 1e-12)) is below the check tolerance.
 """
@@ -22,7 +22,6 @@ from .evolution import CoordinatePoint, family_grid
 from .fs_metric import (
     energy_uncertainties,
     metric_from_vectors,
-    metric_grid,
     speed_from_g_chi_chi,
     speed_numeric,
 )
@@ -146,45 +145,37 @@ def _closed_form_grid(
     return np.broadcast_to(np.array(ref)[:, :, None], shape)
 
 
-def run_metric_equivalence(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> CheckResult:
-    """Numeric metric vs the closed form at every grid point."""
-    dev = _Deviation()
-    n_points = 0
-    fields = grid.fields or [None]
-    for fld in fields:
-        num = metric_grid(sys, grid.theta, grid.phi, grid.chi, fld)
-        dev.add_arrays(num, _closed_form_grid(sys, grid, fld))
-        n_points += math.prod(num.shape[:3])
-    name = f"metric_equivalence[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"
-    return dev.result(name, f"{n_points} points", tol)
+def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> List[CheckResult]:
+    """Both oracle identities at every grid point, from one family_grid call per field.
 
-
-def run_speed_uncertainty_identity(
-    sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9
-) -> CheckResult:
-    """|J| sqrt(g_chichi) vs gamma * (energy uncertainty of the generator).
-
-    The speed comes from the numeric metric, the uncertainty from the
-    dense product-space Hamiltonian applied to the product-basis states.
-    Compared on squared speeds: at stationary points both sides are the
-    square root of ~eps round-off, so the raw values carry O(sqrt(eps))
-    noise that is not a real deviation.  Squared agreement within tol
-    implies the speeds themselves agree to better than tol where nonzero.
+    ``metric_equivalence``: the numeric metric against the closed form.
+    ``speed_uncertainty``: |J| sqrt(g_chichi) against gamma * (energy
+    uncertainty of the generator), the uncertainty taken with the dense
+    product-space Hamiltonian on the product-basis states.  Speeds are
+    compared squared: at stationary points both sides are the square root
+    of ~eps round-off, so the raw values carry O(sqrt(eps)) noise that is
+    not a real deviation.  Squared agreement within tol implies the speeds
+    themselves agree to better than tol where nonzero.
     """
-    dev = _Deviation()
+    metric, speed = _Deviation(), _Deviation()
     n_points = 0
     fields = grid.fields or [None]
     rows, weights = product_to_occupation(sys)
     for fld in fields:
-        ham = build_field_hamiltonian(sys, fld)
         psi, tangents = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
         g = metric_from_vectors(sys.gamma, psi, tangents)
+        metric.add_arrays(g, _closed_form_grid(sys, grid, fld))
         v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
+        ham = build_field_hamiltonian(sys, fld)
         de = energy_uncertainties(ham.matrix, psi[..., rows] * weights)
-        dev.add_arrays(v * v, (sys.gamma * de) ** 2)
+        speed.add_arrays(v * v, (sys.gamma * de) ** 2)
         n_points += v.size
-    name = f"speed_uncertainty[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"
-    return dev.result(name, f"{n_points} points", tol)
+    tag = f"[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"
+    points = f"{n_points} points"
+    return [
+        metric.result(f"metric_equivalence{tag}", points, tol),
+        speed.result(f"speed_uncertainty{tag}", points, tol),
+    ]
 
 
 def run_topology_suite(
@@ -272,40 +263,41 @@ def run_full_suite(
 ) -> VerificationReport:
     """Run every enabled check and assemble the report.
 
-    ``only`` filters by check-name prefix ("metric", "speed", "topology",
-    "section7"); ``tolerance`` overrides each check's pass tolerance.
+    ``only`` keeps the checks whose name starts with it ("metric",
+    "speed_uncertainty[N3", "topology[N2_2s1]", ...); a group of checks
+    runs only when its family name and ``only`` are prefixes of one
+    another.  ``tolerance`` overrides each check's pass tolerance.  Raises
+    ValueError for a tolerance that is NaN, infinite or negative, and for
+    an ``only`` that selects no check.
     """
-    report = VerificationReport()
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
-    def want(prefix: str) -> bool:
-        return only is None or prefix.startswith(only)
+    def want(*families: str) -> bool:
+        return only is None or any(f.startswith(only) or only.startswith(f) for f in families)
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance
 
-    if want("metric_equivalence") or want("speed_uncertainty"):
+    entries: List[CheckResult] = []
+    if want("metric_equivalence", "speed_uncertainty"):
         for sys in DEFAULT_SYSTEMS:
-            grid = SweepGrid.default(sys)
-            if want("metric_equivalence"):
-                report.entries.append(run_metric_equivalence(sys, grid, tol=tol(1e-9)))
-            if want("speed_uncertainty"):
-                report.entries.append(run_speed_uncertainty_identity(sys, grid, tol=tol(1e-9)))
+            entries += run_oracle_checks(sys, SweepGrid.default(sys), tol=tol(1e-9))
         # dressed case: N=4, s=1, h/J=1 over an 8x8 direction grid
-        sys = SpinSystem(4, 2)
-        fields = [FieldConfig(1.0, d) for d in _direction_grid()]
         field_grid = SweepGrid(
             theta=np.array([0.4, 1.1, 2.3]),
             phi=np.array([0.7, 2.9, 5.1]),
             chi=np.array([0.0, 0.9]),
-            fields=fields,
+            fields=[FieldConfig(1.0, d) for d in _direction_grid()],
         )
-        if want("metric_equivalence"):
-            report.entries.append(run_metric_equivalence(sys, field_grid, tol=tol(1e-9)))
-        if want("speed_uncertainty"):
-            report.entries.append(run_speed_uncertainty_identity(sys, field_grid, tol=tol(1e-9)))
+        entries += run_oracle_checks(SpinSystem(4, 2), field_grid, tol=tol(1e-9))
     if want("topology"):
         specs = [analytic.ManifoldSpec.for_system(s) for s in TOPOLOGY_SYSTEMS]
-        report.entries.extend(run_topology_suite(specs, tol=tol(1e-3)))
+        entries += run_topology_suite(specs, tol=tol(1e-3))
     if want("section7_vectors"):
-        report.entries.append(run_section7_vectors(tol=tol(1e-9)))
-    return report
+        entries.append(run_section7_vectors(tol=tol(1e-9)))
+    if only is not None:
+        entries = [e for e in entries if e.name.startswith(only)]
+        if not entries:
+            raise ValueError(f"no verify check name starts with {only!r}")
+    return VerificationReport(entries)

@@ -24,12 +24,7 @@ from spinmanifold.analytic import (
     thermo_limit,
 )
 from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem
-from spinmanifold.verify import (
-    SweepGrid,
-    run_metric_equivalence,
-    run_section7_vectors,
-    run_speed_uncertainty_identity,
-)
+from spinmanifold.verify import SweepGrid, run_oracle_checks, run_section7_vectors
 
 ZERO_FIELD_SYSTEMS = [
     SpinSystem(2, 1),
@@ -63,7 +58,7 @@ class TestAcceptance:
     def test_1_metric_equivalence_zero_field(self):
         worst = 0.0
         for sys in ZERO_FIELD_SYSTEMS:
-            res = run_metric_equivalence(sys, SweepGrid.default(sys), tol=1e-9)
+            res, _ = run_oracle_checks(sys, SweepGrid.default(sys), tol=1e-9)
             worst = max(worst, res.max_rel)
             assert res.passed, res.name
         report(
@@ -73,7 +68,7 @@ class TestAcceptance:
         )
 
     def test_2_metric_equivalence_with_field(self):
-        res = run_metric_equivalence(SpinSystem(4, 2), field_grid(), tol=1e-9)
+        res, _ = run_oracle_checks(SpinSystem(4, 2), field_grid(), tol=1e-9)
         report(
             "metric oracle equals dressed closed form, N=4 s=1 h/J=1, 8x8 directions",
             res.passed,
@@ -116,10 +111,10 @@ class TestAcceptance:
     def test_6_speed_uncertainty_identity(self):
         worst = 0.0
         for sys in ZERO_FIELD_SYSTEMS:
-            res = run_speed_uncertainty_identity(sys, SweepGrid.default(sys), tol=1e-9)
+            _, res = run_oracle_checks(sys, SweepGrid.default(sys), tol=1e-9)
             worst = max(worst, res.max_rel)
             assert res.passed, res.name
-        res = run_speed_uncertainty_identity(SpinSystem(4, 2), field_grid(), tol=1e-9)
+        _, res = run_oracle_checks(SpinSystem(4, 2), field_grid(), tol=1e-9)
         worst = max(worst, res.max_rel)
         report(
             "speed equals gamma * energy uncertainty on all grids including field",

@@ -397,6 +397,11 @@ class TestMinSpeedField:
         with pytest.raises(DegenerateDirection):
             min_speed_field(SpinSystem(3, 2), 0.0, 0.0, Direction(0.0, 0.0))
 
+    @pytest.mark.parametrize("theta", [7.0, -0.1, math.pi + 1e-9, math.nan])
+    def test_rejects_theta_outside_zero_pi(self, theta):
+        with pytest.raises(ValueError, match=r"theta must be in \[0, pi\]"):
+            min_speed_field(SpinSystem(4, 2), theta, 0.0, Direction(3.14, 0.0))
+
 
 class TestSpecialCaseSpeed:
     def test_pole_aligned_field_freezes_state(self):

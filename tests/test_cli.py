@@ -98,6 +98,13 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in capsys.readouterr().out
 
+    def test_only_one_named_check(self, capsys):
+        assert main(["verify", "--only", "topology[N2_2s1]"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("topology[N2_2s1] ") and lines[1].endswith(" PASS")
+        assert lines[2] == "overall: PASS"
+
 
 class TestFieldOptimize:
     def test_quarter_pi_case(self, capsys):
@@ -144,6 +151,24 @@ class TestFieldOptimize:
     ],
 )
 def test_non_finite_input_is_a_config_error(capsys, argv, message):
+    assert main(argv) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--only", "bogus"], "'bogus'"),
+        (["verify", "--only", "topology", "--tolerance", "nan"], "tolerance"),
+        (["verify", "--only", "topology", "--tolerance", "inf"], "tolerance"),
+        (["verify", "--only", "topology", "--tolerance=-1"], "tolerance"),
+        (["field-optimize", "--n", "4", "--two-s", "2", "--theta", "7", "--theta-prime", "3.14"],
+         "theta must be in [0, pi]"),
+    ],
+)
+def test_out_of_range_input_is_a_config_error(capsys, argv, message):
     assert main(argv) == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -218,6 +243,9 @@ class TestConfigHandling:
 
     def test_bad_ratio_rejected(self, capsys):
         assert main(["speed", "--n", "2", "--two-s", "1", "--ratio", "abc"]) == EXIT_BAD_CONFIG
+        argv = ["speed", "--n", "4", "--two-s", "2", "--theta-prime", "0", "--ratio", "3/0"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "denominator must be positive" in capsys.readouterr().err
 
     def test_bad_samples_rejected(self, capsys):
         assert main(["speed", "--samples", "1"]) == EXIT_BAD_CONFIG

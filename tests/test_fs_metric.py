@@ -57,7 +57,7 @@ class TestMetricTensor:
         assert g.g_theta_theta == 1.0
         assert g.g_phi_phi == 2.0
         assert g.g_chi_chi == 3.0
-        assert g["theta", "chi"] == 0.0
+        assert g.components[0, 2] == 0.0
 
 
 class TestMetricNumeric:

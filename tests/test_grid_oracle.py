@@ -1,8 +1,8 @@
 """The batched grid oracle against its size-1 case, point for point.
 
-``family_grid`` and ``metric_grid`` evaluate a whole (theta, phi, chi)
-grid at once; ``state_at``, ``tangent_states`` and ``metric_numeric`` are
-the scalar calls.  Both must give the same numbers under verify's rule.
+``family_grid`` and ``metric_from_vectors`` evaluate a whole
+(theta, phi, chi) grid at once; ``state_at``, ``tangent_states`` and
+``metric_numeric`` are the scalar calls.  Both must give the same numbers under verify's rule.
 """
 
 import math
@@ -14,7 +14,7 @@ from spinmanifold.evolution import CoordinatePoint, family_grid, state_at, tange
 from spinmanifold.fs_metric import (
     _validated_metrics,
     energy_uncertainties,
-    metric_grid,
+    metric_from_vectors,
     metric_numeric,
 )
 from spinmanifold.spin_ops import (
@@ -39,6 +39,10 @@ def agrees(a, b):
     return bool(np.all((dev <= 1e-12) | (dev <= 1e-9 * np.maximum(np.abs(a), np.abs(b)))))
 
 
+def metric_grid(sys, field=None):
+    return metric_from_vectors(sys.gamma, *family_grid(sys, THETA, PHI, CHI, field))
+
+
 def stacked_metric_numeric(sys, field=None):
     return np.array(
         [
@@ -53,7 +57,7 @@ def stacked_metric_numeric(sys, field=None):
 
 @pytest.mark.parametrize("sys", DEFAULT_SYSTEMS, ids=lambda s: f"N{s.n_sites}_2s{s.two_s}")
 def test_metric_grid_matches_metric_numeric(sys):
-    grid = metric_grid(sys, THETA, PHI, CHI)
+    grid = metric_grid(sys)
     assert grid.shape == (THETA.size, PHI.size, CHI.size, 3, 3)
     assert agrees(grid, stacked_metric_numeric(sys))
 
@@ -61,7 +65,7 @@ def test_metric_grid_matches_metric_numeric(sys):
 @pytest.mark.parametrize("field", FIELDS, ids=["dir_a", "dir_b"])
 def test_metric_grid_matches_metric_numeric_with_field(field):
     sys = SpinSystem(4, 2)
-    assert agrees(metric_grid(sys, THETA, PHI, CHI, field), stacked_metric_numeric(sys, field))
+    assert agrees(metric_grid(sys, field), stacked_metric_numeric(sys, field))
 
 
 @pytest.mark.parametrize("field", [None, FIELDS[0]], ids=["zero_field", "field"])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spinmanifold import evolution
 from spinmanifold.analytic import ManifoldSpec
 from spinmanifold.spin_ops import SpinSystem
 from spinmanifold.verify import (
@@ -11,25 +12,41 @@ from spinmanifold.verify import (
     SweepGrid,
     _Deviation,
     run_full_suite,
-    run_metric_equivalence,
+    run_oracle_checks,
     run_section7_vectors,
-    run_speed_uncertainty_identity,
     run_topology_suite,
 )
+
+#: run_full_suite()'s entries in order, as (name, grid); perfbench counts 17
+SUITE_SHAPE = [
+    (f"{check}[{tag}]", "1728 points")
+    for tag in ("N2_2s1", "N3_2s2", "N4_2s1", "N2_2s3", "N3_2s3")
+    for check in ("metric_equivalence", "speed_uncertainty")
+] + [
+    ("metric_equivalence[N4_2s2_field]", "1152 points"),
+    ("speed_uncertainty[N4_2s2_field]", "1152 points"),
+    ("topology[N2_2s1]", "chi_max=6.28319"),
+    ("topology[N3_2s2]", "chi_max=3.14159"),
+    ("topology[N4_2s1]", "chi_max=6.28319"),
+    ("topology[N6_2s3]", "chi_max=6.28319"),
+    ("section7_vectors", "worked cases"),
+]
 
 
 class TestIndividualChecks:
     def test_metric_equivalence_passes(self):
         sys = SpinSystem(3, 2)
-        res = run_metric_equivalence(sys, SweepGrid.default(sys, n_theta=7, n_phi=3, n_chi=3))
+        res, _ = run_oracle_checks(sys, SweepGrid.default(sys, n_theta=7, n_phi=3, n_chi=3))
+        assert res.name == "metric_equivalence[N3_2s2]"
+        assert res.grid == "81 points"  # (7 + 2 poles) x 3 x 3
         assert res.passed
         assert res.max_rel <= 1e-9
 
     def test_speed_identity_passes(self):
         sys = SpinSystem(2, 3)
-        res = run_speed_uncertainty_identity(
-            sys, SweepGrid.default(sys, n_theta=7, n_phi=3, n_chi=3)
-        )
+        _, res = run_oracle_checks(sys, SweepGrid.default(sys, n_theta=7, n_phi=3, n_chi=3))
+        assert res.name == "speed_uncertainty[N2_2s3]"
+        assert res.grid == "81 points"  # (7 + 2 poles) x 3 x 3
         assert res.passed
 
     def test_topology_suite_passes(self):
@@ -49,6 +66,45 @@ class TestIndividualChecks:
 
 
 class TestFullSuite:
+    def test_suite_shape_and_oracle_passes(self, monkeypatch):
+        calls = []
+        family_block = evolution._family_block
+
+        def counted(*args):
+            calls.append(args[0])
+            return family_block(*args)
+
+        evolution._family_vectors.cache_clear()
+        monkeypatch.setattr(evolution, "_family_block", counted)
+        report = run_full_suite()
+        assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
+        assert report.overall
+        # one family_grid per field and grid: 5 zero-field grids plus 64
+        # field directions; section7 adds its 7 single-point speeds
+        assert len(calls) == 5 + 64 + 7
+
+    @pytest.mark.parametrize(
+        "only,names",
+        [
+            ("topology[N2_2s1]", ["topology[N2_2s1]"]),
+            ("speed_uncertainty[N4", ["speed_uncertainty[N4_2s1]", "speed_uncertainty[N4_2s2_field]"]),
+            ("metric", [n for n, _ in SUITE_SHAPE if n.startswith("metric")]),
+        ],
+    )
+    def test_only_keeps_any_name_prefix(self, only, names):
+        report = run_full_suite(only=only)
+        assert [e.name for e in report.entries] == names
+        assert report.overall
+
+    def test_only_selecting_nothing_raises(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            run_full_suite(only="bogus")
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_raises(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            run_full_suite(only="topology", tolerance=tolerance)
+
     def test_only_filter(self):
         report = run_full_suite(only="topology")
         assert report.entries
@@ -83,7 +139,7 @@ class TestFullSuite:
 class TestCheckResult:
     def test_pass_is_tolerance_comparison(self):
         assert CheckResult("x", "g", 1.0, 5e-10, 1e-9, True).passed
-        res = run_metric_equivalence(
+        res, _ = run_oracle_checks(
             SpinSystem(2, 1),
             SweepGrid.default(SpinSystem(2, 1), n_theta=3, n_phi=2, n_chi=2),
             tol=1e-16,
