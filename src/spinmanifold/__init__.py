@@ -38,15 +38,20 @@ from .analytic import (
     DegenerateDirection,
     chi_max_for,
     metric_closed_form,
+    metric_closed_form_array,
     metric_closed_form_field,
+    metric_closed_form_field_array,
     scalar_curvature,
+    scalar_curvature_array,
     curvature_min,
     curvature_numeric_from_profile,
     angular_defect,
     gauss_bonnet_euler,
     speed_closed_form,
+    speed_closed_form_array,
     speed_extrema,
     curvature_from_speed,
+    curvature_from_speed_array,
     thermo_limit,
     min_speed_field,
     special_case_speed,
@@ -78,15 +83,20 @@ __all__ = [
     "DegenerateDirection",
     "chi_max_for",
     "metric_closed_form",
+    "metric_closed_form_array",
     "metric_closed_form_field",
+    "metric_closed_form_field_array",
     "scalar_curvature",
+    "scalar_curvature_array",
     "curvature_min",
     "curvature_numeric_from_profile",
     "angular_defect",
     "gauss_bonnet_euler",
     "speed_closed_form",
+    "speed_closed_form_array",
     "speed_extrema",
     "curvature_from_speed",
+    "curvature_from_speed_array",
     "thermo_limit",
     "min_speed_field",
     "special_case_speed",

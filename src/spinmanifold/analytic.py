@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .fs_metric import MetricTensor, speed_from_g_chi_chi
+from .fs_metric import MetricTensor, _validated_metrics, speed_from_g_chi_chi
 from .spin_ops import TWO_PI, Direction, FieldConfig, SpinSystem
 
 
@@ -33,34 +33,114 @@ class DegenerateDirection(ValueError):
     """Both field scalar products vanish; the minimizing ratio is undefined."""
 
 
-def _field_scalar_products(theta, phi, direction: Direction):
+class _Ops(NamedTuple):
+    """The elementary functions of the closed forms, for floats or for arrays.
+
+    Each closed form is written once and runs on floats (the scalar public
+    functions) and on arrays (their ``_array`` twins).  The two sets round
+    alike, so both give the same bits (tests/test_array_forms.py holds them
+    to it): np.sin, np.cos and np.sqrt round as math's do, and a float's
+    ``**`` is libm pow, which np.float_power calls too; numpy's ``**`` on
+    an array would multiply instead, which differs in the last bit for
+    about one square in a thousand.
+    """
+
+    sin: Callable
+    cos: Callable
+    sqrt: Callable
+    pow: Callable
+    maximum: Callable
+
+
+_FLOAT_OPS = _Ops(math.sin, math.cos, math.sqrt, pow, max)
+_ARRAY_OPS = _Ops(np.sin, np.cos, np.sqrt, np.float_power, np.maximum)
+
+
+def _ops(x) -> _Ops:
+    return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
+
+
+def _first_where(x, mask):
+    """The first element of x where mask holds, or None; x is a float with a bool mask or an array."""
+    if isinstance(mask, np.ndarray):
+        hits = np.broadcast_to(x, mask.shape)[mask]
+        return hits[0] if hits.size else None
+    return x if mask else None
+
+
+def _field_scalar_products(op: _Ops, st, ct, phi, polar, azimuth):
     """The two projections of n' used by the dressed metric.
 
-    Returns (n'.n(theta + pi/2), n'.n(theta = pi/2, phi + pi/2)).
+    Takes sin theta, cos theta, phi and the field angles (floats, or
+    broadcastable arrays with ``op`` the array set) and returns
+    (n'.n(theta + pi/2), n'.n(theta = pi/2, phi + pi/2)).
     """
-    tp, pp = direction.polar, direction.azimuth
-    a = math.cos(theta) * math.sin(tp) * math.cos(phi - pp) - math.sin(theta) * math.cos(tp)
-    b = -math.sin(tp) * math.sin(phi - pp)
+    stp, ctp = op.sin(polar), op.cos(polar)
+    dphi = phi - azimuth
+    a = ct * stp * op.cos(dphi) - st * ctp
+    b = -stp * op.sin(dphi)
     return a, b
 
 
-def _g_chi_chi_bare(n: int, s: float, theta: float) -> float:
-    """Zero-field g_chichi / gamma^2."""
-    st2 = math.sin(theta) ** 2
+def _g_chi_chi_bare(n: int, s: float, st2):
+    """Zero-field g_chichi / gamma^2 from sin^2 theta."""
     a = 2.0 * s * (n - 1)
     return n * (n - 1) * s**2 * st2 * (a - (a - 0.5) * st2)
 
 
+def _g_chi_chi(sys: SpinSystem, theta):
+    """Zero-field g_chichi at theta, a float or an array."""
+    op = _ops(theta)
+    st2 = op.pow(op.sin(theta), 2.0)
+    return sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, st2)
+
+
+def _metric_components(sys: SpinSystem, theta, field=None) -> np.ndarray:
+    """Closed-form (..., 3, 3) metric components, not yet validated.
+
+    ``field`` is None (zero field) or (h/J, phi, polar, azimuth) of the
+    dressed form; theta and the field entries are floats or broadcastable
+    arrays, and the result has their broadcast shape plus (3, 3).
+    """
+    n, s, g2 = sys.n_sites, sys.s, sys.gamma**2
+    op = _ops(theta)
+    st, ct = op.sin(theta), op.cos(theta)
+    st2 = op.pow(st, 2.0)
+    g_cc = _g_chi_chi_bare(n, s, st2)
+    g_pc = n * (n - 1) * s**2 * ct * st2
+    g_tc = 0.0
+    if field is not None:
+        r, phi, polar, azimuth = field
+        a, b = _field_scalar_products(op, st, ct, phi, polar, azimuth)
+        g_cc = (
+            g_cc
+            + op.pow(r, 2.0) * n * s / 2.0 * (op.pow(a, 2.0) + op.pow(b, 2.0))
+            - 2.0 * r * n * (n - 1) * s**2 * a * ct * st
+        )
+        g_tc = g2 * r * n * s / 2.0 * b
+        g_pc = g_pc - r * n * s / 2.0 * a * st
+    if op is _FLOAT_OPS:
+        g = entries = np.zeros((3, 3))
+    else:
+        # g_cc has the full broadcast shape; entries[i, j] views g[..., i, j]
+        g = np.zeros(np.shape(g_cc) + (3, 3))
+        entries = np.moveaxis(g, (-2, -1), (0, 1))
+    entries[0, 0] = g2 * n * s / 2.0
+    entries[1, 1] = g2 * n * s / 2.0 * st2
+    entries[2, 2] = g2 * g_cc
+    entries[0, 2] = entries[2, 0] = g_tc
+    entries[1, 2] = entries[2, 1] = g2 * g_pc
+    return g
+
+
 def metric_closed_form(sys: SpinSystem, theta: float) -> MetricTensor:
     """Zero-field metric; every component depends on theta alone."""
-    n, s, g2 = sys.n_sites, sys.s, sys.gamma**2
-    st2 = math.sin(theta) ** 2
-    g = np.zeros((3, 3))
-    g[0, 0] = g2 * n * s / 2.0
-    g[1, 1] = g2 * n * s / 2.0 * st2
-    g[2, 2] = g2 * _g_chi_chi_bare(n, s, theta)
-    g[1, 2] = g[2, 1] = g2 * n * (n - 1) * s**2 * math.cos(theta) * st2
-    return MetricTensor(g)
+    return MetricTensor(_metric_components(sys, theta))
+
+
+def metric_closed_form_array(sys: SpinSystem, theta) -> np.ndarray:
+    """:func:`metric_closed_form` at every theta of an array: (..., 3, 3), validated once."""
+    return _validated_metrics(_metric_components(sys, np.asarray(theta, dtype=float)))
 
 
 def metric_closed_form_field(
@@ -72,21 +152,28 @@ def metric_closed_form_field(
     metric to phi through the two scalar products of n' with the rotated
     frame vectors.
     """
-    n, s, g2 = sys.n_sites, sys.s, sys.gamma**2
-    r = field.ratio_h_over_j
-    st, ct = math.sin(theta), math.cos(theta)
-    a, b = _field_scalar_products(theta, phi, field.direction)
-    g = np.zeros((3, 3))
-    g[0, 0] = g2 * n * s / 2.0
-    g[1, 1] = g2 * n * s / 2.0 * st**2
-    g[2, 2] = g2 * (
-        _g_chi_chi_bare(n, s, theta)
-        + r**2 * n * s / 2.0 * (a**2 + b**2)
-        - 2.0 * r * n * (n - 1) * s**2 * a * ct * st
+    d = field.direction
+    return MetricTensor(
+        _metric_components(sys, theta, (field.ratio_h_over_j, phi, d.polar, d.azimuth))
     )
-    g[0, 2] = g[2, 0] = g2 * r * n * s / 2.0 * b
-    g[1, 2] = g[2, 1] = g2 * (n * (n - 1) * s**2 * ct * st**2 - r * n * s / 2.0 * a * st)
-    return MetricTensor(g)
+
+
+def metric_closed_form_field_array(
+    sys: SpinSystem, theta, phi, ratio_h_over_j, polar, azimuth=0.0
+) -> np.ndarray:
+    """:func:`metric_closed_form_field` over arrays: (..., 3, 3), validated once.
+
+    theta, phi, h/J and the field's polar and azimuthal angles broadcast
+    against each other, so one call covers a (theta, phi) grid for one
+    field or a grid of field directions at one point.  The azimuth is
+    reduced into [0, 2 pi) as :class:`~spinmanifold.spin_ops.Direction`
+    does; the polar angle is used as given.
+    """
+    theta, phi, ratio, polar, azimuth = (
+        np.asarray(x, dtype=float) for x in (theta, phi, ratio_h_over_j, polar, azimuth)
+    )
+    field = (ratio, phi, polar, np.remainder(azimuth, TWO_PI))
+    return _validated_metrics(_metric_components(sys, theta, field))
 
 
 def scalar_curvature(sys: SpinSystem, theta: float) -> float:
@@ -97,16 +184,22 @@ def scalar_curvature(sys: SpinSystem, theta: float) -> float:
     smooth case N = 2, s = 1/2 admits the endpoints.
     """
     n, s = sys.n_sites, sys.s
-    at_pole = theta <= 0.0 or theta >= math.pi
-    if at_pole and not (n == 2 and sys.two_s == 1):
-        raise SingularPoint(f"curvature undefined at theta={theta} for N={n}, s={s}")
-    c2 = math.cos(theta) ** 2
+    pole = _first_where(theta, (theta <= 0.0) | (theta >= math.pi))
+    if pole is not None and not (n == 2 and sys.two_s == 1):
+        raise SingularPoint(f"curvature undefined at theta={pole} for N={n}, s={s}")
+    op = _ops(theta)
+    c2 = op.pow(op.cos(theta), 2.0)
     k = 4.0 * (n - 1) * s - 1.0
     return (
         8.0
         / (sys.gamma**2 * n * s)
-        * (2.0 - (k * c2 + 2.0 * (n - 1) * s + 1.0) / (k * c2 + 1.0) ** 2)
+        * (2.0 - (k * c2 + 2.0 * (n - 1) * s + 1.0) / op.pow(k * c2 + 1.0, 2.0))
     )
+
+
+def scalar_curvature_array(sys: SpinSystem, theta) -> np.ndarray:
+    """:func:`scalar_curvature` at every theta of an array; SingularPoint if any is a pole."""
+    return scalar_curvature(sys, np.asarray(theta, dtype=float))
 
 
 def curvature_min(sys: SpinSystem) -> float:
@@ -117,26 +210,28 @@ def curvature_min(sys: SpinSystem) -> float:
 
 def curvature_numeric_from_profile(
     g_thth: float,
-    g_chichi: Callable[[float], float],
-    theta: float,
+    g_chichi: Callable,
+    theta,
     step: float = 1e-4,
-) -> float:
+):
     """Curvature from a g_chichi(theta) profile by central differences.
 
     Used where no closed form exists (field along z); R = 2 R_tctc /
     (g_thth * g_chichi) with the theta derivatives of the profile taken
-    at the given step.
+    at the given step.  ``theta`` is a float, or an array when the
+    profile maps arrays to arrays: the profile is then called once per
+    stencil offset, on the whole array.
     """
     f0 = g_chichi(theta)
     fp, fp2 = g_chichi(theta + step), g_chichi(theta + 2.0 * step)
     fm, fm2 = g_chichi(theta - step), g_chichi(theta - 2.0 * step)
-    if min(f0, fp, fm, fp2, fm2) <= 0.0:
+    if np.any(np.less_equal((f0, fp, fm, fp2, fm2), 0.0)):
         raise ValueError("g_chichi must be positive at all stencil points")
     # fourth-order central differences: the profile is smooth enough that
     # truncation, not round-off, would dominate a three-point stencil here
     d1 = (-fp2 + 8.0 * fp - 8.0 * fm + fm2) / (12.0 * step)
     d2 = (-fp2 + 16.0 * fp - 30.0 * f0 + 16.0 * fm - fm2) / (12.0 * step**2)
-    riemann = -0.5 * d2 + d1**2 / (4.0 * f0)
+    riemann = -0.5 * d2 + _ops(d1).pow(d1, 2.0) / (4.0 * f0)
     return 2.0 * riemann / (g_thth * f0)
 
 
@@ -257,15 +352,11 @@ def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
     sys = spec.sys
     g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
 
-    def integrand(theta: float) -> float:
-        g_cc = sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, theta)
-        return 0.5 * scalar_curvature(sys, theta) * math.sqrt(g_thth * max(g_cc, 0.0))
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        g_cc = _g_chi_chi(sys, theta)
+        return 0.5 * scalar_curvature_array(sys, theta) * np.sqrt(g_thth * np.maximum(g_cc, 0.0))
 
-    val, err = _adaptive_gauss_legendre(
-        lambda thetas: np.fromiter(map(integrand, thetas.tolist()), float, thetas.size),
-        eps,
-        math.pi - eps,
-    )
+    val, err = _adaptive_gauss_legendre(integrand, eps, math.pi - eps)
     if abs(err) > 1e-6 * max(1.0, abs(val)):
         raise RuntimeError(f"curvature quadrature did not converge (err={err:.3e})")
     return spec.chi_max * val
@@ -278,8 +369,12 @@ def gauss_bonnet_euler(spec: ManifoldSpec, eps: float = 1e-4) -> float:
 
 def speed_closed_form(sys: SpinSystem, theta: float) -> float:
     """v = |J| sqrt(g_chichi); independent of phi and chi."""
-    g_cc = sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, theta)
-    return float(speed_from_g_chi_chi(sys.coupling_j, g_cc))
+    return float(speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, theta)))
+
+
+def speed_closed_form_array(sys: SpinSystem, theta) -> np.ndarray:
+    """:func:`speed_closed_form` at every theta of an array."""
+    return speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, np.asarray(theta, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -310,30 +405,52 @@ def speed_extrema(sys: SpinSystem) -> SpeedExtrema:
     return SpeedExtrema(0.0, v_half_pi, theta_max, v_max)
 
 
-def curvature_from_speed(sys: SpinSystem, v: float, branch: str) -> float:
-    """Scalar curvature expressed through the speed of evolution.
-
-    branch "upper" covers theta in [0, theta_max] (v from 0 to v_max);
-    branch "lower" covers theta in [theta_max, pi - theta_max] (v between
-    v_half_pi and v_max).  The two agree at v = v_max.
-    """
+def _curvature_through_speed(sys: SpinSystem, v, branch: str, ext: SpeedExtrema):
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    ext = speed_extrema(sys)
+    if ext.v_max == 0.0:
+        raise ValueError("J = 0: the speed vanishes everywhere and does not fix the curvature")
     tol = 1e-9 * max(ext.v_max, 1.0)
-    if v < -tol or v > ext.v_max + tol:
-        raise OutOfRange(f"v={v} outside [0, v_max={ext.v_max}]")
-    if branch == "lower" and v < ext.v_half_pi - tol:
-        raise OutOfRange(f"lower branch needs v >= v_half_pi={ext.v_half_pi}, got {v}")
-    ratio2 = min((v / ext.v_max) ** 2, 1.0)
-    u = math.sqrt(1.0 - ratio2)
+    bad = _first_where(v, (v < -tol) | (v > ext.v_max + tol))
+    if bad is not None:
+        raise OutOfRange(f"v={bad} outside [0, v_max={ext.v_max}]")
+    if branch == "lower":
+        bad = _first_where(v, v < ext.v_half_pi - tol)
+        if bad is not None:
+            raise OutOfRange(f"lower branch needs v >= v_half_pi={ext.v_half_pi}, got {bad}")
+    op = _ops(v)
+    # sqrt(1 - min((v / v_max)^2, 1)): v may overshoot v_max by tol
+    u = op.sqrt(op.maximum(1.0 - op.pow(v / ext.v_max, 2.0), 0.0))
     sign = 1.0 if branch == "upper" else -1.0
     n, s = sys.n_sites, sys.s
     return (
         8.0
         / (sys.gamma**2 * n * s)
-        * (2.0 - (2.0 + sign * u) / (2.0 * (n - 1) * s * (1.0 + sign * u) ** 2))
+        * (2.0 - (2.0 + sign * u) / (2.0 * (n - 1) * s * op.pow(1.0 + sign * u, 2.0)))
     )
+
+
+def curvature_from_speed(sys: SpinSystem, v: float, branch: str) -> float:
+    """Scalar curvature expressed through the speed of evolution.
+
+    branch "upper" covers theta in [0, theta_max] (v from 0 to v_max);
+    branch "lower" covers theta in [theta_max, pi - theta_max] (v between
+    v_half_pi and v_max).  The two agree at v = v_max.  Raises OutOfRange
+    for v outside the branch and ValueError for J = 0.
+    """
+    return _curvature_through_speed(sys, v, branch, speed_extrema(sys))
+
+
+def curvature_from_speed_array(
+    sys: SpinSystem, v, branch: str, extrema: Optional[SpeedExtrema] = None
+) -> np.ndarray:
+    """:func:`curvature_from_speed` at every v of an array, all on one branch.
+
+    ``extrema`` is ``speed_extrema(sys)`` when the caller already has it.
+    Raises OutOfRange when any v lies outside the branch.
+    """
+    ext = speed_extrema(sys) if extrema is None else extrema
+    return _curvature_through_speed(sys, np.asarray(v, dtype=float), branch, ext)
 
 
 @dataclass(frozen=True)
@@ -408,7 +525,9 @@ def min_speed_field(
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta}")
     n, s = sys.n_sites, sys.s
-    a, b = _field_scalar_products(theta, phi, direction)
+    a, b = _field_scalar_products(
+        _FLOAT_OPS, math.sin(theta), math.cos(theta), phi, direction.polar, direction.azimuth
+    )
     den = a**2 + b**2
     if den < 1e-24:
         raise DegenerateDirection("both field scalar products vanish for this geometry")

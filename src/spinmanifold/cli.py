@@ -176,17 +176,26 @@ def _theta_sweep(samples: int, include_poles: bool) -> np.ndarray:
     return thetas[1:-1]
 
 
-def _field_g_chichi(sys: SpinSystem, fld: FieldConfig, phi: float):
-    def profile(theta: float) -> float:
-        return analytic.metric_closed_form_field(sys, theta, phi, fld).g_chi_chi
+def _check_curvature_field(fld: Optional[FieldConfig]):
+    """Reject a field off the z axis: only the along-z curvature is implemented.
 
-    return profile
+    The profile formula R = 2 R_tctc / (g_thth g_chichi) drops g_thetachi,
+    which a field off the z axis makes nonzero.
+    """
+    if fld is None or fld.ratio_h_over_j == 0.0 or fld.along_z:
+        return
+    d = fld.direction
+    raise ConfigError(
+        f"curvature with a field off the z axis (theta'={d.polar:g}, phi'={d.azimuth:g}) "
+        "is not implemented; only the formula for a field along z (theta' = 0 or pi) is"
+    )
 
 
 def cmd_curvature(cfg: RunConfig) -> int:
     rows = []
     multi = False
     for label, sys, fld in _preset_curves(cfg):
+        _check_curvature_field(fld)
         multi = multi or bool(label)
         smooth_poles = sys.n_sites == 2 and sys.two_s == 1 and fld is None
         thetas = _theta_sweep(cfg.samples, smooth_poles)
@@ -196,13 +205,18 @@ def cmd_curvature(cfg: RunConfig) -> int:
                 file=_sysmod.stderr,
             )
         if fld is None:
-            values = [analytic.scalar_curvature(sys, t) for t in thetas]
+            values = analytic.scalar_curvature_array(sys, thetas)
         else:
             g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
-            profile = _field_g_chichi(sys, fld, cfg.phi)
-            values = [
-                analytic.curvature_numeric_from_profile(g_thth, profile, t) for t in thetas
-            ]
+            d = fld.direction
+
+            def profile(theta: np.ndarray) -> np.ndarray:
+                g = analytic.metric_closed_form_field_array(
+                    sys, theta, cfg.phi, fld.ratio_h_over_j, d.polar, d.azimuth
+                )
+                return g[..., 2, 2]
+
+            values = analytic.curvature_numeric_from_profile(g_thth, profile, thetas)
         for t, r in zip(thetas, values):
             rows.append({"theta": float(t), "R": float(r), "curve": label})
     header = ["theta", "R"] + (["curve"] if multi else [])
@@ -216,13 +230,16 @@ def cmd_speed(cfg: RunConfig) -> int:
     for label, sys, fld in _preset_curves(cfg):
         multi = multi or bool(label)
         thetas = _theta_sweep(cfg.samples, True)
-        for t in thetas:
-            if fld is None:
-                v = analytic.speed_closed_form(sys, float(t))
-            else:
-                g = analytic.metric_closed_form_field(sys, float(t), cfg.phi, fld)
-                v = speed_from_g_chi_chi(sys.coupling_j, g.g_chi_chi)
-            rows.append({"theta": float(t), "v": v, "curve": label})
+        if fld is None:
+            speeds = analytic.speed_closed_form_array(sys, thetas)
+        else:
+            d = fld.direction
+            g = analytic.metric_closed_form_field_array(
+                sys, thetas, cfg.phi, fld.ratio_h_over_j, d.polar, d.azimuth
+            )
+            speeds = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
+        for t, v in zip(thetas, speeds):
+            rows.append({"theta": float(t), "v": float(v), "curve": label})
     header = ["theta", "v"] + (["curve"] if multi else [])
     _emit(rows, header, cfg)
     return EXIT_OK
@@ -235,24 +252,11 @@ def cmd_curvature_vs_speed(cfg: RunConfig) -> int:
         multi = multi or bool(label)
         ext = analytic.speed_extrema(sys)
         n_half = max(cfg.samples // 2, 2)
-        for v in np.linspace(0.0, ext.v_max, n_half):
-            rows.append(
-                {
-                    "v": float(v),
-                    "R": analytic.curvature_from_speed(sys, float(v), "upper"),
-                    "branch": "upper",
-                    "curve": label,
-                }
-            )
-        for v in np.linspace(ext.v_half_pi, ext.v_max, n_half):
-            rows.append(
-                {
-                    "v": float(v),
-                    "R": analytic.curvature_from_speed(sys, float(v), "lower"),
-                    "branch": "lower",
-                    "curve": label,
-                }
-            )
+        for branch, v_low in (("upper", 0.0), ("lower", ext.v_half_pi)):
+            speeds = np.linspace(v_low, ext.v_max, n_half)
+            values = analytic.curvature_from_speed_array(sys, speeds, branch, ext)
+            for v, r in zip(speeds, values):
+                rows.append({"v": float(v), "R": float(r), "branch": branch, "curve": label})
     header = ["v", "R", "branch"] + (["curve"] if multi else [])
     _emit(rows, header, cfg)
     return EXIT_OK
@@ -285,21 +289,23 @@ def cmd_field_optimize(cfg: RunConfig, scan_direction: bool) -> int:
     if scan_direction:
         if cfg.h_over_j is None:
             raise ConfigError("--scan-direction requires --h-over-j")
-        best_min, best_max = None, None
-        for tp in np.linspace(0.0, math.pi, 61):
-            for pp in np.linspace(0.0, 2.0 * math.pi, 61, endpoint=False):
-                fld = FieldConfig(cfg.h_over_j, Direction(float(tp), float(pp)))
-                g = analytic.metric_closed_form_field(sys, cfg.theta, cfg.phi, fld)
-                v = speed_from_g_chi_chi(sys.coupling_j, g.g_chi_chi)
-                if best_min is None or v < best_min[0]:
-                    best_min = (v, float(tp), float(pp))
-                if best_max is None or v > best_max[0]:
-                    best_max = (v, float(tp), float(pp))
-        record["scan"] = {
-            "h_over_j": cfg.h_over_j,
-            "min": {"v": best_min[0], "theta_prime": best_min[1], "phi_prime": best_min[2]},
-            "max": {"v": best_max[0], "theta_prime": best_max[1], "phi_prime": best_max[2]},
-        }
+        # the first argmin/argmax in (theta', phi') row-major order, as a
+        # double loop keeping only strict improvements would pick
+        polar = np.linspace(0.0, math.pi, 61)
+        azimuth = np.linspace(0.0, 2.0 * math.pi, 61, endpoint=False)
+        ratio = FieldConfig(cfg.h_over_j, direction).ratio_h_over_j  # rejects NaN and inf
+        g = analytic.metric_closed_form_field_array(
+            sys, cfg.theta, cfg.phi, ratio, polar[:, None], azimuth
+        )
+        v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
+        record["scan"] = {"h_over_j": cfg.h_over_j}
+        for key, pick in (("min", np.argmin), ("max", np.argmax)):
+            i, j = np.unravel_index(pick(v), v.shape)
+            record["scan"][key] = {
+                "v": float(v[i, j]),
+                "theta_prime": float(polar[i]),
+                "phi_prime": float(azimuth[j]),
+            }
     text = json.dumps(record, indent=2, sort_keys=True)
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -30,8 +30,10 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
     With scale = max(1, max |g|) per metric, a metric fails when an entry
     of |g - g^T| exceeds 1e-10 * scale (ValueError "not symmetric") or when
     the least eigenvalue of (g + g^T) / 2 lies below -1e-10 * scale
-    (ValueError "not positive semidefinite").
+    (ValueError "not positive semidefinite").  An empty stack passes.
     """
+    if g.size == 0:
+        return g
     g_t = g.swapaxes(-1, -2)
     scale = np.abs(g).max(axis=(-2, -1), initial=1.0)
     if (np.abs(g - g_t).max(axis=(-2, -1)) / scale).max() > 1e-10:

@@ -162,8 +162,11 @@ class FieldConfig:
 
     @property
     def along_z(self) -> bool:
-        """True when the field is aligned with the z axis (either sign)."""
-        return math.sin(self.direction.polar) == 0.0
+        """True when the field is aligned with the z axis (either sign): theta' is 0 or pi.
+
+        Tested on the angle, not on sin(theta'), which is 1.2e-16 at pi.
+        """
+        return self.direction.polar in (0.0, math.pi)
 
 
 def build_spin_operators(two_s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,8 +30,10 @@ from .spin_ops import (
     Direction,
     FieldConfig,
     SpinSystem,
-    build_field_hamiltonian,
+    _generator_matrix,
+    ising_pair_sums,
     product_to_occupation,
+    total_spin_operator,
 )
 
 ABS_FLOOR = 1e-12
@@ -128,21 +130,18 @@ def _closed_form_grid(
 ) -> np.ndarray:
     """Closed-form metrics broadcast to the grid's (n_theta, n_phi, n_chi, 3, 3).
 
-    The zero-field form depends on theta alone and is evaluated once per
-    theta; the dressed form once per (theta, phi).
+    One array call per (system, field): the zero-field form over theta
+    alone, the dressed form over the (theta, phi) plane.
     """
     if field is None:
-        ref = [[analytic.metric_closed_form(sys, float(t)).components] for t in grid.theta]
+        ref = analytic.metric_closed_form_array(sys, grid.theta)[:, None]
     else:
-        ref = [
-            [
-                analytic.metric_closed_form_field(sys, float(t), float(p), field).components
-                for p in grid.phi
-            ]
-            for t in grid.theta
-        ]
+        d = field.direction
+        ref = analytic.metric_closed_form_field_array(
+            sys, grid.theta[:, None], grid.phi, field.ratio_h_over_j, d.polar, d.azimuth
+        )
     shape = (grid.theta.size, grid.phi.size, grid.chi.size, 3, 3)
-    return np.broadcast_to(np.array(ref)[:, :, None], shape)
+    return np.broadcast_to(ref[:, :, None], shape)
 
 
 def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> List[CheckResult]:
@@ -151,23 +150,29 @@ def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> Li
     ``metric_equivalence``: the numeric metric against the closed form.
     ``speed_uncertainty``: |J| sqrt(g_chichi) against gamma * (energy
     uncertainty of the generator), the uncertainty taken with the dense
-    product-space Hamiltonian on the product-basis states.  Speeds are
-    compared squared: at stationary points both sides are the square root
-    of ~eps round-off, so the raw values carry O(sqrt(eps)) noise that is
-    not a real deviation.  Squared agreement within tol implies the speeds
-    themselves agree to better than tol where nonzero.
+    product-space Hamiltonian on the product-basis states; the three dense
+    total spins are built once per system, and only when a field needs
+    them.  Speeds are compared squared: at stationary points both sides
+    are the square root of ~eps round-off, so the raw values carry
+    O(sqrt(eps)) noise that is not a real deviation.  Squared agreement
+    within tol implies the speeds themselves agree to better than tol
+    where nonzero.
     """
     metric, speed = _Deviation(), _Deviation()
     n_points = 0
     fields = grid.fields or [None]
     rows, weights = product_to_occupation(sys)
+    ising = ising_pair_sums(sys)
+    total_spin = {}
+    if any(f is not None and f.ratio_h_over_j != 0.0 for f in fields):
+        total_spin = {kind: total_spin_operator(sys, kind).matrix for kind in "xyz"}
     for fld in fields:
         psi, tangents = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
         g = metric_from_vectors(sys.gamma, psi, tangents)
         metric.add_arrays(g, _closed_form_grid(sys, grid, fld))
         v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
-        ham = build_field_hamiltonian(sys, fld)
-        de = energy_uncertainties(ham.matrix, psi[..., rows] * weights)
+        ham = 2.0 * sys.coupling_j * _generator_matrix(ising, total_spin.__getitem__, fld)
+        de = energy_uncertainties(ham, psi[..., rows] * weights)
         speed.add_arrays(v * v, (sys.gamma * de) ** 2)
         n_points += v.size
     tag = f"[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"

@@ -155,6 +155,12 @@ class TestTopology:
         fld = FieldConfig(1.5, Direction(0.0), rational_ratio=(3, 2))
         assert chi_max_for(1, fld) == pytest.approx(4 * math.pi)
 
+    @pytest.mark.parametrize("polar", [0.0, math.pi])
+    def test_chi_max_for_field_along_either_sign_of_z(self, polar):
+        fld = FieldConfig(1.0, Direction(polar), rational_ratio=(1, 1))
+        assert chi_max_for(1, fld) == 2 * math.pi
+        assert chi_max_for(2, FieldConfig(1.5, Direction(polar), (3, 2))) == 2 * math.pi
+
     def test_chi_max_rejects_irrational_and_generic(self):
         with pytest.raises(ValueError):
             chi_max_for(1, FieldConfig(math.sqrt(2), Direction(0.0)))

@@ -2,9 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from spinmanifold.analytic import scalar_curvature, speed_extrema
+from spinmanifold import analytic
+from spinmanifold.analytic import metric_closed_form_field, scalar_curvature, speed_extrema
 from spinmanifold.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
@@ -14,7 +16,8 @@ from spinmanifold.cli import (
     _load_config,
     main,
 )
-from spinmanifold.spin_ops import SpinSystem
+from spinmanifold.fs_metric import speed_from_g_chi_chi
+from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem
 
 METHANE = SpinSystem(4, 1, coupling_j=-6.2)
 
@@ -65,8 +68,53 @@ class TestCurvatureCommand:
         assert 0.0 not in thetas and math.pi not in thetas
         assert "singular endpoints" in captured.err
 
+    def test_field_off_the_z_axis_is_rejected(self, capsys):
+        # the along-z formula drops g_thetachi, nonzero off the z axis
+        argv = ["curvature", "--format", "json", "--n", "4", "--two-s", "2", "--h-over-j", "1",
+                "--theta-prime", "0.7", "--phi-prime", "0.3", "--phi", "0.9", "--samples", "40"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: curvature with a field off the z axis")
+        assert "(theta'=0.7, phi'=0.3)" in captured.err
+        assert "only the formula for a field along z" in captured.err
+
+    def test_field_along_minus_z_mirrors_plus_z(self, capsys):
+        # h along -z is -h along +z
+        common = ["curvature", "--n", "4", "--two-s", "2", "--samples", "15"]
+        minus = run_csv(capsys, common + ["--h-over-j", "2", "--theta-prime", repr(math.pi)])
+        plus = run_csv(capsys, common + ["--h-over-j", "-2", "--theta-prime", "0"])
+        assert len(minus) == len(plus) == 13
+        for a, b in zip(minus, plus):
+            assert a["theta"] == b["theta"]
+            assert float(a["R"]) == pytest.approx(float(b["R"]), rel=1e-7)
+
+    def test_zero_field_in_any_direction_is_the_zero_field_curvature(self, capsys):
+        rows = run_csv(
+            capsys,
+            ["curvature", "--n", "4", "--two-s", "2", "--samples", "15", "--h-over-j", "0",
+             "--theta-prime", "0.7"],
+        )
+        sys = SpinSystem(4, 2)
+        for r in rows:
+            assert float(r["R"]) == pytest.approx(
+                scalar_curvature(sys, float(r["theta"])), abs=1e-6
+            )
+
 
 class TestCurvatureVsSpeed:
+    def test_speed_extrema_once_per_curve(self, capsys, monkeypatch):
+        calls = []
+        extrema = analytic.speed_extrema
+
+        def counted(sys):
+            calls.append(sys)
+            return extrema(sys)
+
+        monkeypatch.setattr(analytic, "speed_extrema", counted)
+        assert main(["curvature-vs-speed", "--preset", "fig1", "--samples", "20"]) == EXIT_OK
+        assert len(calls) == 4
+
     def test_branch_endpoints(self, capsys):
         rows = run_csv(
             capsys,
@@ -133,6 +181,38 @@ class TestFieldOptimize:
         assert scan["max"]["v"] == pytest.approx(math.sqrt(67 / 2), rel=1e-3)
         assert scan["max"]["theta_prime"] == pytest.approx(math.pi / 4, abs=0.06)
 
+    @pytest.mark.parametrize(
+        "theta,phi,h_over_j,j",
+        [(1.0, 2.0, 1.7, 1.0), (0.3, 5.5, -0.4, -2.5), (math.pi / 2, 0.0, 3.0, 0.8)],
+    )
+    def test_scan_matches_the_double_loop(self, capsys, theta, phi, h_over_j, j):
+        # the first minimum and maximum of a (theta', phi') double loop
+        # that keeps only strict improvements
+        argv = ["field-optimize", "--scan-direction", "--n", "5", "--two-s", "3",
+                "--j", repr(j), "--theta", repr(theta), "--phi", repr(phi),
+                "--h-over-j", repr(h_over_j)]
+        assert main(argv) == EXIT_OK
+        scan = json.loads(capsys.readouterr().out)["scan"]
+        sys = SpinSystem(5, 3, coupling_j=j)
+        best_min = best_max = None
+        for tp in np.linspace(0.0, math.pi, 61):
+            for pp in np.linspace(0.0, 2.0 * math.pi, 61, endpoint=False):
+                fld = FieldConfig(h_over_j, Direction(float(tp), float(pp)))
+                g = metric_closed_form_field(sys, theta, phi, fld)
+                v = speed_from_g_chi_chi(sys.coupling_j, g.g_chi_chi)
+                if best_min is None or v < best_min[0]:
+                    best_min = (v, float(tp), float(pp))
+                if best_max is None or v > best_max[0]:
+                    best_max = (v, float(tp), float(pp))
+        for key, best in (("min", best_min), ("max", best_max)):
+            assert scan[key] == {"v": best[0], "theta_prime": best[1], "phi_prime": best[2]}
+        assert scan["h_over_j"] == h_over_j
+
+    def test_scan_rejects_non_finite_ratio(self, capsys):
+        argv = ["field-optimize", "--scan-direction", "--theta", "0.5", "--h-over-j", "nan"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "h/J must be finite" in capsys.readouterr().err
+
     def test_requires_theta(self, capsys):
         assert main(["field-optimize", "--n", "3", "--two-s", "1"]) == EXIT_BAD_CONFIG
 
@@ -166,6 +246,7 @@ def test_non_finite_input_is_a_config_error(capsys, argv, message):
         (["verify", "--only", "topology", "--tolerance=-1"], "tolerance"),
         (["field-optimize", "--n", "4", "--two-s", "2", "--theta", "7", "--theta-prime", "3.14"],
          "theta must be in [0, pi]"),
+        (["curvature-vs-speed", "--j", "0"], "J = 0"),
     ],
 )
 def test_out_of_range_input_is_a_config_error(capsys, argv, message):

@@ -29,9 +29,13 @@ CASES = {
         "speed", "--n", "4", "--two-s", "2", "--h-over-j", "3", "--theta-prime", "0",
         "--ratio", "3/1",
     ],
+    "speed_field_offaxis_n4_2s2.csv": [
+        "speed", "--n", "4", "--two-s", "2", "--h-over-j", "1.5", "--theta-prime", "1.1",
+        "--phi-prime", "0.4", "--phi", "0.9",
+    ],
     "curvature_field_n4_2s2.json": [
         "curvature", "--format", "json", "--n", "4", "--two-s", "2", "--h-over-j", "1",
-        "--theta-prime", "0.7", "--phi-prime", "0.3", "--phi", "0.9", "--samples", "40",
+        "--theta-prime", "0", "--phi-prime", "0.3", "--phi", "0.9", "--samples", "40",
     ],
     "field_optimize_scan.json": [
         "field-optimize", "--scan-direction", "--n", "4", "--two-s", "2", "--h-over-j", "1",

@@ -224,6 +224,13 @@ class TestDirectionAndFieldConfig:
         fld = FieldConfig(0.5, Direction(0.0), rational_ratio=(1, 2))
         assert fld.along_z
 
+    @pytest.mark.parametrize(
+        "polar,along", [(0.0, True), (math.pi, True), (1e-12, False), (math.pi - 1e-12, False)]
+    )
+    def test_along_z_either_sign(self, polar, along):
+        # sin(pi) is 1.2e-16, so the test is on the angle itself
+        assert FieldConfig(1.0, Direction(polar, 0.7)).along_z is along
+
     @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_ratio(self, ratio):
         with pytest.raises(ValueError, match="finite"):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinmanifold import evolution
+from spinmanifold import analytic, evolution, fs_metric, spin_ops, verify
 from spinmanifold.analytic import ManifoldSpec
 from spinmanifold.spin_ops import SpinSystem
 from spinmanifold.verify import (
@@ -82,6 +82,30 @@ class TestFullSuite:
         # one family_grid per field and grid: 5 zero-field grids plus 64
         # field directions; section7 adds its 7 single-point speeds
         assert len(calls) == 5 + 64 + 7
+
+    def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
+        validated, spins = [], []
+        check, total_spin = fs_metric._validated_metrics, spin_ops.total_spin_operator
+
+        def counted_check(g):
+            validated.append(g.shape)
+            return check(g)
+
+        def counted_spin(sys, kind):
+            spins.append(kind)
+            return total_spin(sys, kind)
+
+        for module in (fs_metric, analytic):
+            monkeypatch.setattr(module, "_validated_metrics", counted_check)
+        for module in (spin_ops, verify):
+            monkeypatch.setattr(module, "total_spin_operator", counted_spin)
+        assert run_full_suite().overall
+        # 69 oracle grids (5 zero-field systems, 64 field directions), one
+        # closed-form stack per grid, and section7's 7 points, each checked
+        # against the dressed closed form and against metric_numeric
+        assert len(validated) == 69 + 69 + 2 * 7
+        # the dense product-space total spins: once, for the field system
+        assert sorted(spins) == ["x", "y", "z"]
 
     @pytest.mark.parametrize(
         "only,names",
