@@ -42,16 +42,13 @@ from .analytic import (
     metric_closed_form_field,
     metric_closed_form_field_array,
     scalar_curvature,
-    scalar_curvature_array,
     curvature_min,
     curvature_numeric_from_profile,
     angular_defect,
     gauss_bonnet_euler,
     speed_closed_form,
-    speed_closed_form_array,
     speed_extrema,
     curvature_from_speed,
-    curvature_from_speed_array,
     thermo_limit,
     min_speed_field,
     special_case_speed,
@@ -87,16 +84,13 @@ __all__ = [
     "metric_closed_form_field",
     "metric_closed_form_field_array",
     "scalar_curvature",
-    "scalar_curvature_array",
     "curvature_min",
     "curvature_numeric_from_profile",
     "angular_defect",
     "gauss_bonnet_euler",
     "speed_closed_form",
-    "speed_closed_form_array",
     "speed_extrema",
     "curvature_from_speed",
-    "curvature_from_speed_array",
     "thermo_limit",
     "min_speed_field",
     "special_case_speed",

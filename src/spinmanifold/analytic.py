@@ -36,13 +36,14 @@ class DegenerateDirection(ValueError):
 class _Ops(NamedTuple):
     """The elementary functions of the closed forms, for floats or for arrays.
 
-    Each closed form is written once and runs on floats (the scalar public
-    functions) and on arrays (their ``_array`` twins).  The two sets round
-    alike, so both give the same bits (tests/test_array_forms.py holds them
-    to it): np.sin, np.cos and np.sqrt round as math's do, and a float's
-    ``**`` is libm pow, which np.float_power calls too; numpy's ``**`` on
-    an array would multiply instead, which differs in the last bit for
-    about one square in a thousand.
+    Each closed form is written once and runs on a float (math's
+    functions) or on an ndarray (numpy's).  The two sets round alike, so
+    both give the same bits (tests/test_array_forms.py holds them to it):
+    np.sin, np.cos and np.sqrt round as math's do on the hosts tested (see
+    the README's Conventions), and a float's ``**`` is libm pow, which
+    np.float_power calls too; numpy's ``**`` on an array would multiply
+    instead, which differs in the last bit for about one square in a
+    thousand.
     """
 
     sin: Callable
@@ -54,18 +55,14 @@ class _Ops(NamedTuple):
 
 _FLOAT_OPS = _Ops(math.sin, math.cos, math.sqrt, pow, max)
 _ARRAY_OPS = _Ops(np.sin, np.cos, np.sqrt, np.float_power, np.maximum)
-
-
-def _ops(x) -> _Ops:
-    return _ARRAY_OPS if isinstance(x, np.ndarray) else _FLOAT_OPS
+_NDARRAY = np.ndarray
 
 
 def _first_where(x, mask):
-    """The first element of x where mask holds, or None; x is a float with a bool mask or an array."""
-    if isinstance(mask, np.ndarray):
-        hits = np.broadcast_to(x, mask.shape)[mask]
-        return hits[0] if hits.size else None
-    return x if mask else None
+    """The first element of x where mask holds; x is a float with a bool mask or an array."""
+    if isinstance(mask, _NDARRAY):
+        return np.broadcast_to(x, mask.shape)[mask][0]
+    return x
 
 
 def _field_scalar_products(op: _Ops, st, ct, phi, polar, azimuth):
@@ -88,11 +85,18 @@ def _g_chi_chi_bare(n: int, s: float, st2):
     return n * (n - 1) * s**2 * st2 * (a - (a - 0.5) * st2)
 
 
-def _g_chi_chi(sys: SpinSystem, theta):
-    """Zero-field g_chichi at theta, a float or an array."""
-    op = _ops(theta)
-    st2 = op.pow(op.sin(theta), 2.0)
-    return sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, st2)
+def _g_chi_chi(sys: SpinSystem, op: _Ops, theta):
+    """Zero-field g_chichi at theta, a float or an array as ``op`` says."""
+    return sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, op.pow(op.sin(theta), 2.0))
+
+
+def _g_phi_chi_bare(scale: float, n: int, s: float, ct, st2):
+    """scale * zero-field g_phichi / gamma^2; the factor leads the product.
+
+    The zero-field metric scales by gamma^2 here, the dressed one (scale
+    1.0, exact) after adding its field term.
+    """
+    return scale * n * (n - 1) * s**2 * ct * st2
 
 
 def _metric_components(sys: SpinSystem, theta, field=None) -> np.ndarray:
@@ -103,13 +107,14 @@ def _metric_components(sys: SpinSystem, theta, field=None) -> np.ndarray:
     arrays, and the result has their broadcast shape plus (3, 3).
     """
     n, s, g2 = sys.n_sites, sys.s, sys.gamma**2
-    op = _ops(theta)
+    op = _ARRAY_OPS if isinstance(theta, _NDARRAY) else _FLOAT_OPS
     st, ct = op.sin(theta), op.cos(theta)
     st2 = op.pow(st, 2.0)
     g_cc = _g_chi_chi_bare(n, s, st2)
-    g_pc = n * (n - 1) * s**2 * ct * st2
-    g_tc = 0.0
-    if field is not None:
+    if field is None:
+        g_tc = None
+        g_pc = _g_phi_chi_bare(g2, n, s, ct, st2)
+    else:
         r, phi, polar, azimuth = field
         a, b = _field_scalar_products(op, st, ct, phi, polar, azimuth)
         g_cc = (
@@ -118,7 +123,7 @@ def _metric_components(sys: SpinSystem, theta, field=None) -> np.ndarray:
             - 2.0 * r * n * (n - 1) * s**2 * a * ct * st
         )
         g_tc = g2 * r * n * s / 2.0 * b
-        g_pc = g_pc - r * n * s / 2.0 * a * st
+        g_pc = g2 * (_g_phi_chi_bare(1.0, n, s, ct, st2) - r * n * s / 2.0 * a * st)
     if op is _FLOAT_OPS:
         g = entries = np.zeros((3, 3))
     else:
@@ -128,8 +133,9 @@ def _metric_components(sys: SpinSystem, theta, field=None) -> np.ndarray:
     entries[0, 0] = g2 * n * s / 2.0
     entries[1, 1] = g2 * n * s / 2.0 * st2
     entries[2, 2] = g2 * g_cc
-    entries[0, 2] = entries[2, 0] = g_tc
-    entries[1, 2] = entries[2, 1] = g2 * g_pc
+    entries[1, 2] = entries[2, 1] = g_pc
+    if g_tc is not None:
+        entries[0, 2] = entries[2, 0] = g_tc
     return g
 
 
@@ -176,18 +182,21 @@ def metric_closed_form_field_array(
     return _validated_metrics(_metric_components(sys, theta, field))
 
 
-def scalar_curvature(sys: SpinSystem, theta: float) -> float:
+def scalar_curvature(sys: SpinSystem, theta):
     """Scalar curvature of the fixed-phi (theta, chi) submanifold.
 
-    The poles are conical singularities whenever N > 2 or s > 1/2; there
-    the curvature is undefined and a SingularPoint is raised.  The lone
-    smooth case N = 2, s = 1/2 admits the endpoints.
+    ``theta`` is a float, giving a float, or an ndarray, giving the
+    curvature at each of its points.  The poles are conical singularities
+    whenever N > 2 or s > 1/2; there the curvature is undefined and a
+    SingularPoint is raised if any theta is a pole.  The lone smooth case
+    N = 2, s = 1/2 admits the endpoints.
     """
     n, s = sys.n_sites, sys.s
-    pole = _first_where(theta, (theta <= 0.0) | (theta >= math.pi))
-    if pole is not None and not (n == 2 and sys.two_s == 1):
+    op = _ARRAY_OPS if isinstance(theta, _NDARRAY) else _FLOAT_OPS
+    at_pole = (theta <= 0.0) | (theta >= math.pi)
+    if (at_pole.any() if op is _ARRAY_OPS else at_pole) and not (n == 2 and sys.two_s == 1):
+        pole = _first_where(theta, at_pole)
         raise SingularPoint(f"curvature undefined at theta={pole} for N={n}, s={s}")
-    op = _ops(theta)
     c2 = op.pow(op.cos(theta), 2.0)
     k = 4.0 * (n - 1) * s - 1.0
     return (
@@ -195,11 +204,6 @@ def scalar_curvature(sys: SpinSystem, theta: float) -> float:
         / (sys.gamma**2 * n * s)
         * (2.0 - (k * c2 + 2.0 * (n - 1) * s + 1.0) / op.pow(k * c2 + 1.0, 2.0))
     )
-
-
-def scalar_curvature_array(sys: SpinSystem, theta) -> np.ndarray:
-    """:func:`scalar_curvature` at every theta of an array; SingularPoint if any is a pole."""
-    return scalar_curvature(sys, np.asarray(theta, dtype=float))
 
 
 def curvature_min(sys: SpinSystem) -> float:
@@ -231,7 +235,8 @@ def curvature_numeric_from_profile(
     # truncation, not round-off, would dominate a three-point stencil here
     d1 = (-fp2 + 8.0 * fp - 8.0 * fm + fm2) / (12.0 * step)
     d2 = (-fp2 + 16.0 * fp - 30.0 * f0 + 16.0 * fm - fm2) / (12.0 * step**2)
-    riemann = -0.5 * d2 + _ops(d1).pow(d1, 2.0) / (4.0 * f0)
+    op = _ARRAY_OPS if isinstance(d1, _NDARRAY) else _FLOAT_OPS
+    riemann = -0.5 * d2 + op.pow(d1, 2.0) / (4.0 * f0)
     return 2.0 * riemann / (g_thth * f0)
 
 
@@ -353,8 +358,8 @@ def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
     g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        g_cc = _g_chi_chi(sys, theta)
-        return 0.5 * scalar_curvature_array(sys, theta) * np.sqrt(g_thth * np.maximum(g_cc, 0.0))
+        g_cc = _g_chi_chi(sys, _ARRAY_OPS, theta)
+        return 0.5 * scalar_curvature(sys, theta) * np.sqrt(g_thth * np.maximum(g_cc, 0.0))
 
     val, err = _adaptive_gauss_legendre(integrand, eps, math.pi - eps)
     if abs(err) > 1e-6 * max(1.0, abs(val)):
@@ -367,14 +372,15 @@ def gauss_bonnet_euler(spec: ManifoldSpec, eps: float = 1e-4) -> float:
     return (curvature_integral(spec, eps) + angular_defect(spec)) / TWO_PI
 
 
-def speed_closed_form(sys: SpinSystem, theta: float) -> float:
-    """v = |J| sqrt(g_chichi); independent of phi and chi."""
-    return float(speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, theta)))
+def speed_closed_form(sys: SpinSystem, theta):
+    """v = |J| sqrt(g_chichi); independent of phi and chi.
 
-
-def speed_closed_form_array(sys: SpinSystem, theta) -> np.ndarray:
-    """:func:`speed_closed_form` at every theta of an array."""
-    return speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, np.asarray(theta, dtype=float)))
+    ``theta`` is a float, giving a float, or an ndarray, giving the speed
+    at each of its points.
+    """
+    if isinstance(theta, _NDARRAY):
+        return speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, _ARRAY_OPS, theta))
+    return float(speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, _FLOAT_OPS, theta)))
 
 
 @dataclass(frozen=True)
@@ -405,20 +411,32 @@ def speed_extrema(sys: SpinSystem) -> SpeedExtrema:
     return SpeedExtrema(0.0, v_half_pi, theta_max, v_max)
 
 
-def _curvature_through_speed(sys: SpinSystem, v, branch: str, ext: SpeedExtrema):
+def curvature_from_speed(sys: SpinSystem, v, branch: str):
+    """Scalar curvature expressed through the speed of evolution.
+
+    branch "upper" covers theta in [0, theta_max] (v from 0 to v_max);
+    branch "lower" covers theta in [theta_max, pi - theta_max] (v between
+    v_half_pi and v_max).  The two agree at v = v_max.  ``v`` is a float,
+    giving a float, or an ndarray of speeds on the one branch, giving the
+    curvature at each.  Raises OutOfRange if any v lies outside the branch
+    and ValueError for J = 0.
+    """
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    ext = speed_extrema(sys)
     if ext.v_max == 0.0:
         raise ValueError("J = 0: the speed vanishes everywhere and does not fix the curvature")
+    op = _ARRAY_OPS if isinstance(v, _NDARRAY) else _FLOAT_OPS
     tol = 1e-9 * max(ext.v_max, 1.0)
-    bad = _first_where(v, (v < -tol) | (v > ext.v_max + tol))
-    if bad is not None:
-        raise OutOfRange(f"v={bad} outside [0, v_max={ext.v_max}]")
+    outside = (v < -tol) | (v > ext.v_max + tol)
+    if outside.any() if op is _ARRAY_OPS else outside:
+        raise OutOfRange(f"v={_first_where(v, outside)} outside [0, v_max={ext.v_max}]")
     if branch == "lower":
-        bad = _first_where(v, v < ext.v_half_pi - tol)
-        if bad is not None:
-            raise OutOfRange(f"lower branch needs v >= v_half_pi={ext.v_half_pi}, got {bad}")
-    op = _ops(v)
+        below = v < ext.v_half_pi - tol
+        if below.any() if op is _ARRAY_OPS else below:
+            raise OutOfRange(
+                f"lower branch needs v >= v_half_pi={ext.v_half_pi}, got {_first_where(v, below)}"
+            )
     # sqrt(1 - min((v / v_max)^2, 1)): v may overshoot v_max by tol
     u = op.sqrt(op.maximum(1.0 - op.pow(v / ext.v_max, 2.0), 0.0))
     sign = 1.0 if branch == "upper" else -1.0
@@ -428,29 +446,6 @@ def _curvature_through_speed(sys: SpinSystem, v, branch: str, ext: SpeedExtrema)
         / (sys.gamma**2 * n * s)
         * (2.0 - (2.0 + sign * u) / (2.0 * (n - 1) * s * op.pow(1.0 + sign * u, 2.0)))
     )
-
-
-def curvature_from_speed(sys: SpinSystem, v: float, branch: str) -> float:
-    """Scalar curvature expressed through the speed of evolution.
-
-    branch "upper" covers theta in [0, theta_max] (v from 0 to v_max);
-    branch "lower" covers theta in [theta_max, pi - theta_max] (v between
-    v_half_pi and v_max).  The two agree at v = v_max.  Raises OutOfRange
-    for v outside the branch and ValueError for J = 0.
-    """
-    return _curvature_through_speed(sys, v, branch, speed_extrema(sys))
-
-
-def curvature_from_speed_array(
-    sys: SpinSystem, v, branch: str, extrema: Optional[SpeedExtrema] = None
-) -> np.ndarray:
-    """:func:`curvature_from_speed` at every v of an array, all on one branch.
-
-    ``extrema`` is ``speed_extrema(sys)`` when the caller already has it.
-    Raises OutOfRange when any v lies outside the branch.
-    """
-    ext = speed_extrema(sys) if extrema is None else extrema
-    return _curvature_through_speed(sys, np.asarray(v, dtype=float), branch, ext)
 
 
 @dataclass(frozen=True)

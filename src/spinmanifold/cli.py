@@ -205,7 +205,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
                 file=_sysmod.stderr,
             )
         if fld is None:
-            values = analytic.scalar_curvature_array(sys, thetas)
+            values = analytic.scalar_curvature(sys, thetas)
         else:
             g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
             d = fld.direction
@@ -231,7 +231,7 @@ def cmd_speed(cfg: RunConfig) -> int:
         multi = multi or bool(label)
         thetas = _theta_sweep(cfg.samples, True)
         if fld is None:
-            speeds = analytic.speed_closed_form_array(sys, thetas)
+            speeds = analytic.speed_closed_form(sys, thetas)
         else:
             d = fld.direction
             g = analytic.metric_closed_form_field_array(
@@ -254,7 +254,7 @@ def cmd_curvature_vs_speed(cfg: RunConfig) -> int:
         n_half = max(cfg.samples // 2, 2)
         for branch, v_low in (("upper", 0.0), ("lower", ext.v_half_pi)):
             speeds = np.linspace(v_low, ext.v_max, n_half)
-            values = analytic.curvature_from_speed_array(sys, speeds, branch, ext)
+            values = analytic.curvature_from_speed(sys, speeds, branch)
             for v, r in zip(speeds, values):
                 rows.append({"v": float(v), "R": float(r), "branch": branch, "curve": label})
     header = ["v", "R", "branch"] + (["curve"] if multi else [])

@@ -2,7 +2,7 @@
 (occupation-number) basis.
 
 Product basis, used only by the dense cross-check operators
-(:func:`total_spin_operator`, :func:`build_field_hamiltonian`) and by
+(:func:`total_spin_operator`, :func:`field_hamiltonians`) and by
 :func:`product_to_occupation`: lexicographic with site 1 slowest,
 per-site magnetic quantum number m descending from s to -s.  With that
 ordering every S^z is diagonal and the all-to-all zz coupling is a
@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -254,18 +254,30 @@ def _generator_matrix(
     return g
 
 
-def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> ManyBodyOperator:
-    """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n', with h = (h/J) * J.
+def field_hamiltonians(
+    sys: SpinSystem, fields: Sequence[Optional[FieldConfig]]
+) -> Iterator[ManyBodyOperator]:
+    """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n' for each field in turn, h = (h/J) * J.
 
-    Dense on the product space and built on demand, like
-    :func:`total_spin_operator`; ``field=None`` gives the Ising Hamiltonian.
+    Dense on the product space.  The three total spins of
+    :func:`total_spin_operator` are built once, and only when some field
+    is nonzero; the Hamiltonians are yielded one at a time, so only one
+    is held at once.  A field of None gives the Ising Hamiltonian.
     """
     sys.check_dim_guard()
-    g = _generator_matrix(
-        ising_pair_sums(sys), lambda kind: total_spin_operator(sys, kind).matrix, field
-    )
-    g *= 2.0 * sys.coupling_j
-    return ManyBodyOperator(g)
+    total_spin = {}
+    if any(f is not None and f.ratio_h_over_j != 0.0 for f in fields):
+        total_spin = {kind: total_spin_operator(sys, kind).matrix for kind in "xyz"}
+    ising = ising_pair_sums(sys)
+    for field in fields:
+        g = _generator_matrix(ising, total_spin.__getitem__, field)
+        g *= 2.0 * sys.coupling_j
+        yield ManyBodyOperator(g)
+
+
+def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> ManyBodyOperator:
+    """The one-field case of :func:`field_hamiltonians`; ``field=None`` gives the Ising Hamiltonian."""
+    return next(field_hamiltonians(sys, [field]))
 
 
 class OccupationBasis(NamedTuple):

@@ -30,10 +30,8 @@ from .spin_ops import (
     Direction,
     FieldConfig,
     SpinSystem,
-    _generator_matrix,
-    ising_pair_sums,
+    field_hamiltonians,
     product_to_occupation,
-    total_spin_operator,
 )
 
 ABS_FLOOR = 1e-12
@@ -150,29 +148,24 @@ def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> Li
     ``metric_equivalence``: the numeric metric against the closed form.
     ``speed_uncertainty``: |J| sqrt(g_chichi) against gamma * (energy
     uncertainty of the generator), the uncertainty taken with the dense
-    product-space Hamiltonian on the product-basis states; the three dense
-    total spins are built once per system, and only when a field needs
-    them.  Speeds are compared squared: at stationary points both sides
-    are the square root of ~eps round-off, so the raw values carry
-    O(sqrt(eps)) noise that is not a real deviation.  Squared agreement
-    within tol implies the speeds themselves agree to better than tol
-    where nonzero.
+    product-space Hamiltonian on the product-basis states
+    (:func:`~spinmanifold.spin_ops.field_hamiltonians` builds the three
+    dense total spins once per system).  Speeds are compared squared: at
+    stationary points both sides are the square root of ~eps round-off,
+    so the raw values carry O(sqrt(eps)) noise that is not a real
+    deviation.  Squared agreement within tol implies the speeds
+    themselves agree to better than tol where nonzero.
     """
     metric, speed = _Deviation(), _Deviation()
     n_points = 0
     fields = grid.fields or [None]
     rows, weights = product_to_occupation(sys)
-    ising = ising_pair_sums(sys)
-    total_spin = {}
-    if any(f is not None and f.ratio_h_over_j != 0.0 for f in fields):
-        total_spin = {kind: total_spin_operator(sys, kind).matrix for kind in "xyz"}
-    for fld in fields:
+    for fld, ham in zip(fields, field_hamiltonians(sys, fields)):
         psi, tangents = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
         g = metric_from_vectors(sys.gamma, psi, tangents)
         metric.add_arrays(g, _closed_form_grid(sys, grid, fld))
         v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
-        ham = 2.0 * sys.coupling_j * _generator_matrix(ising, total_spin.__getitem__, fld)
-        de = energy_uncertainties(ham, psi[..., rows] * weights)
+        de = energy_uncertainties(ham.matrix, psi[..., rows] * weights)
         speed.add_arrays(v * v, (sys.gamma * de) ** 2)
         n_points += v.size
     tag = f"[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"

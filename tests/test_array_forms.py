@@ -1,8 +1,13 @@
-"""The ``_array`` closed forms against stacked scalar calls, bit for bit.
+"""The closed forms over arrays against stacked scalar calls, bit for bit.
 
-Each array form shares its arithmetic with the scalar function, so the
-two must agree exactly (``np.array_equal``, no tolerance) on every
-system, theta grid (poles included), phi grid and field below.
+The array and float paths share each formula's arithmetic, so the two
+must agree exactly (``np.array_equal``, no tolerance) on every system,
+theta grid (poles included), phi grid and field below.  The elementary
+functions differ between the paths (math's for floats, numpy's for
+arrays), so this equality also needs numpy's sin, cos, sqrt and
+float_power to round as libm's do, which the README's Conventions
+section records; ``test_numpy_rounds_like_math`` names that condition
+when it fails.
 """
 
 import math
@@ -15,16 +20,13 @@ from spinmanifold.analytic import (
     OutOfRange,
     SingularPoint,
     curvature_from_speed,
-    curvature_from_speed_array,
     curvature_numeric_from_profile,
     metric_closed_form,
     metric_closed_form_array,
     metric_closed_form_field,
     metric_closed_form_field_array,
     scalar_curvature,
-    scalar_curvature_array,
     speed_closed_form,
-    speed_closed_form_array,
     speed_extrema,
 )
 from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem
@@ -91,12 +93,12 @@ class TestAgainstScalar:
 
     def test_speed(self, sys):
         expected = np.array([speed_closed_form(sys, float(t)) for t in THETAS])
-        assert np.array_equal(speed_closed_form_array(sys, THETAS), expected)
+        assert np.array_equal(speed_closed_form(sys, THETAS), expected)
 
     def test_curvature(self, sys):
         inner = THETAS[(THETAS > 0.0) & (THETAS < math.pi)]
         expected = np.array([scalar_curvature(sys, float(t)) for t in inner])
-        assert np.array_equal(scalar_curvature_array(sys, inner), expected)
+        assert np.array_equal(scalar_curvature(sys, inner), expected)
 
     @pytest.mark.parametrize("branch", ["upper", "lower"])
     def test_curvature_from_speed(self, sys, branch):
@@ -104,8 +106,7 @@ class TestAgainstScalar:
         low = 0.0 if branch == "upper" else ext.v_half_pi
         speeds = np.linspace(low, ext.v_max, 57)
         expected = np.array([curvature_from_speed(sys, float(v), branch) for v in speeds])
-        assert np.array_equal(curvature_from_speed_array(sys, speeds, branch), expected)
-        assert np.array_equal(curvature_from_speed_array(sys, speeds, branch, ext), expected)
+        assert np.array_equal(curvature_from_speed(sys, speeds, branch), expected)
 
     @pytest.mark.parametrize("fld", FIELDS[1:3], ids=FIELD_IDS[1:3])
     def test_profile_curvature(self, sys, fld):
@@ -138,7 +139,7 @@ class TestShapesAndErrors:
     def test_empty_grid(self):
         sys = SpinSystem(4, 2)
         assert metric_closed_form_field_array(sys, np.array([]), 0.1, 1.0, 0.0, 0.0).shape == (0, 3, 3)
-        assert scalar_curvature_array(sys, np.array([])).shape == (0,)
+        assert scalar_curvature(sys, np.array([])).shape == (0,)
 
     def test_azimuth_is_reduced_like_direction(self):
         sys = SpinSystem(4, 2)
@@ -150,33 +151,33 @@ class TestShapesAndErrors:
     def test_any_pole_is_singular(self, pole):
         thetas = np.array([0.3, 1.2, pole, 2.0])
         with pytest.raises(SingularPoint, match=f"theta={pole}"):
-            scalar_curvature_array(SpinSystem(3, 2), thetas)
+            scalar_curvature(SpinSystem(3, 2), thetas)
 
     def test_smooth_sphere_admits_poles(self):
         sys = SpinSystem(2, 1)
         thetas = np.array([0.0, 1.0, math.pi])
         expected = np.array([scalar_curvature(sys, float(t)) for t in thetas])
-        assert np.array_equal(scalar_curvature_array(sys, thetas), expected)
+        assert np.array_equal(scalar_curvature(sys, thetas), expected)
 
     def test_out_of_range_per_branch(self):
         sys = SpinSystem(4, 1, coupling_j=-6.2)
         ext = speed_extrema(sys)
         with pytest.raises(OutOfRange, match="outside"):
-            curvature_from_speed_array(sys, [0.0, ext.v_max * 1.01], "upper")
+            curvature_from_speed(sys, np.array([0.0, ext.v_max * 1.01]), "upper")
         with pytest.raises(OutOfRange, match="outside"):
-            curvature_from_speed_array(sys, [-0.1, ext.v_max], "lower")
+            curvature_from_speed(sys, np.array([-0.1, ext.v_max]), "lower")
         with pytest.raises(OutOfRange, match="v_half_pi"):
-            curvature_from_speed_array(sys, [ext.v_max, ext.v_half_pi * 0.9], "lower")
+            curvature_from_speed(sys, np.array([ext.v_max, ext.v_half_pi * 0.9]), "lower")
         # the upper branch covers [0, v_max], below v_half_pi included
-        curvature_from_speed_array(sys, [0.0, ext.v_half_pi * 0.9], "upper")
+        curvature_from_speed(sys, np.array([0.0, ext.v_half_pi * 0.9]), "upper")
         with pytest.raises(ValueError, match="branch"):
-            curvature_from_speed_array(sys, [1.0], "middle")
+            curvature_from_speed(sys, np.array([1.0]), "middle")
 
     def test_zero_coupling_is_rejected(self):
         with pytest.raises(ValueError, match="J = 0"):
             curvature_from_speed(SpinSystem(4, 1, coupling_j=0.0), 0.0, "upper")
         with pytest.raises(ValueError, match="J = 0"):
-            curvature_from_speed_array(SpinSystem(4, 1, coupling_j=0.0), [0.0], "upper")
+            curvature_from_speed(SpinSystem(4, 1, coupling_j=0.0), np.array([0.0]), "upper")
 
     def test_each_stack_is_validated_once(self, monkeypatch):
         # every closed-form stack passes the oracle's symmetry/PSD check
@@ -191,3 +192,34 @@ class TestShapesAndErrors:
         metric_closed_form_array(SpinSystem(3, 2), THETAS)
         metric_closed_form_field_array(SpinSystem(3, 2), THETAS[:, None], PHIS, 1.0, 0.4, 0.0)
         assert seen == [(THETAS.size, 3, 3), (THETAS.size, PHIS.size, 3, 3)]
+
+
+def test_numpy_rounds_like_math():
+    # the condition every exact comparison in this module rests on
+    x = np.random.default_rng(11).uniform(-7.0, 7.0, 20000)
+    for name, f_np, f_math in (("sin", np.sin, math.sin), ("cos", np.cos, math.cos)):
+        assert np.array_equal(f_np(x), [f_math(t) for t in x.tolist()]), name
+    y = np.abs(x)
+    assert np.array_equal(np.sqrt(y), [math.sqrt(t) for t in y.tolist()]), "sqrt"
+    assert np.array_equal(np.float_power(x, 2.0), [t**2 for t in x.tolist()]), "float_power"
+
+
+class TestScalarPath:
+    def test_floats_give_floats(self):
+        sys = SpinSystem(4, 2)
+        ext = speed_extrema(sys)
+        for value in (
+            scalar_curvature(sys, 0.7),
+            speed_closed_form(sys, 0.7),
+            curvature_from_speed(sys, 0.5 * ext.v_max, "upper"),
+        ):
+            assert type(value) is float
+
+    def test_zero_field_g_phi_chi_keeps_its_product_order(self):
+        # gamma^2 leads the product, so gamma != 1 gives the same bits as
+        # the left-to-right product of the formula
+        sys = SpinSystem(5, 3, gamma=1.37)
+        n, s, g2 = sys.n_sites, sys.s, sys.gamma**2
+        for t in np.random.default_rng(5).uniform(0.0, math.pi, 200).tolist():
+            expected = g2 * n * (n - 1) * s**2 * math.cos(t) * math.sin(t) ** 2
+            assert metric_closed_form(sys, t).components[1, 2] == expected

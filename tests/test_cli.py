@@ -103,7 +103,8 @@ class TestCurvatureCommand:
 
 
 class TestCurvatureVsSpeed:
-    def test_speed_extrema_once_per_curve(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("samples", ["20", "200"])
+    def test_speed_extrema_per_curve_not_per_sample(self, capsys, monkeypatch, samples):
         calls = []
         extrema = analytic.speed_extrema
 
@@ -112,8 +113,10 @@ class TestCurvatureVsSpeed:
             return extrema(sys)
 
         monkeypatch.setattr(analytic, "speed_extrema", counted)
-        assert main(["curvature-vs-speed", "--preset", "fig1", "--samples", "20"]) == EXIT_OK
-        assert len(calls) == 4
+        assert main(["curvature-vs-speed", "--preset", "fig1", "--samples", samples]) == EXIT_OK
+        # fig1 has 4 curves: one call for each curve's speed grid and one
+        # inside each of its two branch-wide curvature_from_speed calls
+        assert len(calls) == 4 * 3
 
     def test_branch_endpoints(self, capsys):
         rows = run_csv(

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from spinmanifold import spin_ops
 from spinmanifold.spin_ops import (
     Direction,
     DimensionGuardError,
@@ -12,6 +13,7 @@ from spinmanifold.spin_ops import (
     SpinSystem,
     build_field_hamiltonian,
     build_spin_operators,
+    field_hamiltonians,
     ising_pair_sums,
     total_spin_operator,
 )
@@ -201,6 +203,24 @@ class TestFieldHamiltonian:
         fld = FieldConfig(1.7, Direction(1.1, 2.3))
         mat = build_field_hamiltonian(sys, fld).matrix
         assert np.abs(mat - mat.conj().T).max() < 1e-12
+
+    def test_many_fields_build_the_total_spins_once(self, monkeypatch):
+        sys = SpinSystem(3, 2, coupling_j=-0.8)
+        fields = [None, FieldConfig(1.7, Direction(1.1, 2.3)), FieldConfig(-0.4, Direction(0.0))]
+        expected = [build_field_hamiltonian(sys, f).matrix for f in fields]
+        kinds = []
+
+        def counted(sys, kind):
+            kinds.append(kind)
+            return total_spin_operator(sys, kind)
+
+        monkeypatch.setattr(spin_ops, "total_spin_operator", counted)
+        got = [h.matrix for h in field_hamiltonians(sys, fields)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)) and len(got) == 3
+        assert sorted(kinds) == ["x", "y", "z"]
+        kinds.clear()
+        list(field_hamiltonians(sys, [None, FieldConfig(0.0, Direction(1.0))]))
+        assert kinds == []
 
 
 class TestDirectionAndFieldConfig:

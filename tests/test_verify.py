@@ -97,8 +97,7 @@ class TestFullSuite:
 
         for module in (fs_metric, analytic):
             monkeypatch.setattr(module, "_validated_metrics", counted_check)
-        for module in (spin_ops, verify):
-            monkeypatch.setattr(module, "total_spin_operator", counted_spin)
+        monkeypatch.setattr(spin_ops, "total_spin_operator", counted_spin)
         assert run_full_suite().overall
         # 69 oracle grids (5 zero-field systems, 64 field directions), one
         # closed-form stack per grid, and section7's 7 points, each checked
