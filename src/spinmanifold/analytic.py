@@ -6,6 +6,13 @@ evolution and its extrema, curvature expressed through the speed,
 thermodynamic-limit values, the field-dressed metric and the
 minimal-speed field conditions.  The numeric oracle lives in
 :mod:`spinmanifold.fs_metric` and never feeds back into these formulas.
+
+Each closed form is written once in numpy's functions, which take a float
+as readily as an array, so a float and an array argument go through the
+same operations and give the same bits; a float argument gives a builtin
+float back.  Squares go through np.float_power, which is libm pow;
+numpy's ``**`` on an array would multiply instead, which differs in the
+last bit for about one square in a thousand.
 """
 
 from __future__ import annotations
@@ -33,49 +40,27 @@ class DegenerateDirection(ValueError):
     """Both field scalar products vanish; the minimizing ratio is undefined."""
 
 
-class _Ops(NamedTuple):
-    """The elementary functions of the closed forms, for floats or for arrays.
-
-    Each closed form is written once and runs on a float (math's
-    functions) or on an ndarray (numpy's).  The two sets round alike, so
-    both give the same bits (tests/test_array_forms.py holds them to it):
-    np.sin, np.cos and np.sqrt round as math's do on the hosts tested (see
-    the README's Conventions), and a float's ``**`` is libm pow, which
-    np.float_power calls too; numpy's ``**`` on an array would multiply
-    instead, which differs in the last bit for about one square in a
-    thousand.
-    """
-
-    sin: Callable
-    cos: Callable
-    sqrt: Callable
-    pow: Callable
-    maximum: Callable
-
-
-_FLOAT_OPS = _Ops(math.sin, math.cos, math.sqrt, pow, max)
-_ARRAY_OPS = _Ops(np.sin, np.cos, np.sqrt, np.float_power, np.maximum)
-_NDARRAY = np.ndarray
+def _float_if_scalar(x):
+    """The array a ufunc gave for an array argument, or a builtin float for its scalar."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def _first_where(x, mask):
-    """The first element of x where mask holds; x is a float with a bool mask or an array."""
-    if isinstance(mask, _NDARRAY):
-        return np.broadcast_to(x, mask.shape)[mask][0]
-    return x
+    """The first element of x (a float or an array) where the bool mask holds."""
+    return np.broadcast_to(x, np.shape(mask))[mask][0]
 
 
-def _field_scalar_products(op: _Ops, st, ct, phi, polar, azimuth):
+def _field_scalar_products(st, ct, phi, polar, azimuth):
     """The two projections of n' used by the dressed metric.
 
-    Takes sin theta, cos theta, phi and the field angles (floats, or
-    broadcastable arrays with ``op`` the array set) and returns
+    Takes sin theta, cos theta, phi and the field angles (floats or
+    broadcastable arrays) and returns
     (n'.n(theta + pi/2), n'.n(theta = pi/2, phi + pi/2)).
     """
-    stp, ctp = op.sin(polar), op.cos(polar)
+    stp, ctp = np.sin(polar), np.cos(polar)
     dphi = phi - azimuth
-    a = ct * stp * op.cos(dphi) - st * ctp
-    b = -stp * op.sin(dphi)
+    a = ct * stp * np.cos(dphi) - st * ctp
+    b = -stp * np.sin(dphi)
     return a, b
 
 
@@ -85,9 +70,9 @@ def _g_chi_chi_bare(n: int, s: float, st2):
     return n * (n - 1) * s**2 * st2 * (a - (a - 0.5) * st2)
 
 
-def _g_chi_chi(sys: SpinSystem, op: _Ops, theta):
-    """Zero-field g_chichi at theta, a float or an array as ``op`` says."""
-    return sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, op.pow(op.sin(theta), 2.0))
+def _g_chi_chi(sys: SpinSystem, theta):
+    """Zero-field g_chichi at theta, a float or an array."""
+    return sys.gamma**2 * _g_chi_chi_bare(sys.n_sites, sys.s, np.float_power(np.sin(theta), 2.0))
 
 
 def _g_phi_chi_bare(scale: float, n: int, s: float, ct, st2):
@@ -107,36 +92,31 @@ def _metric_components(sys: SpinSystem, theta, field=None) -> np.ndarray:
     arrays, and the result has their broadcast shape plus (3, 3).
     """
     n, s, g2 = sys.n_sites, sys.s, sys.gamma**2
-    op = _ARRAY_OPS if isinstance(theta, _NDARRAY) else _FLOAT_OPS
-    st, ct = op.sin(theta), op.cos(theta)
-    st2 = op.pow(st, 2.0)
+    st, ct = np.sin(theta), np.cos(theta)
+    st2 = np.float_power(st, 2.0)
     g_cc = _g_chi_chi_bare(n, s, st2)
+    g_tc = 0.0
     if field is None:
-        g_tc = None
         g_pc = _g_phi_chi_bare(g2, n, s, ct, st2)
     else:
         r, phi, polar, azimuth = field
-        a, b = _field_scalar_products(op, st, ct, phi, polar, azimuth)
+        a, b = _field_scalar_products(st, ct, phi, polar, azimuth)
         g_cc = (
             g_cc
-            + op.pow(r, 2.0) * n * s / 2.0 * (op.pow(a, 2.0) + op.pow(b, 2.0))
+            + np.float_power(r, 2.0) * n * s / 2.0
+            * (np.float_power(a, 2.0) + np.float_power(b, 2.0))
             - 2.0 * r * n * (n - 1) * s**2 * a * ct * st
         )
         g_tc = g2 * r * n * s / 2.0 * b
         g_pc = g2 * (_g_phi_chi_bare(1.0, n, s, ct, st2) - r * n * s / 2.0 * a * st)
-    if op is _FLOAT_OPS:
-        g = entries = np.zeros((3, 3))
-    else:
-        # g_cc has the full broadcast shape; entries[i, j] views g[..., i, j]
-        g = np.zeros(np.shape(g_cc) + (3, 3))
-        entries = np.moveaxis(g, (-2, -1), (0, 1))
-    entries[0, 0] = g2 * n * s / 2.0
-    entries[1, 1] = g2 * n * s / 2.0 * st2
-    entries[2, 2] = g2 * g_cc
-    entries[1, 2] = entries[2, 1] = g_pc
-    if g_tc is not None:
-        entries[0, 2] = entries[2, 0] = g_tc
-    return g
+    # g_cc has the full broadcast shape; g[i, j] holds entry (i, j) at every point
+    g = np.zeros((3, 3) + np.shape(g_cc))
+    g[0, 0] = g2 * n * s / 2.0
+    g[1, 1] = g2 * n * s / 2.0 * st2
+    g[2, 2] = g2 * g_cc
+    g[1, 2] = g[2, 1] = g_pc
+    g[0, 2] = g[2, 0] = g_tc
+    return g.transpose(tuple(range(2, g.ndim)) + (0, 1))
 
 
 def metric_closed_form(sys: SpinSystem, theta: float) -> MetricTensor:
@@ -192,17 +172,16 @@ def scalar_curvature(sys: SpinSystem, theta):
     N = 2, s = 1/2 admits the endpoints.
     """
     n, s = sys.n_sites, sys.s
-    op = _ARRAY_OPS if isinstance(theta, _NDARRAY) else _FLOAT_OPS
     at_pole = (theta <= 0.0) | (theta >= math.pi)
-    if (at_pole.any() if op is _ARRAY_OPS else at_pole) and not (n == 2 and sys.two_s == 1):
+    if np.count_nonzero(at_pole) and not (n == 2 and sys.two_s == 1):
         pole = _first_where(theta, at_pole)
         raise SingularPoint(f"curvature undefined at theta={pole} for N={n}, s={s}")
-    c2 = op.pow(op.cos(theta), 2.0)
+    c2 = np.float_power(np.cos(theta), 2.0)
     k = 4.0 * (n - 1) * s - 1.0
-    return (
+    return _float_if_scalar(
         8.0
         / (sys.gamma**2 * n * s)
-        * (2.0 - (k * c2 + 2.0 * (n - 1) * s + 1.0) / op.pow(k * c2 + 1.0, 2.0))
+        * (2.0 - (k * c2 + 2.0 * (n - 1) * s + 1.0) / np.float_power(k * c2 + 1.0, 2.0))
     )
 
 
@@ -235,9 +214,8 @@ def curvature_numeric_from_profile(
     # truncation, not round-off, would dominate a three-point stencil here
     d1 = (-fp2 + 8.0 * fp - 8.0 * fm + fm2) / (12.0 * step)
     d2 = (-fp2 + 16.0 * fp - 30.0 * f0 + 16.0 * fm - fm2) / (12.0 * step**2)
-    op = _ARRAY_OPS if isinstance(d1, _NDARRAY) else _FLOAT_OPS
-    riemann = -0.5 * d2 + op.pow(d1, 2.0) / (4.0 * f0)
-    return 2.0 * riemann / (g_thth * f0)
+    riemann = -0.5 * d2 + np.float_power(d1, 2.0) / (4.0 * f0)
+    return _float_if_scalar(2.0 * riemann / (g_thth * f0))
 
 
 def chi_max_for(two_s: int, field: Optional[FieldConfig] = None) -> float:
@@ -267,7 +245,7 @@ class ManifoldSpec:
     def __post_init__(self):
         base = chi_max_for(self.sys.two_s)
         mult = self.chi_max / base
-        if self.chi_max <= 0.0 or abs(mult - round(mult)) > 1e-9 or round(mult) < 1:
+        if not math.isfinite(mult) or round(mult) < 1 or abs(mult - round(mult)) > 1e-9:
             raise ValueError(
                 f"chi_max={self.chi_max} is not a positive multiple of the base period {base}"
             )
@@ -358,7 +336,7 @@ def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
     g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        g_cc = _g_chi_chi(sys, _ARRAY_OPS, theta)
+        g_cc = _g_chi_chi(sys, theta)
         return 0.5 * scalar_curvature(sys, theta) * np.sqrt(g_thth * np.maximum(g_cc, 0.0))
 
     val, err = _adaptive_gauss_legendre(integrand, eps, math.pi - eps)
@@ -378,9 +356,7 @@ def speed_closed_form(sys: SpinSystem, theta):
     ``theta`` is a float, giving a float, or an ndarray, giving the speed
     at each of its points.
     """
-    if isinstance(theta, _NDARRAY):
-        return speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, _ARRAY_OPS, theta))
-    return float(speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, _FLOAT_OPS, theta)))
+    return _float_if_scalar(speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, theta)))
 
 
 @dataclass(frozen=True)
@@ -426,25 +402,24 @@ def curvature_from_speed(sys: SpinSystem, v, branch: str):
     ext = speed_extrema(sys)
     if ext.v_max == 0.0:
         raise ValueError("J = 0: the speed vanishes everywhere and does not fix the curvature")
-    op = _ARRAY_OPS if isinstance(v, _NDARRAY) else _FLOAT_OPS
     tol = 1e-9 * max(ext.v_max, 1.0)
     outside = (v < -tol) | (v > ext.v_max + tol)
-    if outside.any() if op is _ARRAY_OPS else outside:
+    if np.count_nonzero(outside):
         raise OutOfRange(f"v={_first_where(v, outside)} outside [0, v_max={ext.v_max}]")
     if branch == "lower":
         below = v < ext.v_half_pi - tol
-        if below.any() if op is _ARRAY_OPS else below:
+        if np.count_nonzero(below):
             raise OutOfRange(
                 f"lower branch needs v >= v_half_pi={ext.v_half_pi}, got {_first_where(v, below)}"
             )
     # sqrt(1 - min((v / v_max)^2, 1)): v may overshoot v_max by tol
-    u = op.sqrt(op.maximum(1.0 - op.pow(v / ext.v_max, 2.0), 0.0))
+    u = np.sqrt(np.maximum(1.0 - np.float_power(v / ext.v_max, 2.0), 0.0))
     sign = 1.0 if branch == "upper" else -1.0
     n, s = sys.n_sites, sys.s
-    return (
+    return _float_if_scalar(
         8.0
         / (sys.gamma**2 * n * s)
-        * (2.0 - (2.0 + sign * u) / (2.0 * (n - 1) * s * op.pow(1.0 + sign * u, 2.0)))
+        * (2.0 - (2.0 + sign * u) / (2.0 * (n - 1) * s * np.float_power(1.0 + sign * u, 2.0)))
     )
 
 
@@ -521,8 +496,9 @@ def min_speed_field(
         raise ValueError(f"theta must be in [0, pi], got {theta}")
     n, s = sys.n_sites, sys.s
     a, b = _field_scalar_products(
-        _FLOAT_OPS, math.sin(theta), math.cos(theta), phi, direction.polar, direction.azimuth
+        math.sin(theta), math.cos(theta), phi, direction.polar, direction.azimuth
     )
+    a, b = float(a), float(b)  # builtin floats, so the result serialises to JSON
     den = a**2 + b**2
     if den < 1e-24:
         raise DegenerateDirection("both field scalar products vanish for this geometry")

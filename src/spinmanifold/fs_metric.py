@@ -54,28 +54,8 @@ class MetricTensor:
         self.components = _validated_metrics(np.asarray(self.components, dtype=float))
 
     @property
-    def g_theta_theta(self) -> float:
-        return self.components[0, 0]
-
-    @property
-    def g_phi_phi(self) -> float:
-        return self.components[1, 1]
-
-    @property
     def g_chi_chi(self) -> float:
         return self.components[2, 2]
-
-    @property
-    def g_theta_phi(self) -> float:
-        return self.components[0, 1]
-
-    @property
-    def g_theta_chi(self) -> float:
-        return self.components[0, 2]
-
-    @property
-    def g_phi_chi(self) -> float:
-        return self.components[1, 2]
 
 
 def _metric_components(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -154,10 +134,10 @@ def distance_along_evolution(
     The family evolves as exp(-i chi H/J) with H independent of chi, so
     g_chichi = gamma^2 Var(H/J) is conserved along the trajectory for
     every field direction, and one metric at chi' = 0 gives the whole
-    line integral.
+    line integral.  Raises ValueError for a negative, NaN or infinite chi.
     """
-    if chi < 0.0:
-        raise ValueError(f"chi must be >= 0, got {chi}")
+    if not (math.isfinite(chi) and chi >= 0.0):
+        raise ValueError(f"chi must be finite and >= 0, got {chi}")
     if chi == 0.0:
         return 0.0
     g = metric_numeric(sys, CoordinatePoint(theta, phi, 0.0), field)

@@ -38,15 +38,15 @@ class TestClosedFormMetric:
         assert np.allclose(
             np.diag(g.components), [0.5, 0.5, 0.25]
         )
-        assert g.g_phi_chi == pytest.approx(0.0)
+        assert g.components[1, 2] == pytest.approx(0.0)
 
     def test_pole_values(self):
         sys = SpinSystem(5, 2, gamma=1.5)
         g = metric_closed_form(sys, 0.0)
-        assert g.g_phi_phi == 0.0
+        assert g.components[1, 1] == 0.0
         assert g.g_chi_chi == 0.0
-        assert g.g_phi_chi == 0.0
-        assert g.g_theta_theta == pytest.approx(sys.gamma**2 * 5 * 1 / 2)
+        assert g.components[1, 2] == 0.0
+        assert g.components[0, 0] == pytest.approx(sys.gamma**2 * 5 * 1 / 2)
 
     def test_methane_equator_chi_component(self):
         assert metric_closed_form(METHANE, math.pi / 2).g_chi_chi == pytest.approx(1.5)
@@ -170,6 +170,11 @@ class TestTopology:
     def test_manifold_spec_validation(self):
         with pytest.raises(ValueError):
             ManifoldSpec(SpinSystem(2, 1), 3.0)
+
+    @pytest.mark.parametrize("chi_max", [math.inf, math.nan])
+    def test_manifold_spec_rejects_non_finite_period(self, chi_max):
+        with pytest.raises(ValueError, match="is not a positive multiple of the base period"):
+            ManifoldSpec(SpinSystem(2, 1), chi_max)
 
     def test_angular_defects(self):
         assert angular_defect(ManifoldSpec.for_system(SpinSystem(2, 1))) == pytest.approx(0.0)

@@ -1,13 +1,12 @@
 """The closed forms over arrays against stacked scalar calls, bit for bit.
 
-The array and float paths share each formula's arithmetic, so the two
-must agree exactly (``np.array_equal``, no tolerance) on every system,
-theta grid (poles included), phi grid and field below.  The elementary
-functions differ between the paths (math's for floats, numpy's for
-arrays), so this equality also needs numpy's sin, cos, sqrt and
-float_power to round as libm's do, which the README's Conventions
-section records; ``test_numpy_rounds_like_math`` names that condition
-when it fails.
+A float and an array argument run through the same numpy operations, so
+the two must agree exactly (``np.array_equal``, no tolerance) on every
+system (gamma = 1 and gamma != 1), theta grid (poles included), phi grid
+and field below.  The golden CLI outputs rest on a further condition:
+that numpy's sin, cos, sqrt and float_power round as libm's do on the
+host that recorded them (the README's Conventions section);
+``test_numpy_rounds_like_math`` names that condition when it fails.
 """
 
 import math
@@ -31,7 +30,13 @@ from spinmanifold.analytic import (
 )
 from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem
 
-SYSTEMS = [SpinSystem(2, 1), SpinSystem(3, 2), SpinSystem(6, 3), SpinSystem(9, 4, coupling_j=-6.2)]
+SYSTEMS = [
+    SpinSystem(2, 1),
+    SpinSystem(3, 2),
+    SpinSystem(6, 3),
+    SpinSystem(9, 4, coupling_j=-6.2),
+    SpinSystem(5, 3, gamma=1.37),
+]
 
 #: poles, an even sweep and off-grid points
 THETAS = np.concatenate(

@@ -54,8 +54,8 @@ class TestMetricTensor:
 
     def test_component_accessors(self):
         g = MetricTensor(np.diag([1.0, 2.0, 3.0]))
-        assert g.g_theta_theta == 1.0
-        assert g.g_phi_phi == 2.0
+        assert g.components[0, 0] == 1.0
+        assert g.components[1, 1] == 2.0
         assert g.g_chi_chi == 3.0
         assert g.components[0, 2] == 0.0
 
@@ -63,14 +63,14 @@ class TestMetricTensor:
 class TestMetricNumeric:
     def test_two_spin_half_equator(self):
         g = metric_numeric(SpinSystem(2, 1), CoordinatePoint(math.pi / 2, 0.0, 0.0))
-        assert g.g_theta_theta == pytest.approx(0.5, abs=1e-12)
-        assert g.g_phi_phi == pytest.approx(0.5, abs=1e-12)
+        assert g.components[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert g.components[1, 1] == pytest.approx(0.5, abs=1e-12)
         assert g.g_chi_chi == pytest.approx(0.25, abs=1e-12)
-        assert g.g_phi_chi == pytest.approx(0.0, abs=1e-12)
+        assert g.components[1, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_pole_components_vanish(self):
         g = metric_numeric(SpinSystem(3, 2), CoordinatePoint(0.0, 0.4, 1.1))
-        assert g.g_phi_phi == pytest.approx(0.0, abs=1e-12)
+        assert g.components[1, 1] == pytest.approx(0.0, abs=1e-12)
         assert g.g_chi_chi == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,two_s", [(2, 1), (3, 2), (4, 1)])
@@ -84,8 +84,8 @@ class TestMetricNumeric:
 
     def test_off_block_zero_at_zero_field(self):
         g = metric_numeric(SpinSystem(3, 3), CoordinatePoint(1.1, 2.0, 0.6))
-        assert abs(g.g_theta_phi) < 1e-10
-        assert abs(g.g_theta_chi) < 1e-10
+        assert abs(g.components[0, 1]) < 1e-10
+        assert abs(g.components[0, 2]) < 1e-10
 
     def test_gauge_invariance_phase_injection(self):
         sys = SpinSystem(3, 2)
@@ -178,6 +178,11 @@ class TestDistance:
     def test_rejects_negative_chi(self):
         with pytest.raises(ValueError):
             distance_along_evolution(SpinSystem(2, 1), 1.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("chi", [math.nan, math.inf])
+    def test_rejects_non_finite_chi(self, chi):
+        with pytest.raises(ValueError, match="finite"):
+            distance_along_evolution(SpinSystem(4, 1), 0.7, 0.1, chi)
 
 
 GENERIC_FIELDS = [
