@@ -50,6 +50,13 @@ def _first_where(x, mask):
     return np.broadcast_to(x, np.shape(mask))[mask][0]
 
 
+def _require_finite(name: str, x):
+    """Raise ValueError naming the first NaN or infinite entry of x, a float or an array."""
+    bad = ~np.isfinite(x)
+    if np.count_nonzero(bad):
+        raise ValueError(f"{name} must be finite, got {_first_where(x, bad)}")
+
+
 def _field_scalar_products(st, ct, phi, polar, azimuth):
     """The two projections of n' used by the dressed metric.
 
@@ -169,8 +176,10 @@ def scalar_curvature(sys: SpinSystem, theta):
     curvature at each of its points.  The poles are conical singularities
     whenever N > 2 or s > 1/2; there the curvature is undefined and a
     SingularPoint is raised if any theta is a pole.  The lone smooth case
-    N = 2, s = 1/2 admits the endpoints.
+    N = 2, s = 1/2 admits the endpoints.  A NaN or infinite theta raises
+    ValueError.
     """
+    _require_finite("theta", theta)
     n, s = sys.n_sites, sys.s
     at_pole = (theta <= 0.0) | (theta >= math.pi)
     if np.count_nonzero(at_pole) and not (n == 2 and sys.two_s == 1):
@@ -354,8 +363,9 @@ def speed_closed_form(sys: SpinSystem, theta):
     """v = |J| sqrt(g_chichi); independent of phi and chi.
 
     ``theta`` is a float, giving a float, or an ndarray, giving the speed
-    at each of its points.
+    at each of its points.  A NaN or infinite theta raises ValueError.
     """
+    _require_finite("theta", theta)
     return _float_if_scalar(speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, theta)))
 
 
@@ -395,7 +405,7 @@ def curvature_from_speed(sys: SpinSystem, v, branch: str):
     v_half_pi and v_max).  The two agree at v = v_max.  ``v`` is a float,
     giving a float, or an ndarray of speeds on the one branch, giving the
     curvature at each.  Raises OutOfRange if any v lies outside the branch
-    and ValueError for J = 0.
+    or is NaN, and ValueError for J = 0.
     """
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
@@ -403,7 +413,7 @@ def curvature_from_speed(sys: SpinSystem, v, branch: str):
     if ext.v_max == 0.0:
         raise ValueError("J = 0: the speed vanishes everywhere and does not fix the curvature")
     tol = 1e-9 * max(ext.v_max, 1.0)
-    outside = (v < -tol) | (v > ext.v_max + tol)
+    outside = np.logical_not((v >= -tol) & (v <= ext.v_max + tol))  # NaN is outside too
     if np.count_nonzero(outside):
         raise OutOfRange(f"v={_first_where(v, outside)} outside [0, v_max={ext.v_max}]")
     if branch == "lower":
@@ -490,10 +500,12 @@ def min_speed_field(
     g_chichi is a quadratic in h/J; the returned ratio is its minimizer
     and v_min the speed there.  When the second scalar product vanishes
     the pair reduces to the minimal-possible-speed form (flagged by
-    ``reduction_applied``).  Raises ValueError for theta outside [0, pi].
+    ``reduction_applied``).  Raises ValueError for theta outside [0, pi]
+    and for a NaN or infinite phi.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta}")
+    _require_finite("phi", phi)
     n, s = sys.n_sites, sys.s
     a, b = _field_scalar_products(
         math.sin(theta), math.cos(theta), phi, direction.polar, direction.azimuth
@@ -522,7 +534,9 @@ def special_case_speed(sys: SpinSystem, case: str, field: FieldConfig, phi: floa
     "pole": theta in {0, pi}, v = |J| gamma |h/J| sqrt(Ns/2) sin(theta').
     "equator": theta = pi/2,
     v = |J| gamma sqrt(Ns/2) sqrt((N-1)s + (h/J)^2 (1 - sin^2(theta') cos^2(phi'-phi))).
+    A NaN or infinite phi raises ValueError.
     """
+    _require_finite("phi", phi)
     n, s = sys.n_sites, sys.s
     jg = abs(sys.coupling_j) * sys.gamma
     r = field.ratio_h_over_j

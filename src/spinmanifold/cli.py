@@ -248,7 +248,12 @@ def cmd_speed(cfg: RunConfig) -> int:
 def cmd_curvature_vs_speed(cfg: RunConfig) -> int:
     rows = []
     multi = False
-    for label, sys, _ in _preset_curves(cfg):
+    for label, sys, fld in _preset_curves(cfg):
+        if fld is not None and fld.ratio_h_over_j != 0.0:
+            # the speed fixes the curvature through the zero-field closed forms only
+            raise ConfigError(
+                f"curvature-vs-speed holds only at zero field, got h/J={fld.ratio_h_over_j:g}"
+            )
         multi = multi or bool(label)
         ext = analytic.speed_extrema(sys)
         n_half = max(cfg.samples // 2, 2)

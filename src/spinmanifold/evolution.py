@@ -4,8 +4,9 @@ Every family state and tangent vector is built in the occupation basis
 of the symmetric subspace (dimension C(N+2s, 2s); see
 :mod:`spinmanifold.spin_ops`), and that is the only basis they are
 returned in: the polarized product state is sqrt(M(n)) prod_k c_k^{n_k}
-in that basis, the zero-field propagator is a diagonal phase, and the
-field propagator goes through the eigenvectors of the D x D generator.
+in that basis, a generator that is diagonal there (no field, or a field
+along z) propagates as a phase, and only a field off the z axis goes
+through the eigenvectors of the D x D generator.
 :func:`family_grid` builds them on a whole (theta, phi, chi) grid in a
 few array operations; :func:`state_at` and :func:`tangent_states` are
 its size-1 case.  A product-basis vector, where one is needed, is
@@ -29,6 +30,7 @@ from .spin_ops import (
     SpinSystem,
     _generator_matrix,
     _occupation_basis,
+    _occupation_spin_matrix,
     _site_matrices,
     occupation_basis,
     occupation_spin_operator,
@@ -115,16 +117,24 @@ def _symmetric_product(basis: OccupationBasis, sites: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _field_generator_eig(sys: SpinSystem, field: FieldConfig):
-    """Eigendecomposition of the generator G on the occupation basis.
+def _generator_spectrum(n_sites: int, two_s: int, field: Optional[FieldConfig]):
+    """Read-only ``(evals, evecs)`` of G on the occupation basis, U(chi) = exp(-i 2 chi G).
 
-    G = Sum S_i^z S_j^z + (h/2J) Sum S_j . n' is the dimensionless
-    generator of Eq.-(33)-style evolution: U(chi) = exp(-i 2 chi G).
+    G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n' depends on neither J
+    nor gamma.  With no field, h/J = 0 or a field along z it is diagonal:
+    ``evecs`` is None.  Only a field off the z axis is diagonalized densely.
     """
+    basis = _occupation_basis(n_sites, two_s)
+    if field is None or field.ratio_h_over_j == 0.0:
+        return basis.ising_pair_sums, None
+    if field.along_z:
+        # n' = (0, 0, cos theta'): at theta' = pi the x part sin(pi) ~ 1.2e-16 is dropped
+        z_part = field.ratio_h_over_j / 2.0 * math.cos(field.direction.polar)
+        evals = basis.ising_pair_sums + z_part * basis.total_z
+        evals.setflags(write=False)
+        return evals, None
     g = _generator_matrix(
-        occupation_basis(sys).ising_pair_sums,
-        lambda kind: occupation_spin_operator(sys, kind),
-        field,
+        basis.ising_pair_sums, lambda kind: _occupation_spin_matrix(n_sites, two_s, kind), field
     )
     try:
         evals, evecs = np.linalg.eigh(g)
@@ -133,20 +143,6 @@ def _field_generator_eig(sys: SpinSystem, field: FieldConfig):
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs
-
-
-@lru_cache(maxsize=64)
-def _diagonal_generators(n_sites: int, two_s: int) -> np.ndarray:
-    """-i Sum Sz and -2i Sum_{i<j} S_i^z S_j^z as rows of a (2, D) array.
-
-    Both are diagonal on the occupation basis: times psi they give d_phi
-    and the zero-field d_chi, and times phi and chi the exponents of the
-    phases.
-    """
-    basis = _occupation_basis(n_sites, two_s)
-    gens = np.array((-1j * basis.total_z, -2j * basis.ising_pair_sums))
-    gens.setflags(write=False)
-    return gens
 
 
 def _family_block(
@@ -158,24 +154,25 @@ def _family_block(
 ) -> np.ndarray:
     """psi, d_theta, d_phi, d_chi stacked on axis 3: shape (n_theta, n_phi, n_chi, 4, D)."""
     basis = occupation_basis(sys)
-    minus_i_z, minus_2i_ising = gens = _diagonal_generators(sys.n_sites, sys.two_s)
+    evals, evecs = _generator_spectrum(sys.n_sites, sys.two_s, field)
+    minus_i_z = -1j * basis.total_z
+    minus_2i_g = -2j * evals
     psi0 = _symmetric_product(basis, _rotated_site_vector(sys.two_s, theta))
     start = np.empty((theta.size, 4, psi0.shape[1]), dtype=complex)
     start[:, 0] = psi0
-    start[:, 1] = psi0 @ (-1j * occupation_spin_operator(sys, "y").T)
-    phi_exponents = phi[:, None, None] * minus_i_z
-    if field is None:
-        # U(chi) and e^{-i phi Sum Sz} are diagonal: one phase array per
-        # (phi, chi) moves all four rows, d_chi = -2i G psi included
-        start[:, 2:] = psi0[:, None] * gens
-        phases = np.exp(phi_exponents + chi[:, None] * minus_2i_ising)
-        return start[:, None, None] * phases[:, :, None]
+    start[:, 1] = -1j * (psi0 @ occupation_spin_operator(sys, "y").T)
     start[:, 2] = psi0 * minus_i_z
-    start[:, 3] = psi0
-    evals, evecs = _field_generator_eig(sys, field)
+    start[:, 3] = psi0  # d_chi = -2i G psi, G applied in its eigenbasis below
+    phi_exponents = phi[:, None, None] * minus_i_z
+    if evecs is None:
+        # U(chi) and e^{-i phi Sum Sz} are diagonal: one phase array per
+        # (phi, chi) moves all four rows
+        start[:, 3] *= minus_2i_g
+        phases = np.exp(phi_exponents + chi[:, None] * minus_2i_g)
+        return start[:, None, None] * phases[:, :, None]
     coeffs = (start[:, None] * np.exp(phi_exponents)) @ evecs.conj()
-    coeffs[:, :, 3] *= -2j * evals  # d_chi = -2i G psi, in G's eigenbasis
-    chi_phases = np.exp(np.multiply.outer(chi, -2j * evals))
+    coeffs[:, :, 3] *= minus_2i_g
+    chi_phases = np.exp(np.multiply.outer(chi, minus_2i_g))
     return (coeffs[:, :, None] * chi_phases[:, None]) @ evecs.T
 
 
@@ -196,8 +193,8 @@ def family_grid(
     operator applications) pushed through U(chi), and d_chi = -2i G psi,
     applied before U(chi), with which G commutes.  The polarized states
     are built once per theta, the phi and chi phases are (n_phi, D) and
-    (n_chi, D) arrays, and a field propagates through the eigenvectors of
-    its generator.
+    (n_chi, D) arrays, and only a field off the z axis propagates through
+    the eigenvectors of its generator.
     """
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
     if not (theta.min() >= 0.0 and theta.max() <= math.pi):  # NaN fails too

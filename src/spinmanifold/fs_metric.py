@@ -28,7 +28,8 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
     """Symmetrized (..., 3, 3) metrics, each checked for symmetry and positive semidefiniteness.
 
     With scale = max(1, max |g|) per metric, a metric fails when an entry
-    of |g - g^T| exceeds 1e-10 * scale (ValueError "not symmetric") or when
+    is NaN or infinite (ValueError "not finite"), when an entry of
+    |g - g^T| exceeds 1e-10 * scale (ValueError "not symmetric") or when
     the least eigenvalue of (g + g^T) / 2 lies below -1e-10 * scale
     (ValueError "not positive semidefinite").  An empty stack passes.
     """
@@ -36,7 +37,10 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
         return g
     g_t = g.swapaxes(-1, -2)
     scale = np.abs(g).max(axis=(-2, -1), initial=1.0)
-    if (np.abs(g - g_t).max(axis=(-2, -1)) / scale).max() > 1e-10:
+    asymmetry = (np.abs(g - g_t).max(axis=(-2, -1)) / scale).max()
+    if math.isnan(asymmetry):  # a NaN or infinite entry gives its metric a NaN ratio
+        raise ValueError("metric components are not finite")
+    if asymmetry > 1e-10:
         raise ValueError("metric components are not symmetric")
     g = (g + g_t) / 2.0
     if (np.linalg.eigvalsh(g)[..., 0] / scale).min() < -1e-10:

@@ -435,3 +435,56 @@ class TestSpecialCaseSpeed:
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             special_case_speed(SpinSystem(2, 1), "waist", FieldConfig(1.0, Direction(0.0)))
+
+
+_NAN_THETAS = np.array([0.3, math.nan])
+_FIELD = FieldConfig(1.0, Direction(0.7, 0.3))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        # np.linalg.LinAlgError is a ValueError too, so each case names its message
+        (lambda: metric_closed_form(METHANE, math.nan), ValueError, "not finite"),
+        (lambda: analytic.metric_closed_form_array(METHANE, _NAN_THETAS), ValueError, "not finite"),
+        (
+            lambda: analytic.metric_closed_form_field_array(METHANE, _NAN_THETAS, 0.2, 1.0, 0.7),
+            ValueError,
+            "not finite",
+        ),
+        (
+            lambda: analytic.metric_closed_form_field_array(METHANE, 0.3, 0.2, math.inf, 0.7),
+            ValueError,
+            "not finite",
+        ),
+        (lambda: scalar_curvature(METHANE, math.nan), ValueError, "theta must be finite"),
+        (lambda: scalar_curvature(SpinSystem(2, 1), _NAN_THETAS), ValueError, "theta must be finite"),
+        (lambda: speed_closed_form(METHANE, math.nan), ValueError, "theta must be finite"),
+        (lambda: speed_closed_form(METHANE, _NAN_THETAS), ValueError, "theta must be finite"),
+        (lambda: curvature_from_speed(METHANE, math.nan, "upper"), OutOfRange, "v=nan"),
+        (lambda: curvature_from_speed(METHANE, _NAN_THETAS, "lower"), OutOfRange, "v=nan"),
+        (lambda: min_speed_field(METHANE, 0.5, math.nan, _FIELD.direction), ValueError, "phi"),
+        (lambda: min_speed_field(METHANE, 0.5, math.inf, _FIELD.direction), ValueError, "phi"),
+        (lambda: special_case_speed(METHANE, "equator", _FIELD, math.nan), ValueError, "phi"),
+        (lambda: special_case_speed(METHANE, "equator", _FIELD, -math.inf), ValueError, "phi"),
+    ],
+    ids=[
+        "metric_nan_theta",
+        "metric_array_nan_theta",
+        "metric_field_array_nan_theta",
+        "metric_field_array_inf_ratio",
+        "curvature_nan_theta",
+        "curvature_smooth_case_nan_theta",
+        "speed_nan_theta",
+        "speed_array_nan_theta",
+        "curvature_from_speed_nan_v",
+        "curvature_from_speed_array_nan_v",
+        "min_speed_field_nan_phi",
+        "min_speed_field_inf_phi",
+        "special_case_speed_nan_phi",
+        "special_case_speed_inf_phi",
+    ],
+)
+def test_non_finite_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

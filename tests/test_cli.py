@@ -250,6 +250,8 @@ def test_non_finite_input_is_a_config_error(capsys, argv, message):
         (["field-optimize", "--n", "4", "--two-s", "2", "--theta", "7", "--theta-prime", "3.14"],
          "theta must be in [0, pi]"),
         (["curvature-vs-speed", "--j", "0"], "J = 0"),
+        (["curvature-vs-speed", "--preset", "fig6"], "only at zero field, got h/J=3"),
+        (["curvature-vs-speed", "--h-over-j", "2", "--theta-prime", "0.5"], "only at zero field"),
     ],
 )
 def test_out_of_range_input_is_a_config_error(capsys, argv, message):

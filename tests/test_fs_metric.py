@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,3 +211,23 @@ class TestDistanceUnderField:
         assert distance_along_evolution(sys, 1.1, 0.4, 2.5, fld) == pytest.approx(
             expected, rel=1e-8
         )
+
+
+def test_large_n_point_allocates_no_dense_matrix():
+    # N = 1000, s = 1/2: D = 1001, so one dense D x D complex array is 16 MB.
+    # With the occupation tables and Sum S^y cached, a zero-field point and
+    # the first point of a field along z need only D-length vectors.
+    sys = SpinSystem(1000, 1)
+    metric_numeric(sys, CoordinatePoint(0.7, 0.2, 0.3))
+    point = CoordinatePoint(1.1, 0.4, 0.9)
+    tracemalloc.start()
+    try:
+        metric_numeric(sys, point)
+        warm_zero_field = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        metric_numeric(sys, point, FieldConfig(2.0, Direction(math.pi, 0.0)))
+        cold_along_z = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert warm_zero_field < 4e6
+    assert cold_along_z < 4e6

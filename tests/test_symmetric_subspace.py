@@ -20,7 +20,8 @@ from scipy.sparse.linalg import expm_multiply
 from spinmanifold import analytic
 from spinmanifold.evolution import (
     CoordinatePoint,
-    _field_generator_eig,
+    _generator_spectrum,
+    family_grid,
     state_at,
     tangent_states,
 )
@@ -41,11 +42,16 @@ from spinmanifold.spin_ops import (
 #: (N, 2s): verify's zero-field and field systems, its topology system (6, 3)
 #: and the ladder rungs (4, 1), (3, 3), (6, 1), (10, 1), (12, 1).
 SYSTEMS = [(2, 1), (3, 2), (4, 1), (2, 3), (3, 3), (4, 2), (6, 3), (6, 1), (10, 1), (12, 1)]
-FIELDS = [
-    None,
-    FieldConfig(1.0, Direction(0.7, 2.1)),
-    FieldConfig(1.6, Direction(2.3, 5.0)),
-]
+#: field cases by test id; every one but field_a and field_b has a diagonal generator
+FIELD_CASES = {
+    "zero_field": None,
+    "field_a": FieldConfig(1.0, Direction(0.7, 2.1)),
+    "field_b": FieldConfig(1.6, Direction(2.3, 5.0)),
+    "along_z": FieldConfig(2.5, Direction(0.0, 1.2)),
+    "along_minus_z": FieldConfig(-1.3, Direction(math.pi, 0.4)),
+    "zero_ratio": FieldConfig(0.0, Direction(0.7, 2.1)),
+}
+FIELDS, FIELD_IDS = list(FIELD_CASES.values()), list(FIELD_CASES)
 POINTS = [CoordinatePoint(0.4, 1.3, 0.8), CoordinatePoint(2.2, 4.6, 1.9)]
 
 
@@ -130,19 +136,45 @@ def test_total_spin_restricts_to_occupation_operator(n, two_s):
         assert np.abs(dense @ v - v @ restricted).max() < 1e-12, kind
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["zero_field", "field_a", "field_b"])
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
 def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
-    # the occupation-basis G, rebuilt from the eigendecomposition the oracle
+    # the occupation-basis G, rebuilt from the spectrum the oracle
     # propagates with, against V^dag H V / 2J from the dense product-space H
     sys = SpinSystem(n, two_s, coupling_j=-1.7)
-    evals, evecs = _field_generator_eig(sys, field)
+    evals, evecs = _generator_spectrum(n, two_s, field)
+    rebuilt = np.diag(evals) if evecs is None else (evecs * evals) @ evecs.conj().T
     rows, weights = product_to_occupation(sys)
     v = np.zeros((sys.dim, sys.occupation_dim))
     v[np.arange(sys.dim), rows] = weights
     ham = build_field_hamiltonian(sys, field).matrix
     expected = v.T @ ham @ v / (2.0 * sys.coupling_j)
-    assert np.abs((evecs * evals) @ evecs.conj().T - expected).max() < 1e-12
+    assert np.abs(rebuilt - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,two_s", [(4, 1), (3, 3)])
+def test_zero_ratio_field_is_the_zero_field_bit_for_bit(n, two_s):
+    sys = SpinSystem(n, two_s, coupling_j=0.8, gamma=1.3)
+    grid = (np.linspace(0.0, math.pi, 5), [0.0, 1.3, 4.6], [0.0, 0.8, 7.1])
+    zero_ratio = family_grid(sys, *grid, FIELD_CASES["zero_ratio"])
+    for got, want in zip(zero_ratio, family_grid(sys, *grid)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_only_a_field_off_the_z_axis_takes_eigh(monkeypatch):
+    sys = SpinSystem(5, 2)
+    grid = ([0.4, 2.2], [1.3], [0.8, 1.9])
+    family_grid(sys, *grid)  # caches the single-site Sy eigenvectors, which do take eigh
+    _generator_spectrum.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for name in ("zero_field", "along_z", "along_minus_z", "zero_ratio"):
+        family_grid(sys, *grid, FIELD_CASES[name])
+    with pytest.raises(AssertionError, match="eigh called"):
+        family_grid(sys, *grid, FIELD_CASES["field_a"])
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
@@ -153,7 +185,7 @@ def test_total_spin_operator_matches_kron_sum(n, two_s):
         assert np.abs(total_spin_operator(sys, kind).matrix - expected).max() < 1e-14, kind
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["zero_field", "field_a", "field_b"])
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("n,two_s", SYSTEMS)
 def test_metric_matches_product_space(n, two_s, field):
     sys = SpinSystem(n, two_s, coupling_j=0.8, gamma=1.3)
