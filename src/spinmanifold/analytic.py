@@ -160,11 +160,14 @@ def metric_closed_form_field_array(
     against each other, so one call covers a (theta, phi) grid for one
     field or a grid of field directions at one point.  The azimuth is
     reduced into [0, 2 pi) as :class:`~spinmanifold.spin_ops.Direction`
-    does; the polar angle is used as given.
+    does; the polar angle is used as given.  A NaN or infinite h/J or
+    field angle raises ValueError, as FieldConfig and Direction do.
     """
     theta, phi, ratio, polar, azimuth = (
         np.asarray(x, dtype=float) for x in (theta, phi, ratio_h_over_j, polar, azimuth)
     )
+    for name, x in (("h/J", ratio), ("polar angle", polar), ("azimuth", azimuth)):
+        _require_finite(name, x)
     field = (ratio, phi, polar, np.remainder(azimuth, TWO_PI))
     return _validated_metrics(_metric_components(sys, theta, field))
 
@@ -200,24 +203,25 @@ def curvature_min(sys: SpinSystem) -> float:
     return 8.0 / (sys.gamma**2 * n * s) * (1.0 - 2.0 * (n - 1) * s)
 
 
-def curvature_numeric_from_profile(
-    g_thth: float,
-    g_chichi: Callable,
-    theta,
-    step: float = 1e-4,
-):
+#: theta step of the central differences in curvature_numeric_from_profile
+_PROFILE_STEP = 1e-4
+
+
+def curvature_numeric_from_profile(g_thth: float, g_chichi: Callable, theta):
     """Curvature from a g_chichi(theta) profile by central differences.
 
     Used where no closed form exists (field along z); R = 2 R_tctc /
     (g_thth * g_chichi) with the theta derivatives of the profile taken
-    at the given step.  ``theta`` is a float, or an array when the
+    at the step _PROFILE_STEP.  ``theta`` is a float, or an array when the
     profile maps arrays to arrays: the profile is then called once per
-    stencil offset, on the whole array.
+    stencil offset, on the whole array.  Raises ValueError unless every
+    stencil value is > 0, so a NaN theta or profile value is rejected too.
     """
+    step = _PROFILE_STEP
     f0 = g_chichi(theta)
     fp, fp2 = g_chichi(theta + step), g_chichi(theta + 2.0 * step)
     fm, fm2 = g_chichi(theta - step), g_chichi(theta - 2.0 * step)
-    if np.any(np.less_equal((f0, fp, fm, fp2, fm2), 0.0)):
+    if not np.all(np.greater((f0, fp, fm, fp2, fm2), 0.0)):
         raise ValueError("g_chichi must be positive at all stencil points")
     # fourth-order central differences: the profile is smooth enough that
     # truncation, not round-off, would dominate a three-point stencil here
@@ -269,6 +273,9 @@ def angular_defect(spec: ManifoldSpec) -> float:
     n, s = spec.sys.n_sites, spec.sys.s
     return 2.0 * (TWO_PI - 2.0 * (n - 1) * s * spec.chi_max)
 
+
+#: Width of the cone cut from each pole by curvature_integral.
+_POLE_CUT = 1e-4
 
 #: Panel acceptance tolerance, relative to the integral, and the two caps
 #: past which _adaptive_gauss_legendre gives up.
@@ -333,10 +340,10 @@ def _adaptive_gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b:
     )
 
 
-def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
+def curvature_integral(spec: ManifoldSpec) -> float:
     """Quadrature of (R/2) sqrt(g) over the manifold minus the pole cones.
 
-    The theta integral over [eps, pi - eps] uses bisected 16-point
+    The theta integral over [_POLE_CUT, pi - _POLE_CUT] uses bisected 16-point
     Gauss-Legendre panels (:func:`_adaptive_gauss_legendre`), which
     resolve the waist feature of R, of width ~ 1/sqrt(4 (N-1) s), at
     theta = pi/2.
@@ -348,15 +355,15 @@ def curvature_integral(spec: ManifoldSpec, eps: float = 1e-4) -> float:
         g_cc = _g_chi_chi(sys, theta)
         return 0.5 * scalar_curvature(sys, theta) * np.sqrt(g_thth * np.maximum(g_cc, 0.0))
 
-    val, err = _adaptive_gauss_legendre(integrand, eps, math.pi - eps)
+    val, err = _adaptive_gauss_legendre(integrand, _POLE_CUT, math.pi - _POLE_CUT)
     if abs(err) > 1e-6 * max(1.0, abs(val)):
         raise RuntimeError(f"curvature quadrature did not converge (err={err:.3e})")
     return spec.chi_max * val
 
 
-def gauss_bonnet_euler(spec: ManifoldSpec, eps: float = 1e-4) -> float:
+def gauss_bonnet_euler(spec: ManifoldSpec) -> float:
     """Euler characteristic from the curvature integral plus the defects."""
-    return (curvature_integral(spec, eps) + angular_defect(spec)) / TWO_PI
+    return (curvature_integral(spec) + angular_defect(spec)) / TWO_PI
 
 
 def speed_closed_form(sys: SpinSystem, theta):
@@ -472,18 +479,6 @@ def thermo_limit(sys_template: SpinSystem) -> ThermoLimit:
         v_half_pi=jg * s / math.sqrt(2.0),
         theta_max=math.pi / 4.0,
     )
-
-
-def rescaled_metric_closed_form(sys: SpinSystem, theta: float) -> MetricTensor:
-    """Zero-field metric of the J/N-rescaled model (thermodynamic bookkeeping)."""
-    g = metric_closed_form(sys, theta).components.copy()
-    n = sys.n_sites
-    g[2, 2] /= n**2
-    g[1, 2] /= n
-    g[2, 1] /= n
-    g[0, 2] /= n
-    g[2, 0] /= n
-    return MetricTensor(g)
 
 
 class MinSpeedField(NamedTuple):

@@ -7,6 +7,7 @@ separator, so repeated runs of the same preset are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -51,11 +52,11 @@ class RunConfig:
         return SpinSystem(self.n, self.two_s, self.j, self.gamma)
 
     def field(self) -> Optional[FieldConfig]:
+        """The field, validated, or None when there is none: h/J unset or 0."""
         if self.h_over_j is None:
             return None
-        return FieldConfig(
-            self.h_over_j, Direction(self.theta_prime, self.phi_prime), self.ratio
-        )
+        fld = FieldConfig(self.h_over_j, Direction(self.theta_prime, self.phi_prime), self.ratio)
+        return None if fld.ratio_h_over_j == 0.0 else fld
 
 
 def _fits(value, kind: type) -> bool:
@@ -119,26 +120,22 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+def _write(cfg: RunConfig, data, header: Optional[List[str]] = None):
+    """Write data to --out or stdout: as indented JSON, or as CSV rows under a header.
 
-
-def _emit(rows: List[dict], header: List[str], cfg: RunConfig):
-    stream = open(cfg.out, "w", newline="") if cfg.out else _sysmod.stdout
-    try:
-        if cfg.format == "json":
-            json.dump(rows, stream, indent=2, sort_keys=True)
+    CSV needs a header and --format csv; the row values are strings or numbers.
+    """
+    out = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(_sysmod.stdout)
+    with out as stream:
+        if header is None or cfg.format == "json":
+            json.dump(data, stream, indent=2, sort_keys=True)
             stream.write("\n")
         else:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [row[k] if isinstance(row[k], str) else _fmt(row[k]) for k in header]
-                )
-    finally:
-        if cfg.out:
-            stream.close()
+            for row in data:
+                cells = (row[k] for k in header)
+                writer.writerow([v if isinstance(v, str) else f"{v:.12g}" for v in cells])
 
 
 _FIGURE_CURVES = (
@@ -153,9 +150,10 @@ _METHANE = (("", SpinSystem(n_sites=4, two_s=1, coupling_j=-6.2), None),)
 _PRESETS = {
     **dict.fromkeys(("fig1", "fig2", "fig3"), _FIGURE_CURVES),
     **dict.fromkeys(("fig5a", "fig5b", "methane"), _METHANE),
-    "fig6": tuple(
-        (f"hJ{r:g}", SpinSystem(6, 3), FieldConfig(r, Direction(0.0, 0.0)) if r else None)
-        for r in (0.0, 3.0, 10.0)
+    "fig6": (
+        ("hJ0", SpinSystem(6, 3), None),
+        ("hJ3", SpinSystem(6, 3), FieldConfig(3.0, Direction(0.0, 0.0))),
+        ("hJ10", SpinSystem(6, 3), FieldConfig(10.0, Direction(0.0, 0.0))),
     ),
 }
 
@@ -169,37 +167,46 @@ def _preset_curves(cfg: RunConfig):
     return _PRESETS[cfg.preset]
 
 
-def _theta_sweep(samples: int, include_poles: bool) -> np.ndarray:
-    thetas = np.linspace(0.0, math.pi, samples)
-    if include_poles:
-        return thetas
-    return thetas[1:-1]
+def _sweep(cfg: RunConfig, columns: List[str], curve_rows) -> int:
+    """Write the rows of every curve of the active preset.
 
-
-def _check_curvature_field(fld: Optional[FieldConfig]):
-    """Reject a field off the z axis: only the along-z curvature is implemented.
-
-    The profile formula R = 2 R_tctc / (g_thth g_chichi) drops g_thetachi,
-    which a field off the z axis makes nonzero.
+    ``curve_rows(label, sys, fld)`` gives one curve's rows, each a tuple in
+    the order of ``columns``.  Every row also gets its curve's label; the
+    CSV shows it as a "curve" column only when some curve has a label.
     """
-    if fld is None or fld.ratio_h_over_j == 0.0 or fld.along_z:
-        return
+    curves = _preset_curves(cfg)
+    rows = [
+        dict(zip(columns, row), curve=label)
+        for label, sys, fld in curves
+        for row in curve_rows(label, sys, fld)
+    ]
+    _write(cfg, rows, columns + (["curve"] if any(c[0] for c in curves) else []))
+    return EXIT_OK
+
+
+def _g_chi_chi(sys: SpinSystem, fld: FieldConfig, phi: float, theta: np.ndarray) -> np.ndarray:
+    """Closed-form g_chichi at each theta, at azimuth phi, under the field fld."""
     d = fld.direction
-    raise ConfigError(
-        f"curvature with a field off the z axis (theta'={d.polar:g}, phi'={d.azimuth:g}) "
-        "is not implemented; only the formula for a field along z (theta' = 0 or pi) is"
+    g = analytic.metric_closed_form_field_array(
+        sys, theta, phi, fld.ratio_h_over_j, d.polar, d.azimuth
     )
+    return g[..., 2, 2]
 
 
-def cmd_curvature(cfg: RunConfig) -> int:
-    rows = []
-    multi = False
-    for label, sys, fld in _preset_curves(cfg):
-        _check_curvature_field(fld)
-        multi = multi or bool(label)
-        smooth_poles = sys.n_sites == 2 and sys.two_s == 1 and fld is None
-        thetas = _theta_sweep(cfg.samples, smooth_poles)
-        if not smooth_poles:
+def cmd_curvature(cfg: RunConfig, args: argparse.Namespace) -> int:
+    def curve_rows(label, sys, fld):
+        # the profile formula R = 2 R_tctc / (g_thth g_chichi) drops
+        # g_thetachi, which a field off the z axis makes nonzero
+        if fld is not None and not fld.along_z:
+            d = fld.direction
+            raise ConfigError(
+                f"curvature with a field off the z axis (theta'={d.polar:g}, "
+                f"phi'={d.azimuth:g}) is not implemented; only the formula for a field "
+                "along z (theta' = 0 or pi) is"
+            )
+        thetas = np.linspace(0.0, math.pi, cfg.samples)
+        if not (sys.n_sites == 2 and sys.two_s == 1 and fld is None):
+            thetas = thetas[1:-1]
             print(
                 f"note: singular endpoints theta=0, pi omitted for {label or 'system'}",
                 file=_sysmod.stderr,
@@ -208,67 +215,47 @@ def cmd_curvature(cfg: RunConfig) -> int:
             values = analytic.scalar_curvature(sys, thetas)
         else:
             g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
-            d = fld.direction
+            values = analytic.curvature_numeric_from_profile(
+                g_thth, lambda t: _g_chi_chi(sys, fld, cfg.phi, t), thetas
+            )
+        return zip(thetas.tolist(), values.tolist())
 
-            def profile(theta: np.ndarray) -> np.ndarray:
-                g = analytic.metric_closed_form_field_array(
-                    sys, theta, cfg.phi, fld.ratio_h_over_j, d.polar, d.azimuth
-                )
-                return g[..., 2, 2]
-
-            values = analytic.curvature_numeric_from_profile(g_thth, profile, thetas)
-        for t, r in zip(thetas, values):
-            rows.append({"theta": float(t), "R": float(r), "curve": label})
-    header = ["theta", "R"] + (["curve"] if multi else [])
-    _emit(rows, header, cfg)
-    return EXIT_OK
+    return _sweep(cfg, ["theta", "R"], curve_rows)
 
 
-def cmd_speed(cfg: RunConfig) -> int:
-    rows = []
-    multi = False
-    for label, sys, fld in _preset_curves(cfg):
-        multi = multi or bool(label)
-        thetas = _theta_sweep(cfg.samples, True)
+def cmd_speed(cfg: RunConfig, args: argparse.Namespace) -> int:
+    def curve_rows(label, sys, fld):
+        thetas = np.linspace(0.0, math.pi, cfg.samples)
         if fld is None:
             speeds = analytic.speed_closed_form(sys, thetas)
         else:
-            d = fld.direction
-            g = analytic.metric_closed_form_field_array(
-                sys, thetas, cfg.phi, fld.ratio_h_over_j, d.polar, d.azimuth
-            )
-            speeds = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
-        for t, v in zip(thetas, speeds):
-            rows.append({"theta": float(t), "v": float(v), "curve": label})
-    header = ["theta", "v"] + (["curve"] if multi else [])
-    _emit(rows, header, cfg)
-    return EXIT_OK
+            speeds = speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, fld, cfg.phi, thetas))
+        return zip(thetas.tolist(), speeds.tolist())
+
+    return _sweep(cfg, ["theta", "v"], curve_rows)
 
 
-def cmd_curvature_vs_speed(cfg: RunConfig) -> int:
-    rows = []
-    multi = False
-    for label, sys, fld in _preset_curves(cfg):
-        if fld is not None and fld.ratio_h_over_j != 0.0:
+def cmd_curvature_vs_speed(cfg: RunConfig, args: argparse.Namespace) -> int:
+    def curve_rows(label, sys, fld):
+        if fld is not None:
             # the speed fixes the curvature through the zero-field closed forms only
             raise ConfigError(
                 f"curvature-vs-speed holds only at zero field, got h/J={fld.ratio_h_over_j:g}"
             )
-        multi = multi or bool(label)
         ext = analytic.speed_extrema(sys)
         n_half = max(cfg.samples // 2, 2)
+        rows = []
         for branch, v_low in (("upper", 0.0), ("lower", ext.v_half_pi)):
             speeds = np.linspace(v_low, ext.v_max, n_half)
             values = analytic.curvature_from_speed(sys, speeds, branch)
-            for v, r in zip(speeds, values):
-                rows.append({"v": float(v), "R": float(r), "branch": branch, "curve": label})
-    header = ["v", "R", "branch"] + (["curve"] if multi else [])
-    _emit(rows, header, cfg)
-    return EXIT_OK
+            rows += [(v, r, branch) for v, r in zip(speeds.tolist(), values.tolist())]
+        return rows
+
+    return _sweep(cfg, ["v", "R", "branch"], curve_rows)
 
 
-def cmd_verify(cfg: RunConfig, only: Optional[str], tolerance: Optional[float]) -> int:
-    report = run_full_suite(only=only, tolerance=tolerance)
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    report = run_full_suite(only=args.only, tolerance=args.tolerance)
     print(report.format_table())
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -277,7 +264,7 @@ def cmd_verify(cfg: RunConfig, only: Optional[str], tolerance: Optional[float]) 
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 
 
-def cmd_field_optimize(cfg: RunConfig, scan_direction: bool) -> int:
+def cmd_field_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.theta is None:
         raise ConfigError("field-optimize requires --theta")
     sys = cfg.system()
@@ -291,16 +278,15 @@ def cmd_field_optimize(cfg: RunConfig, scan_direction: bool) -> int:
         }
     except analytic.DegenerateDirection as exc:
         record = {"error": str(exc)}
-    if scan_direction:
+    if args.scan_direction:
         if cfg.h_over_j is None:
             raise ConfigError("--scan-direction requires --h-over-j")
         # the first argmin/argmax in (theta', phi') row-major order, as a
         # double loop keeping only strict improvements would pick
         polar = np.linspace(0.0, math.pi, 61)
         azimuth = np.linspace(0.0, 2.0 * math.pi, 61, endpoint=False)
-        ratio = FieldConfig(cfg.h_over_j, direction).ratio_h_over_j  # rejects NaN and inf
         g = analytic.metric_closed_form_field_array(
-            sys, cfg.theta, cfg.phi, ratio, polar[:, None], azimuth
+            sys, cfg.theta, cfg.phi, cfg.h_over_j, polar[:, None], azimuth
         )
         v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
         record["scan"] = {"h_over_j": cfg.h_over_j}
@@ -311,12 +297,7 @@ def cmd_field_optimize(cfg: RunConfig, scan_direction: bool) -> int:
                 "theta_prime": float(polar[i]),
                 "phi_prime": float(azimuth[j]),
             }
-    text = json.dumps(record, indent=2, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(cfg, record)
     return EXIT_OK
 
 
@@ -343,10 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
 
-    for name, helptext in [
-        ("curvature", "scalar curvature vs theta"),
-        ("speed", "evolution speed vs theta"),
-        ("curvature-vs-speed", "curvature against speed, both branches"),
+    for name, helptext, run in [
+        ("curvature", "scalar curvature vs theta", cmd_curvature),
+        ("speed", "evolution speed vs theta", cmd_speed),
+        ("curvature-vs-speed", "curvature against speed, both branches", cmd_curvature_vs_speed),
     ]:
         p = sub.add_parser(name, help=helptext)
         add_common(p)
@@ -355,15 +336,18 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=sorted(_PRESETS),
             help="named figure recipe",
         )
+        p.set_defaults(run=run)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
     add_common(p)
     p.add_argument("--only", help="restrict to checks with this name prefix")
     p.add_argument("--tolerance", type=float, help="override all check tolerances")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("field-optimize", help="minimal-speed field conditions")
     add_common(p)
     p.add_argument("--scan-direction", action="store_true", help="grid-scan (theta', phi')")
+    p.set_defaults(run=cmd_field_optimize)
     return parser
 
 
@@ -371,19 +355,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "curvature":
-            return cmd_curvature(cfg)
-        if args.command == "speed":
-            return cmd_speed(cfg)
-        if args.command == "curvature-vs-speed":
-            return cmd_curvature_vs_speed(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.only, args.tolerance)
-        if args.command == "field-optimize":
-            return cmd_field_optimize(cfg, args.scan_direction)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+        return args.run(_load_config(args), args)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=_sysmod.stderr)
         return EXIT_BAD_CONFIG
 

@@ -35,11 +35,11 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
     """
     if g.size == 0:
         return g
-    g_t = g.swapaxes(-1, -2)
     scale = np.abs(g).max(axis=(-2, -1), initial=1.0)
-    asymmetry = (np.abs(g - g_t).max(axis=(-2, -1)) / scale).max()
-    if math.isnan(asymmetry):  # a NaN or infinite entry gives its metric a NaN ratio
+    if not math.isfinite(scale.max()):  # the max of a NaN or an inf is not finite
         raise ValueError("metric components are not finite")
+    g_t = g.swapaxes(-1, -2)
+    asymmetry = (np.abs(g - g_t).max(axis=(-2, -1)) / scale).max()
     if asymmetry > 1e-10:
         raise ValueError("metric components are not symmetric")
     g = (g + g_t) / 2.0

@@ -19,7 +19,6 @@ from spinmanifold.analytic import (
     metric_closed_form,
     metric_closed_form_field,
     min_speed_field,
-    rescaled_metric_closed_form,
     scalar_curvature,
     special_case_speed,
     speed_closed_form,
@@ -146,6 +145,11 @@ class TestCurvatureFromProfile:
     def test_rejects_nonpositive_profile(self):
         with pytest.raises(ValueError):
             curvature_numeric_from_profile(1.0, lambda t: -1.0, 1.0)
+        # NaN is not > 0 either: a NaN theta or profile value fails the same guard
+        with pytest.raises(ValueError, match="must be positive"):
+            curvature_numeric_from_profile(1.0, lambda t: 2.5 + 0.0 * t, math.nan)
+        with pytest.raises(ValueError, match="must be positive"):
+            curvature_numeric_from_profile(1.0, lambda t: math.nan, 1.0)
 
 
 class TestTopology:
@@ -351,14 +355,6 @@ class TestThermoLimit:
         assert lim.speed(math.pi / 4, 100) == pytest.approx(lim.v_max(100))
         assert lim.speed(math.pi / 2, 100) == pytest.approx(0.0, abs=1e-12)
 
-    def test_rescaled_metric_rule(self):
-        sys = SpinSystem(5, 2)
-        base = metric_closed_form(sys, 0.9).components
-        scaled = rescaled_metric_closed_form(sys, 0.9).components
-        assert scaled[2, 2] == pytest.approx(base[2, 2] / 25)
-        assert scaled[1, 2] == pytest.approx(base[1, 2] / 5)
-        assert scaled[0, 0] == pytest.approx(base[0, 0])
-
 
 class TestMinSpeedField:
     def test_equator_needs_no_field(self):
@@ -455,7 +451,7 @@ _FIELD = FieldConfig(1.0, Direction(0.7, 0.3))
         (
             lambda: analytic.metric_closed_form_field_array(METHANE, 0.3, 0.2, math.inf, 0.7),
             ValueError,
-            "not finite",
+            "h/J must be finite",
         ),
         (lambda: scalar_curvature(METHANE, math.nan), ValueError, "theta must be finite"),
         (lambda: scalar_curvature(SpinSystem(2, 1), _NAN_THETAS), ValueError, "theta must be finite"),

@@ -28,6 +28,14 @@ def run_csv(capsys, argv):
     return list(csv.DictReader(out.splitlines()))
 
 
+def same_output(capsys, argv, other):
+    """True when both commands exit 0 with the same stdout and stderr."""
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr()
+    assert main(other) == EXIT_OK
+    return capsys.readouterr() == first
+
+
 class TestSpeedCommand:
     def test_methane_preset_peak(self, capsys):
         rows = run_csv(capsys, ["speed", "--preset", "methane", "--samples", "181"])
@@ -90,16 +98,21 @@ class TestCurvatureCommand:
             assert float(a["R"]) == pytest.approx(float(b["R"]), rel=1e-7)
 
     def test_zero_field_in_any_direction_is_the_zero_field_curvature(self, capsys):
-        rows = run_csv(
-            capsys,
-            ["curvature", "--n", "4", "--two-s", "2", "--samples", "15", "--h-over-j", "0",
-             "--theta-prime", "0.7"],
-        )
-        sys = SpinSystem(4, 2)
-        for r in rows:
-            assert float(r["R"]) == pytest.approx(
-                scalar_curvature(sys, float(r["theta"])), abs=1e-6
-            )
+        # N = 2, s = 1/2 keeps its smooth poles only as the zero-field curve
+        for system in (["--n", "4", "--two-s", "2"], ["--n", "2", "--two-s", "1"]):
+            argv = ["curvature", *system, "--samples", "15"]
+            assert same_output(capsys, argv, argv + ["--h-over-j", "0", "--theta-prime", "0.7"])
+
+
+@pytest.mark.parametrize("command", ["speed", "curvature-vs-speed"])
+def test_zero_field_is_no_field(capsys, command):
+    argv = [command, "--n", "4", "--two-s", "2", "--samples", "15"]
+    assert same_output(capsys, argv, argv + ["--h-over-j", "0", "--theta-prime", "0.7"])
+
+
+def test_zero_field_is_validated_before_it_is_dropped(capsys):
+    assert main(["curvature", "--h-over-j", "0", "--theta-prime", "9"]) == EXIT_BAD_CONFIG
+    assert "polar angle must be in [0, pi]" in capsys.readouterr().err
 
 
 class TestCurvatureVsSpeed:
