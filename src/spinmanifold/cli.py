@@ -12,8 +12,7 @@ import csv
 import json
 import math
 import sys as _sysmod
-from dataclasses import dataclass, fields as dc_fields
-from typing import List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,113 +28,6 @@ EXIT_BAD_CONFIG = 2
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    n: int = 4
-    two_s: int = 1
-    j: float = 1.0
-    gamma: float = 1.0
-    h_over_j: Optional[float] = None
-    theta_prime: float = 0.0
-    phi_prime: float = 0.0
-    ratio: Optional[Tuple[int, int]] = None
-    theta: Optional[float] = None
-    phi: float = 0.0
-    samples: int = 200
-    preset: Optional[str] = None
-    out: Optional[str] = None
-    format: str = "csv"
-
-    def system(self) -> SpinSystem:
-        return SpinSystem(self.n, self.two_s, self.j, self.gamma)
-
-    def field(self) -> Optional[FieldConfig]:
-        """The field, validated, or None when there is none: h/J unset or 0."""
-        if self.h_over_j is None:
-            return None
-        fld = FieldConfig(self.h_over_j, Direction(self.theta_prime, self.phi_prime), self.ratio)
-        return None if fld.ratio_h_over_j == 0.0 else fld
-
-
-def _fits(value, kind: type) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _config_value(key: str, value, hint):
-    """A config-file value checked against its RunConfig annotation ``hint``."""
-    if get_origin(hint) is Union:  # Optional[X]: null is allowed
-        if value is None:
-            return None
-        hint = get_args(hint)[0]
-    if get_origin(hint) is tuple:  # ratio, written [P, Q]
-        if isinstance(value, list) and len(value) == 2 and all(_fits(v, int) for v in value):
-            return tuple(value)
-        expected = "a list of two integers"
-    elif _fits(value, hint):
-        return value
-    else:
-        expected = hint.__name__
-    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-
-
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}")
-        hints = get_type_hints(RunConfig)
-        for key, value in data.items():
-            if key not in hints:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, _config_value(key, value, hints[key]))
-    # CLI flags override file values; --ratio is parsed from P/Q below
-    for f in dc_fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if f.name != "ratio" and value is not None:
-            setattr(cfg, f.name, value)
-    if args.ratio is not None:
-        try:
-            p, q = args.ratio.split("/")
-            cfg.ratio = (int(p), int(q))
-        except ValueError:
-            raise ConfigError(f"--ratio must look like P/Q, got {args.ratio!r}")
-        if cfg.ratio[1] <= 0:
-            raise ConfigError(f"--ratio denominator must be positive, got {args.ratio!r}")
-        if cfg.h_over_j is None:
-            cfg.h_over_j = cfg.ratio[0] / cfg.ratio[1]
-    if cfg.samples < 2:
-        raise ConfigError("samples must be >= 2")
-    for name in ("theta", "phi"):
-        value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    return cfg
-
-
-def _write(cfg: RunConfig, data, header: Optional[List[str]] = None):
-    """Write data to --out or stdout: as indented JSON, or as CSV rows under a header.
-
-    CSV needs a header and --format csv; the row values are strings or numbers.
-    """
-    out = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(_sysmod.stdout)
-    with out as stream:
-        if header is None or cfg.format == "json":
-            json.dump(data, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        else:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
-            for row in data:
-                cells = (row[k] for k in header)
-                writer.writerow([v if isinstance(v, str) else f"{v:.12g}" for v in cells])
 
 
 _FIGURE_CURVES = (
@@ -157,17 +49,138 @@ _PRESETS = {
     ),
 }
 
+#: setting -> (type, default, help).  Each is a flag of the commands that read it
+#: and a key of their --config file; ratio is P/Q as a flag and [P, Q] in a file.
+_SETTINGS = {
+    "n": (int, 4, "number of spins N"),
+    "two_s": (int, 1, "2s (1 for spin-1/2)"),
+    "j": (float, 1.0, "coupling J in Hz"),
+    "gamma": (float, 1.0, "metric scale factor"),
+    "h_over_j": (float, None, "field ratio h/J"),
+    "theta_prime": (float, 0.0, "field polar angle"),
+    "phi_prime": (float, 0.0, "field azimuth"),
+    "ratio": (str, None, "declare h/J rational as P/Q"),
+    "theta": (float, None, "initial-state polar angle"),
+    "phi": (float, 0.0, "initial-state azimuth"),
+    "samples": (int, 200, "sweep sample count"),
+    "preset": (str, None, "named figure recipe"),
+    "format": (str, "csv", "output format"),
+    "out": (str, None, "output path (default stdout)"),
+    "only": (str, None, "restrict to checks with this name prefix"),
+    "tolerance": (float, None, "override all check tolerances"),
+}
+_CHOICES = {"preset": sorted(_PRESETS), "format": ("csv", "json")}
+_SYSTEM_FIELD = ("n", "two_s", "j", "gamma", "h_over_j", "theta_prime", "phi_prime")
+_SWEEP = _SYSTEM_FIELD + ("ratio", "phi", "samples", "preset", "format", "out")
 
-def _preset_curves(cfg: RunConfig):
-    """(label, SpinSystem, FieldConfig or None) per curve of the active preset."""
-    if cfg.preset is None:
-        return [("", cfg.system(), cfg.field())]
-    if cfg.preset not in _PRESETS:
-        raise ConfigError(f"unknown preset {cfg.preset!r}")
-    return _PRESETS[cfg.preset]
+
+def _fits(value, kind: type) -> bool:
+    # exact types: JSON true/false load as bool, which Python counts as an int
+    return type(value) is kind or (kind is float and type(value) is int)
 
 
-def _sweep(cfg: RunConfig, columns: List[str], curve_rows) -> int:
+def _config_value(key: str, value):
+    """A config-file value checked against its setting's type and choices;
+    null is allowed where the default is None."""
+    kind, default, _ = _SETTINGS[key]
+    if value is None and default is None:
+        return None
+    if key == "ratio":  # written [P, Q]
+        if not (isinstance(value, list) and len(value) == 2 and all(_fits(v, int) for v in value)):
+            raise ConfigError(f"config key {key!r} must be a list of two integers, got {value!r}")
+        return tuple(value)
+    if not _fits(value, kind):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"unknown {key} {value!r}")
+    return value
+
+
+def _read_config(path: str, command: str, keys) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {data!r}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} for {command}")
+    return {key: _config_value(key, value) for key, value in data.items()}
+
+
+def _load_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's settings: the table's defaults, then the --config file, then the flags."""
+    flags = dict(vars(args))
+    command = flags.pop("command")
+    keys = _COMMANDS[command][1]
+    given = _read_config(flags.pop("config"), command, keys) if "config" in flags else {}
+    if "ratio" in flags:
+        try:
+            p, q = flags["ratio"].split("/")
+            flags["ratio"] = (int(p), int(q))
+        except ValueError:
+            raise ConfigError(f"--ratio must look like P/Q, got {flags['ratio']!r}")
+    given.update(flags)
+    given = {key: value for key, value in given.items() if value is not None}  # null: unset
+    unread, why = (), ""  # settings that the sweep would ignore
+    if "preset" in given:  # no preset curve reads phi
+        unread, why = _SYSTEM_FIELD + ("ratio", "phi"), "a preset fixes system, field and phi"
+    elif "preset" in keys and not {"h_over_j", "ratio"} & given.keys():
+        unread, why = ("theta_prime", "phi_prime", "phi"), "no field without --h-over-j or --ratio"
+    unread = ["--" + key.replace("_", "-") for key in unread if key in given]
+    if unread:
+        raise ConfigError(f"{why}; drop {', '.join(unread)}")
+    if "ratio" in given:
+        p, q = given["ratio"]
+        if q <= 0:
+            raise ConfigError(f"ratio denominator must be positive, got {p}/{q}")
+        given.setdefault("h_over_j", p / q)
+    if given.get("samples", 2) < 2:
+        raise ConfigError("samples must be >= 2")
+    for name in ("theta", "phi"):
+        if not math.isfinite(given.get(name, 0.0)):
+            raise ConfigError(f"{name} must be finite, got {given[name]}")
+    return argparse.Namespace(**{**{key: _SETTINGS[key][1] for key in keys}, **given})
+
+
+def _open_out(path: Optional[str]):
+    """The --out file opened for writing, or stdout when there is none."""
+    try:
+        return open(path, "w", newline="") if path else contextlib.nullcontext(_sysmod.stdout)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}")
+
+
+def _write(path: Optional[str], data, header: Optional[List[str]] = None):
+    """Write data to --out or stdout: as CSV rows under a header (the row
+    values are strings or numbers), or as indented JSON when there is none."""
+    with _open_out(path) as stream:
+        if header is None:
+            json.dump(data, stream, indent=2, sort_keys=True)
+            stream.write("\n")
+        else:
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(header)
+            for row in data:
+                cells = (row[k] for k in header)
+                writer.writerow([v if isinstance(v, str) else f"{v:.12g}" for v in cells])
+
+
+def _preset_curves(cfg: argparse.Namespace):
+    """(label, SpinSystem, FieldConfig or None) per curve of the active preset;
+    without one, h/J unset or 0 is no field, and a zero field is still validated."""
+    if cfg.preset is not None:
+        return _PRESETS[cfg.preset]
+    sys = SpinSystem(cfg.n, cfg.two_s, cfg.j, cfg.gamma)
+    if cfg.h_over_j is None:
+        return [("", sys, None)]
+    fld = FieldConfig(cfg.h_over_j, Direction(cfg.theta_prime, cfg.phi_prime), cfg.ratio)
+    return [("", sys, None if fld.ratio_h_over_j == 0.0 else fld)]
+
+
+def _sweep(cfg: argparse.Namespace, columns: List[str], curve_rows) -> int:
     """Write the rows of every curve of the active preset.
 
     ``curve_rows(label, sys, fld)`` gives one curve's rows, each a tuple in
@@ -180,7 +193,8 @@ def _sweep(cfg: RunConfig, columns: List[str], curve_rows) -> int:
         for label, sys, fld in curves
         for row in curve_rows(label, sys, fld)
     ]
-    _write(cfg, rows, columns + (["curve"] if any(c[0] for c in curves) else []))
+    header = columns + (["curve"] if any(c[0] for c in curves) else [])
+    _write(cfg.out, rows, header if cfg.format == "csv" else None)
     return EXIT_OK
 
 
@@ -193,7 +207,8 @@ def _g_chi_chi(sys: SpinSystem, fld: FieldConfig, phi: float, theta: np.ndarray)
     return g[..., 2, 2]
 
 
-def cmd_curvature(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_curvature(cfg: argparse.Namespace) -> int:
+    """Scalar curvature against theta, per curve."""
     def curve_rows(label, sys, fld):
         # the profile formula R = 2 R_tctc / (g_thth g_chichi) drops
         # g_thetachi, which a field off the z axis makes nonzero
@@ -223,7 +238,8 @@ def cmd_curvature(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _sweep(cfg, ["theta", "R"], curve_rows)
 
 
-def cmd_speed(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_speed(cfg: argparse.Namespace) -> int:
+    """Evolution speed against theta, per curve."""
     def curve_rows(label, sys, fld):
         thetas = np.linspace(0.0, math.pi, cfg.samples)
         if fld is None:
@@ -235,7 +251,8 @@ def cmd_speed(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _sweep(cfg, ["theta", "v"], curve_rows)
 
 
-def cmd_curvature_vs_speed(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_curvature_vs_speed(cfg: argparse.Namespace) -> int:
+    """Curvature against speed on both branches, per curve."""
     def curve_rows(label, sys, fld):
         if fld is not None:
             # the speed fixes the curvature through the zero-field closed forms only
@@ -254,20 +271,21 @@ def cmd_curvature_vs_speed(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _sweep(cfg, ["v", "R", "branch"], curve_rows)
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    report = run_full_suite(only=args.only, tolerance=args.tolerance)
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    """Run the oracle verification suite."""
+    report = run_full_suite(only=cfg.only, tolerance=cfg.tolerance)
     print(report.format_table())
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        with _open_out(cfg.out) as fh:
+            fh.write(report.to_json() + "\n")
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 
 
-def cmd_field_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_field_optimize(cfg: argparse.Namespace) -> int:
+    """Minimal-speed field conditions at fixed state angles."""
     if cfg.theta is None:
         raise ConfigError("field-optimize requires --theta")
-    sys = cfg.system()
+    sys = SpinSystem(cfg.n, cfg.two_s, cfg.j, cfg.gamma)
     direction = Direction(cfg.theta_prime, cfg.phi_prime)
     try:
         opt = analytic.min_speed_field(sys, cfg.theta, cfg.phi, direction)
@@ -278,7 +296,7 @@ def cmd_field_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         }
     except analytic.DegenerateDirection as exc:
         record = {"error": str(exc)}
-    if args.scan_direction:
+    if cfg.scan_direction:
         if cfg.h_over_j is None:
             raise ConfigError("--scan-direction requires --h-over-j")
         # the first argmin/argmax in (theta', phi') row-major order, as a
@@ -297,8 +315,18 @@ def cmd_field_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
                 "theta_prime": float(polar[i]),
                 "phi_prime": float(azimuth[j]),
             }
-    _write(cfg, record)
+    _write(cfg.out, record)
     return EXIT_OK
+
+
+#: command -> (function, the settings it reads); all but verify take --config
+_COMMANDS = {
+    "curvature": (cmd_curvature, _SWEEP),
+    "speed": (cmd_speed, _SWEEP),
+    "curvature-vs-speed": (cmd_curvature_vs_speed, tuple(k for k in _SWEEP if k != "phi")),
+    "verify": (cmd_verify, ("only", "tolerance", "out")),
+    "field-optimize": (cmd_field_optimize, _SYSTEM_FIELD + ("theta", "phi", "out")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,55 +335,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="State-manifold geometry of the long-range zz-Ising spin-s system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat JSON file with run parameters")
-        p.add_argument("--n", type=int, help="number of spins N")
-        p.add_argument("--two-s", dest="two_s", type=int, help="2s (1 for spin-1/2)")
-        p.add_argument("--j", type=float, help="coupling J in Hz")
-        p.add_argument("--gamma", type=float, help="metric scale factor")
-        p.add_argument("--h-over-j", dest="h_over_j", type=float, help="field ratio h/J")
-        p.add_argument("--theta-prime", dest="theta_prime", type=float, help="field polar angle")
-        p.add_argument("--phi-prime", dest="phi_prime", type=float, help="field azimuth")
-        p.add_argument("--ratio", help="declare h/J rational as P/Q")
-        p.add_argument("--theta", type=float, help="initial-state polar angle")
-        p.add_argument("--phi", type=float, help="initial-state azimuth")
-        p.add_argument("--samples", type=int, help="sweep sample count")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-
-    for name, helptext, run in [
-        ("curvature", "scalar curvature vs theta", cmd_curvature),
-        ("speed", "evolution speed vs theta", cmd_speed),
-        ("curvature-vs-speed", "curvature against speed, both branches", cmd_curvature_vs_speed),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        add_common(p)
-        p.add_argument(
-            "--preset",
-            choices=sorted(_PRESETS),
-            help="named figure recipe",
+    for name, (run, keys) in _COMMANDS.items():
+        # an unset flag leaves no attribute, so the config file can supply it
+        p = sub.add_parser(
+            name, help=run.__doc__, argument_default=argparse.SUPPRESS, allow_abbrev=False
         )
-        p.set_defaults(run=run)
-
-    p = sub.add_parser("verify", help="run the oracle verification suite")
-    add_common(p)
-    p.add_argument("--only", help="restrict to checks with this name prefix")
-    p.add_argument("--tolerance", type=float, help="override all check tolerances")
-    p.set_defaults(run=cmd_verify)
-
-    p = sub.add_parser("field-optimize", help="minimal-speed field conditions")
-    add_common(p)
-    p.add_argument("--scan-direction", action="store_true", help="grid-scan (theta', phi')")
-    p.set_defaults(run=cmd_field_optimize)
+        if name != "verify":
+            p.add_argument("--config", help="flat JSON file with run parameters")
+        for key in keys:
+            kind, _, text = _SETTINGS[key]
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, type=kind, choices=_CHOICES.get(key), help=text)
+        if name == "field-optimize":
+            help_scan = "grid-scan (theta', phi')"
+            p.add_argument("--scan-direction", action="store_true", default=False, help=help_scan)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.run(_load_config(args), args)
+        return _COMMANDS[args.command][0](_load_config(args))
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=_sysmod.stderr)
         return EXIT_BAD_CONFIG

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -11,7 +12,6 @@ from spinmanifold.cli import (
     EXIT_BAD_CONFIG,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    RunConfig,
     _build_parser,
     _load_config,
     main,
@@ -274,6 +274,137 @@ def test_out_of_range_input_is_a_config_error(capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+SWEEPS = ("curvature", "speed", "curvature-vs-speed")
+SWEEP_FLAGS = {"--config", "--n", "--two-s", "--j", "--gamma", "--h-over-j", "--theta-prime",
+               "--phi-prime", "--ratio", "--phi", "--samples", "--preset", "--format", "--out"}
+
+
+class TestCommandFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            "curvature": SWEEP_FLAGS,
+            "speed": SWEEP_FLAGS,
+            "curvature-vs-speed": SWEEP_FLAGS - {"--phi"},
+            "verify": {"--only", "--tolerance", "--out"},
+            "field-optimize": {"--config", "--n", "--two-s", "--j", "--gamma", "--h-over-j",
+                               "--theta-prime", "--phi-prime", "--theta", "--phi", "--out",
+                               "--scan-direction"},
+        }
+        assert sum(map(len, flags.values())) == 56
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["speed", "--h-over-j", "1", "--theta", "1"],
+            ["curvature-vs-speed", "--h-over-j", "0", "--phi", "1"],
+            ["verify", "--only", "topology", "--samples", "3"],
+            ["verify", "--only", "topology", "--format", "json"],
+            ["verify", "--only", "topology", "--n", "3"],
+            ["verify", "--only", "topology", "--config", "run.json"],
+            ["field-optimize", "--theta", "0.5", "--format", "csv"],
+            ["field-optimize", "--theta", "0.5", "--samples", "3"],
+            ["field-optimize", "--theta", "0.5", "--ratio", "1/2"],
+            # no abbreviation stands in for a flag the command does not take
+            ["speed", "--two", "2"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize(
+        "command,key,flag_value,file_value",
+        [
+            (command, *setting)
+            for command in SWEEPS
+            for setting in [
+                ("n", "3", 3), ("two_s", "2", 2), ("j", "2", 2.0), ("gamma", "2", 2.0),
+                ("h_over_j", "1", 1.0), ("theta_prime", "0.5", 0.5),
+                ("phi_prime", "0.5", 0.5), ("ratio", "1/2", [1, 2]), ("phi", "0.5", 0.5),
+            ]
+            if (command, setting[0]) != ("curvature-vs-speed", "phi")
+        ],
+    )
+    def test_preset_refuses_what_it_fixes(
+        self, capsys, tmp_path, command, key, flag_value, file_value
+    ):
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: file_value}))
+        for argv in (
+            [command, "--preset", "fig1", "--samples", "3", flag, flag_value],
+            [command, "--preset", "fig1", "--samples", "3", "--config", str(cfg)],
+        ):
+            assert main(argv) == EXIT_BAD_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: a preset fixes system, field and phi; drop {flag}\n"
+
+    def test_preset_in_the_config_refuses_a_system_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "methane"}))
+        argv = ["speed", "--config", str(cfg), "--n", "7", "--h-over-j", "5"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "drop --n, --h-over-j" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            (command, key)
+            for command in SWEEPS
+            for key in ("theta_prime", "phi_prime", "phi")
+            if (command, key) != ("curvature-vs-speed", "phi")
+        ],
+    )
+    def test_direction_without_a_field_is_refused(self, capsys, tmp_path, command, key):
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 0.5}))
+        system = ["--n", "2", "--two-s", "1", "--samples", "3"]
+        for argv in ([command, *system, flag, "0.5"], [command, *system, "--config", str(cfg)]):
+            assert main(argv) == EXIT_BAD_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: no field without --h-over-j or --ratio; drop {flag}\n"
+
+    def test_invalid_direction_without_a_field_is_refused(self, capsys):
+        argv = ["speed", "--n", "2", "--two-s", "1", "--samples", "3",
+                "--theta-prime", "9", "--phi-prime", "nan"]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert "drop --theta-prime, --phi-prime" in capsys.readouterr().err
+
+    def test_ratio_in_the_config_is_a_field(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"ratio": [3, 1]}))
+        argv = ["speed", "--n", "4", "--two-s", "2", "--samples", "7", "--theta-prime", "0.5"]
+        assert same_output(capsys, argv + ["--config", str(cfg)], argv + ["--h-over-j", "3"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["speed", "--n", "2", "--two-s", "1", "--samples", "3"],
+            ["curvature", "--preset", "fig6", "--samples", "5"],
+            ["curvature-vs-speed", "--samples", "4"],
+            ["field-optimize", "--theta", "0.5"],
+            ["verify", "--only", "topology[N2_2s1]"],
+        ],
+    )
+    def test_unwritable_out_is_a_config_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "out.txt"
+        assert main(argv + ["--out", str(out)]) == EXIT_BAD_CONFIG
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -288,6 +419,19 @@ class TestConfigHandling:
         assert main(["speed", "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"theta": 0.5}))
+        assert main(["speed", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "unknown config key 'theta' for speed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"run"', "3", "null"])
+    def test_config_that_is_not_an_object_rejected(self, capsys, tmp_path, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert main(["speed", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     def test_unknown_preset_in_config_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"preset": "fig9"}))
@@ -295,25 +439,47 @@ class TestConfigHandling:
         assert "unknown preset 'fig9'" in capsys.readouterr().err
 
     def test_every_flag_overrides_the_config_file(self, tmp_path):
-        file_values = {
-            "n": 5, "two_s": 3, "j": 2.0, "gamma": 3.0, "h_over_j": 4.0,
-            "theta_prime": 0.1, "phi_prime": 0.2, "ratio": [1, 1], "theta": 0.3,
-            "phi": 0.4, "samples": 7, "preset": "fig1", "out": "file.csv", "format": "json",
-        }
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(file_values))
-        argv = [
-            "speed", "--config", str(cfg), "--n", "2", "--two-s", "1", "--j", "1.5",
-            "--gamma", "2.5", "--h-over-j", "0.5", "--theta-prime", "1.1",
-            "--phi-prime", "1.2", "--ratio", "1/2", "--theta", "1.3", "--phi", "1.4",
-            "--samples", "9", "--preset", "fig6", "--out", "flag.csv", "--format", "csv",
+        # a preset is refused next to the system and field settings, and
+        # theta is read by field-optimize only: three runs cover every key
+        cases = [
+            (
+                "speed",
+                {"n": 5, "two_s": 3, "j": 2.0, "gamma": 3.0, "h_over_j": 4.0,
+                 "theta_prime": 0.1, "phi_prime": 0.2, "ratio": [1, 1], "phi": 0.4,
+                 "samples": 7, "out": "file.csv", "format": "json"},
+                ["--n", "2", "--two-s", "1", "--j", "1.5", "--gamma", "2.5",
+                 "--h-over-j", "0.5", "--theta-prime", "1.1", "--phi-prime", "1.2",
+                 "--ratio", "1/2", "--phi", "1.4", "--samples", "9", "--out", "flag.csv",
+                 "--format", "csv"],
+                dict(n=2, two_s=1, j=1.5, gamma=2.5, h_over_j=0.5, theta_prime=1.1,
+                     phi_prime=1.2, ratio=(1, 2), phi=1.4, samples=9, preset=None,
+                     out="flag.csv", format="csv"),
+            ),
+            (
+                "speed",
+                {"samples": 7, "preset": "fig1", "out": "file.csv", "format": "json"},
+                ["--samples", "9", "--preset", "fig6", "--out", "flag.csv", "--format", "csv"],
+                dict(n=4, two_s=1, j=1.0, gamma=1.0, h_over_j=None, theta_prime=0.0,
+                     phi_prime=0.0, ratio=None, phi=0.0, samples=9, preset="fig6",
+                     out="flag.csv", format="csv"),
+            ),
+            (
+                "field-optimize",
+                {"n": 5, "two_s": 3, "j": 2.0, "gamma": 3.0, "h_over_j": 4.0,
+                 "theta_prime": 0.1, "phi_prime": 0.2, "theta": 0.3, "phi": 0.4,
+                 "out": "file.json"},
+                ["--n", "2", "--two-s", "1", "--j", "1.5", "--gamma", "2.5",
+                 "--h-over-j", "0.5", "--theta-prime", "1.1", "--phi-prime", "1.2",
+                 "--theta", "1.3", "--phi", "1.4", "--out", "flag.json"],
+                dict(n=2, two_s=1, j=1.5, gamma=2.5, h_over_j=0.5, theta_prime=1.1,
+                     phi_prime=1.2, theta=1.3, phi=1.4, out="flag.json", scan_direction=False),
+            ),
         ]
-        got = _load_config(_build_parser().parse_args(argv))
-        assert got == RunConfig(
-            n=2, two_s=1, j=1.5, gamma=2.5, h_over_j=0.5, theta_prime=1.1, phi_prime=1.2,
-            ratio=(1, 2), theta=1.3, phi=1.4, samples=9, preset="fig6", out="flag.csv",
-            format="csv",
-        )
+        cfg = tmp_path / "run.json"
+        for command, file_values, flags, expected in cases:
+            cfg.write_text(json.dumps(file_values))
+            got = _load_config(_build_parser().parse_args([command, "--config", str(cfg), *flags]))
+            assert got == argparse.Namespace(**expected)
 
     @pytest.mark.parametrize(
         "data,message",
@@ -322,7 +488,7 @@ class TestConfigHandling:
             ({"samples": 2.5}, "config key 'samples' must be int"),
             ({"two_s": True}, "config key 'two_s' must be int"),
             ({"j": "1.0"}, "config key 'j' must be float"),
-            ({"theta": [0.5]}, "config key 'theta' must be float"),
+            ({"format": "xml"}, "unknown format 'xml'"),
             ({"preset": 1}, "config key 'preset' must be str"),
             ({"ratio": [1, "2"]}, "config key 'ratio' must be a list of two integers"),
             ({"ratio": [1, 2, 3]}, "config key 'ratio' must be a list of two integers"),
@@ -334,11 +500,21 @@ class TestConfigHandling:
         assert main(["speed", "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert message in capsys.readouterr().err
 
+    def test_wrong_theta_type_in_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"theta": [0.5]}))
+        assert main(["field-optimize", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert "config key 'theta' must be float" in capsys.readouterr().err
+
     def test_config_accepts_int_for_float_and_null_for_optional(self, tmp_path):
+        # theta is read by field-optimize only, ratio by the sweeps only
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"j": 2, "h_over_j": None, "theta": 1, "ratio": None}))
+        cfg.write_text(json.dumps({"j": 2, "h_over_j": None, "theta": 1}))
+        got = _load_config(_build_parser().parse_args(["field-optimize", "--config", str(cfg)]))
+        assert (got.j, got.h_over_j, got.theta) == (2, None, 1)
+        cfg.write_text(json.dumps({"j": 2, "h_over_j": None, "ratio": None}))
         got = _load_config(_build_parser().parse_args(["speed", "--config", str(cfg)]))
-        assert (got.j, got.h_over_j, got.theta, got.ratio) == (2, None, 1, None)
+        assert (got.j, got.h_over_j, got.ratio) == (2, None, None)
 
     def test_bad_ratio_rejected(self, capsys):
         assert main(["speed", "--n", "2", "--two-s", "1", "--ratio", "abc"]) == EXIT_BAD_CONFIG
