@@ -273,10 +273,11 @@ def cmd_curvature_vs_speed(cfg: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     """Run the oracle verification suite."""
-    report = run_full_suite(only=cfg.only, tolerance=cfg.tolerance)
-    print(report.format_table())
-    if cfg.out:
-        with _open_out(cfg.out) as fh:
+    # --out is opened first, so a path that cannot be written fails before the suite runs
+    with _open_out(cfg.out) as fh:
+        report = run_full_suite(only=cfg.only, tolerance=cfg.tolerance)
+        print(report.format_table())
+        if cfg.out:
             fh.write(report.to_json() + "\n")
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 
@@ -329,12 +330,24 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser.  It refuses the arguments it does not know
+    itself, so the error shows the command's usage; argparse would hand
+    them back to the top-level parser, whose usage lists only the commands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spin-manifold",
         description="State-manifold geometry of the long-range zz-Ising spin-s system",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (run, keys) in _COMMANDS.items():
         # an unset flag leaves no attribute, so the config file can supply it
         p = sub.add_parser(

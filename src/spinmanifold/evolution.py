@@ -18,8 +18,9 @@ invariant.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional, Tuple
 
 import numpy as np
@@ -116,7 +117,47 @@ def _symmetric_product(basis: OccupationBasis, sites: np.ndarray) -> np.ndarray:
     return np.exp(log_abs + 1j * (angles @ occ.T))
 
 
-@lru_cache(maxsize=64)
+#: bytes of spectra the generator-spectrum cache keeps: one default verify
+#: suite asks for 69 spectra, together ~0.3 MB, in a fixed cyclic order
+SPECTRUM_CACHE_BYTES = 16 * 2**20
+
+
+def _lru_by_bytes(budget: int):
+    """A least-recently-used cache of a function returning a tuple of arrays
+    (None allowed), bounded by the arrays' ``nbytes`` in total, not by entry
+    count.  A result larger than ``budget`` is returned but not kept."""
+
+    def decorate(fn):
+        entries = OrderedDict()  # key -> (result, its nbytes)
+        held = 0
+
+        @wraps(fn)
+        def cached(*key):
+            nonlocal held
+            if key in entries:
+                entries.move_to_end(key)
+                return entries[key][0]
+            result = fn(*key)
+            size = sum(a.nbytes for a in result if a is not None)
+            if size <= budget:
+                entries[key] = (result, size)
+                held += size
+                while held > budget:
+                    held -= entries.popitem(last=False)[1][1]
+            return result
+
+        def cache_clear():
+            nonlocal held
+            entries.clear()
+            held = 0
+
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
+@_lru_by_bytes(SPECTRUM_CACHE_BYTES)
 def _generator_spectrum(n_sites: int, two_s: int, field: Optional[FieldConfig]):
     """Read-only ``(evals, evecs)`` of G on the occupation basis, U(chi) = exp(-i 2 chi G).
 

@@ -1,9 +1,9 @@
 """Oracle-vs-closed-form verification sweeps and the consistency report.
 
-The metric and speed checks share one batched evaluation of the exact
-Hilbert-space computation per field on a deterministic coordinate grid,
-compare every point against the corresponding reference, and record the
-worst deviation.  A component passes when its absolute
+The metric and speed checks share the exact Hilbert-space states of a
+deterministic coordinate grid, built per field and stacked; they compare
+every point against the corresponding reference in one reduction per
+check and record the worst deviation.  A component passes when its absolute
 deviation is below the 1e-12 floor or its relative deviation (denominator
 max(|a|, |b|, 1e-12)) is below the check tolerance.
 """
@@ -99,7 +99,14 @@ class SweepGrid:
 
 
 class _Deviation:
-    """Running worst absolute / effective-relative deviation."""
+    """Running worst absolute / effective-relative deviation.
+
+    :meth:`add` is the update rule.  :meth:`add_arrays` finds in numpy the
+    elements that can raise a running maximum (the largest finite absolute
+    and relative deviations, and every non-finite one) and passes only
+    those to :meth:`add`, in index order, so it ends where a loop of
+    :meth:`add` over every element would.
+    """
 
     def __init__(self):
         self.max_abs = 0.0
@@ -112,8 +119,21 @@ class _Deviation:
             self.max_rel = max(self.max_rel, dev / max(abs(a), abs(b), ABS_FLOOR))
 
     def add_arrays(self, a: np.ndarray, b: np.ndarray):
-        for x, y in zip(np.ravel(a), np.ravel(b)):
-            self.add(float(x), float(y))
+        a, b = (x.ravel() for x in np.broadcast_arrays(a, b))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, overflow
+            dev = np.abs(a - b)
+        finite = np.isfinite(dev)  # a finite dev has a finite relative deviation
+        picks = set(np.flatnonzero(~finite).tolist())
+        if finite.any():
+            dev = np.where(finite, dev, 0.0)
+            picks.add(int(np.argmax(dev)))
+            counted = dev > ABS_FLOOR
+            if counted.any():
+                denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), ABS_FLOOR)
+                rel = np.divide(dev, denom, out=np.zeros_like(dev), where=counted)
+                picks.add(int(np.argmax(rel)))
+        for i in sorted(picks):
+            self.add(float(a[i]), float(b[i]))
 
     def result(self, name: str, grid: str, tol: float) -> CheckResult:
         return CheckResult(name, grid, self.max_abs, self.max_rel, tol, self.max_rel <= tol)
@@ -123,27 +143,27 @@ def _sys_tag(sys: SpinSystem) -> str:
     return f"N{sys.n_sites}_2s{sys.two_s}"
 
 
-def _closed_form_grid(
-    sys: SpinSystem, grid: SweepGrid, field: Optional[FieldConfig]
-) -> np.ndarray:
-    """Closed-form metrics broadcast to the grid's (n_theta, n_phi, n_chi, 3, 3).
+def _closed_form_grid(sys: SpinSystem, grid: SweepGrid) -> np.ndarray:
+    """Closed-form metrics that broadcast against the stacked oracle metrics.
 
-    One array call per (system, field): the zero-field form over theta
-    alone, the dressed form over the (theta, phi) plane.
+    One array call per check: with no field the zero-field form over theta
+    alone, shape (n_theta, 1, 1, 3, 3); with fields the dressed form over
+    (field, theta, phi), every direction's h/J, theta' and phi' passed as a
+    column, shape (n_fields, n_theta, n_phi, 1, 3, 3).
     """
-    if field is None:
-        ref = analytic.metric_closed_form_array(sys, grid.theta)[:, None]
-    else:
-        d = field.direction
-        ref = analytic.metric_closed_form_field_array(
-            sys, grid.theta[:, None], grid.phi, field.ratio_h_over_j, d.polar, d.azimuth
-        )
-    shape = (grid.theta.size, grid.phi.size, grid.chi.size, 3, 3)
-    return np.broadcast_to(ref[:, :, None], shape)
+    if not grid.fields:
+        return analytic.metric_closed_form_array(sys, grid.theta)[:, None, None]
+    ratio, polar, azimuth = np.array(
+        [(f.ratio_h_over_j, f.direction.polar, f.direction.azimuth) for f in grid.fields]
+    ).T[:, :, None, None]
+    ref = analytic.metric_closed_form_field_array(
+        sys, grid.theta[:, None], grid.phi, ratio, polar, azimuth
+    )
+    return ref[:, :, :, None]
 
 
 def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> List[CheckResult]:
-    """Both oracle identities at every grid point, from one family_grid call per field.
+    """Both oracle identities at every grid point, in one pass over all fields.
 
     ``metric_equivalence``: the numeric metric against the closed form.
     ``speed_uncertainty``: |J| sqrt(g_chichi) against gamma * (energy
@@ -155,21 +175,28 @@ def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> Li
     so the raw values carry O(sqrt(eps)) noise that is not a real
     deviation.  Squared agreement within tol implies the speeds
     themselves agree to better than tol where nonzero.
+
+    The states, tangents and energy uncertainties are built per field
+    (one :func:`~spinmanifold.evolution.family_grid` call each) and
+    stacked; the metrics of the whole stack are then assembled and
+    validated once, the closed form is evaluated once, and each row is
+    one :meth:`_Deviation.add_arrays` reduction.
     """
-    metric, speed = _Deviation(), _Deviation()
-    n_points = 0
     fields = grid.fields or [None]
     rows, weights = product_to_occupation(sys)
+    psi, tangents, de = [], [], []
     for fld, ham in zip(fields, field_hamiltonians(sys, fields)):
-        psi, tangents = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
-        g = metric_from_vectors(sys.gamma, psi, tangents)
-        metric.add_arrays(g, _closed_form_grid(sys, grid, fld))
-        v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
-        de = energy_uncertainties(ham.matrix, psi[..., rows] * weights)
-        speed.add_arrays(v * v, (sys.gamma * de) ** 2)
-        n_points += v.size
+        p, t = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
+        psi.append(p)
+        tangents.append(t)
+        de.append(energy_uncertainties(ham.matrix, p[..., rows] * weights))
+    g = metric_from_vectors(sys.gamma, np.stack(psi), np.stack(tangents))
+    metric, speed = _Deviation(), _Deviation()
+    metric.add_arrays(g, _closed_form_grid(sys, grid))
+    v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
+    speed.add_arrays(v * v, (sys.gamma * np.stack(de)) ** 2)
     tag = f"[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"
-    points = f"{n_points} points"
+    points = f"{v.size} points"
     return [
         metric.result(f"metric_equivalence{tag}", points, tol),
         speed.result(f"speed_uncertainty{tag}", points, tol),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spinmanifold import analytic
+from spinmanifold import analytic, cli
 from spinmanifold.analytic import metric_closed_form_field, scalar_curvature, speed_extrema
 from spinmanifold.cli import (
     EXIT_BAD_CONFIG,
@@ -403,6 +403,33 @@ class TestCommandFlags:
         assert main(argv + ["--out", str(out)]) == EXIT_BAD_CONFIG
         assert f"error: cannot write {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
+
+
+    def test_unwritable_out_fails_before_the_suite_runs(self, capsys, tmp_path, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("run_full_suite called")
+
+        monkeypatch.setattr(cli, "run_full_suite", refuse)
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--out", str(out)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--samples", "3"], ["speed", "--samples", "3", "--bogus", "1"]]
+    )
+    def test_unknown_flag_shows_the_command_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_BAD_CONFIG
+        command, unknown = argv[0], " ".join(argv[-2:])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: spin-manifold {command} [-h]")
+        assert captured.err.endswith(
+            f"spin-manifold {command}: error: unrecognized arguments: {unknown}\n"
+        )
 
 
 class TestConfigHandling:

@@ -21,6 +21,7 @@ from spinmanifold import analytic
 from spinmanifold.evolution import (
     CoordinatePoint,
     _generator_spectrum,
+    _lru_by_bytes,
     family_grid,
     state_at,
     tangent_states,
@@ -175,6 +176,28 @@ def test_only_a_field_off_the_z_axis_takes_eigh(monkeypatch):
         family_grid(sys, *grid, FIELD_CASES[name])
     with pytest.raises(AssertionError, match="eigh called"):
         family_grid(sys, *grid, FIELD_CASES["field_a"])
+
+
+def test_spectrum_cache_is_bounded_by_bytes():
+    calls = []
+
+    @_lru_by_bytes(budget=100)
+    def spectrum(n):
+        calls.append(n)
+        return np.zeros(n), None
+
+    spectrum(10)  # 80 bytes: kept
+    spectrum(20)  # 160 bytes: over the budget, returned but not kept
+    assert spectrum(20)[0].shape == (20,)
+    spectrum(10)
+    assert calls == [10, 20, 20]
+    spectrum(5)  # 80 + 40 bytes: the least recently used entry goes
+    spectrum(5)
+    spectrum(10)
+    assert calls == [10, 20, 20, 5, 10]
+    spectrum.cache_clear()
+    spectrum(10)
+    assert calls == [10, 20, 20, 5, 10, 10]
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])

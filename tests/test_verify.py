@@ -6,8 +6,9 @@ import pytest
 
 from spinmanifold import analytic, evolution, fs_metric, spin_ops, verify
 from spinmanifold.analytic import ManifoldSpec
-from spinmanifold.spin_ops import SpinSystem
+from spinmanifold.spin_ops import FieldConfig, SpinSystem
 from spinmanifold.verify import (
+    ABS_FLOOR,
     CheckResult,
     SweepGrid,
     _Deviation,
@@ -83,6 +84,15 @@ class TestFullSuite:
         # field directions; section7 adds its 7 single-point speeds
         assert len(calls) == 5 + 64 + 7
 
+    def test_second_suite_takes_no_eigh(self, monkeypatch):
+        run_full_suite()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert run_full_suite().overall
+
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
         validated, spins = [], []
         check, total_spin = fs_metric._validated_metrics, spin_ops.total_spin_operator
@@ -99,10 +109,11 @@ class TestFullSuite:
             monkeypatch.setattr(module, "_validated_metrics", counted_check)
         monkeypatch.setattr(spin_ops, "total_spin_operator", counted_spin)
         assert run_full_suite().overall
-        # 69 oracle grids (5 zero-field systems, 64 field directions), one
-        # closed-form stack per grid, and section7's 7 points, each checked
-        # against the dressed closed form and against metric_numeric
-        assert len(validated) == 69 + 69 + 2 * 7
+        # 6 oracle checks (5 zero-field systems, one field system over 64
+        # directions), one oracle and one closed-form stack per check, and
+        # section7's 7 points, each checked against the dressed closed form
+        # and against metric_numeric
+        assert len(validated) == 6 + 6 + 2 * 7
         # the dense product-space total spins: once, for the field system
         assert sorted(spins) == ["x", "y", "z"]
 
@@ -185,3 +196,134 @@ class TestDeviation:
         assert dev.max_rel == pytest.approx(ref_rel, rel=1e-15)
         assert not dev.result("x", "5 points", 1e-9).passed
         assert dev.result("x", "5 points", 3e-9).passed
+
+
+def looped(a, b, start=()):
+    """max_abs and max_rel of a loop of _Deviation.add over every broadcast element."""
+    dev = _Deviation()
+    for x, y in start:
+        dev.add(x, y)
+    for x, y in zip(*(z.ravel() for z in np.broadcast_arrays(a, b))):
+        dev.add(float(x), float(y))
+    return dev.max_abs, dev.max_rel
+
+
+def vectorised(a, b, start=()):
+    dev = _Deviation()
+    for x, y in start:
+        dev.add(x, y)
+    dev.add_arrays(a, b)
+    return dev.max_abs, dev.max_rel
+
+
+def _random_pairs(seed, shape=(40,)):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-14, 3, size=shape)
+    b = a * (1.0 + rng.normal(size=shape) * 10.0 ** rng.integers(-16, -6, size=shape))
+    equal = rng.random(size=shape) < 0.2
+    b[equal] = a[equal]
+    return a, b
+
+
+class TestDeviationArrays:
+    """add_arrays against the elementwise loop of add: exactly equal maxima."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random(self, seed):
+        a, b = _random_pairs(seed, (7, 9))
+        assert vectorised(a, b) == looped(a, b)
+        assert vectorised(a, b, [(1.0, 1.5)]) == looped(a, b, [(1.0, 1.5)])
+
+    def test_ties(self):
+        a = np.array([1.0, 2.0, 1.0, 2.0, 4.0, 4.0])
+        b = np.array([1.5, 2.5, 1.5, 2.5, 2.0, 2.0])
+        assert vectorised(a, b) == looped(a, b) == (2.0, 0.5)
+        assert vectorised(a, b, [(4.0, 2.0)]) == looped(a, b, [(4.0, 2.0)])
+
+    def test_values_under_the_floor(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.0, ABS_FLOOR, size=50)
+        b = rng.uniform(-ABS_FLOOR / 4, 0.0, size=50)
+        got = vectorised(a, b)
+        assert got == looped(a, b)
+        assert 0.0 < got[0] <= 1.25 * ABS_FLOOR and got[1] > 0.0
+        tiny = np.array([0.0, 5e-13, 1e-13])
+        assert vectorised(tiny, 0.0) == looped(tiny, 0.0) == (5e-13, 0.0)
+
+    @pytest.mark.parametrize(
+        "shape_a,shape_b",
+        [
+            ((2, 3, 3, 2, 3, 3), (2, 3, 3, 1, 3, 3)),  # dressed: chi broadcast
+            ((1, 4, 3, 2, 3, 3), (4, 1, 1, 3, 3)),  # zero field: phi, chi broadcast
+            ((5,), ()),
+        ],
+    )
+    def test_broadcast_shapes(self, shape_a, shape_b):
+        rng = np.random.default_rng(11)
+        b = np.asarray(rng.normal(size=shape_b))
+        a = b * (1.0 + rng.normal(size=shape_a) * 1e-9)
+        assert vectorised(a, b) == looped(a, b)
+        assert vectorised(b, a) == looped(b, a)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3, 3), (2, 0, 3)])
+    def test_empty(self, shape):
+        empty = np.empty(shape)
+        assert vectorised(empty, empty) == looped(empty, empty) == (0.0, 0.0)
+        assert vectorised(empty, empty, [(1.0, 2.0)]) == (1.0, 0.5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [0, 20, -1])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_at_first_middle_last(self, value, where, side):
+        pair = list(_random_pairs(5, (41,)))
+        pair[side][where] = value
+        a, b = pair
+        assert vectorised(a, b) == looped(a, b)
+        assert vectorised(a, b, [(3.0, 3.5)]) == looped(a, b, [(3.0, 3.5)])
+
+    def test_non_finite_on_both_sides_and_overflow(self):
+        a = np.array([np.inf, np.nan, 1e308, 1.0, -np.inf, 2.0])
+        b = np.array([np.inf, 1.0, -1e308, np.nan, np.inf, 2.0 + 1e-9])
+        assert vectorised(a, b) == looped(a, b) == (math.inf, math.inf)
+        assert vectorised(a[:2], b[:2]) == looped(a[:2], b[:2]) == (0.0, 0.0)
+
+
+def _dressed_grid():
+    """run_full_suite's dressed grid: N = 4, 2s = 2, h/J = 1 over 64 directions."""
+    return SweepGrid(
+        theta=np.array([0.4, 1.1, 2.3]),
+        phi=np.array([0.7, 2.9, 5.1]),
+        chi=np.array([0.0, 0.9]),
+        fields=[FieldConfig(1.0, d) for d in verify._direction_grid()],
+    )
+
+
+@pytest.mark.parametrize(
+    "sys,grid",
+    [(SpinSystem(4, 2), _dressed_grid()), (SpinSystem(3, 3), SweepGrid.default(SpinSystem(3, 3)))],
+    ids=["N4_2s2_field", "N3_2s3"],
+)
+def test_batched_checks_equal_the_per_field_loop(sys, grid):
+    metric, speed = _Deviation(), _Deviation()
+    rows, weights = spin_ops.product_to_occupation(sys)
+    fields = grid.fields or [None]
+    for fld, ham in zip(fields, spin_ops.field_hamiltonians(sys, fields)):
+        psi, tangents = evolution.family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
+        g = fs_metric.metric_from_vectors(sys.gamma, psi, tangents)
+        if fld is None:
+            ref = analytic.metric_closed_form_array(sys, grid.theta)[:, None, None]
+        else:
+            d = fld.direction
+            ref = analytic.metric_closed_form_field_array(
+                sys, grid.theta[:, None], grid.phi, fld.ratio_h_over_j, d.polar, d.azimuth
+            )[:, :, None]
+        for x, y in zip(g.ravel(), np.broadcast_to(ref, g.shape).ravel()):
+            metric.add(float(x), float(y))
+        v = fs_metric.speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
+        de = fs_metric.energy_uncertainties(ham.matrix, psi[..., rows] * weights)
+        for x, y in zip((v * v).ravel(), ((sys.gamma * de) ** 2).ravel()):
+            speed.add(float(x), float(y))
+    got_metric, got_speed = run_oracle_checks(sys, grid)
+    assert (got_metric.max_abs, got_metric.max_rel) == (metric.max_abs, metric.max_rel)
+    assert (got_speed.max_abs, got_speed.max_rel) == (speed.max_abs, speed.max_rel)
+    assert got_metric.max_abs > 0.0 and got_speed.max_abs > 0.0
