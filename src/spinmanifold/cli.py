@@ -19,7 +19,7 @@ import numpy as np
 from . import analytic
 from .fs_metric import speed_from_g_chi_chi
 from .spin_ops import Direction, FieldConfig, SpinSystem
-from .verify import run_full_suite
+from .verify import run_full_suite, select_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -273,7 +273,9 @@ def cmd_curvature_vs_speed(cfg: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     """Run the oracle verification suite."""
-    # --out is opened first, so a path that cannot be written fails before the suite runs
+    # bad options must not truncate an existing --out, and a path that cannot
+    # be written must fail before the suite runs
+    select_checks(cfg.only, cfg.tolerance)
     with _open_out(cfg.out) as fh:
         report = run_full_suite(only=cfg.only, tolerance=cfg.tolerance)
         print(report.format_table())

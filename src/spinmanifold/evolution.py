@@ -31,10 +31,10 @@ from .spin_ops import (
     SpinSystem,
     _generator_matrix,
     _occupation_basis,
-    _occupation_spin_matrix,
     _site_matrices,
+    _total_spin_matrix,
+    apply_total_spin,
     occupation_basis,
-    occupation_spin_operator,
 )
 
 
@@ -105,8 +105,8 @@ def _symmetric_product(basis: OccupationBasis, sites: np.ndarray) -> np.ndarray:
     has one row of length D per site vector.  Evaluated in log space so
     that large N neither overflows sqrt(M) nor underflows c^n.  Each row
     is renormalized, in log space too: the lgamma round-off shared by all
-    its entries would otherwise enter the metric's projector term
-    multiplied by <G>^2, which grows as N^4.
+    its entries would otherwise leave the norm off 1 by up to ~7e-12 at
+    N ~ 2e4, past :class:`StateVector`'s 1e-12 check.
     """
     occ = basis.occupations
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -175,7 +175,7 @@ def _generator_spectrum(n_sites: int, two_s: int, field: Optional[FieldConfig]):
         evals.setflags(write=False)
         return evals, None
     g = _generator_matrix(
-        basis.ising_pair_sums, lambda kind: _occupation_spin_matrix(n_sites, two_s, kind), field
+        basis.ising_pair_sums, lambda kind: _total_spin_matrix(basis, kind), field
     )
     try:
         evals, evecs = np.linalg.eigh(g)
@@ -201,7 +201,7 @@ def _family_block(
     psi0 = _symmetric_product(basis, _rotated_site_vector(sys.two_s, theta))
     start = np.empty((theta.size, 4, psi0.shape[1]), dtype=complex)
     start[:, 0] = psi0
-    start[:, 1] = -1j * (psi0 @ occupation_spin_operator(sys, "y").T)
+    start[:, 1] = -1j * apply_total_spin(basis, "y", psi0)
     start[:, 2] = psi0 * minus_i_z
     start[:, 3] = psi0  # d_chi = -2i G psi, G applied in its eigenbasis below
     phi_exponents = phi[:, None, None] * minus_i_z

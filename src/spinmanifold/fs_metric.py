@@ -66,11 +66,16 @@ def _metric_components(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> n
     """g_{mu nu} = gamma^2 Re(<psi_mu|psi_nu> - <psi_mu|psi><psi|psi_nu>), unvalidated.
 
     ``psi`` is (..., D) and ``tangents`` (..., 3, D); the result is
-    (..., 3, 3).  Gauge invariant by construction of the projector term.
+    (..., 3, 3).  Each tangent is projected off psi first and the metric is
+    the Gram matrix of the projections: the two terms of the difference
+    both grow as <G>^2 ~ N^4, and near a pole their difference is small.
+    Gauge invariant, as the projector is.
     """
-    overlaps = tangents @ psi.conj()[..., None]  # <psi|psi_mu>, (..., 3, 1)
-    gram = tangents.conj() @ tangents.swapaxes(-1, -2)
-    return gamma**2 * (gram - overlaps.conj() * overlaps.swapaxes(-1, -2)).real
+    perp = (tangents @ psi.conj()[..., None]) * psi[..., None, :]  # <psi|psi_mu> psi
+    np.subtract(tangents, perp, out=perp)
+    # Re <a|b> is the dot product of the (real, imaginary) pairs of a and b
+    pairs = perp.view(np.float64)
+    return gamma**2 * (pairs @ pairs.swapaxes(-1, -2))
 
 
 def metric_numeric(

@@ -200,7 +200,7 @@ def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
 
     The metric oracle never uses it: it feeds the dense Hamiltonian of the
     energy-uncertainty check and is the product-space cross-check of
-    :func:`occupation_spin_operator`.  Each site's term changes only that
+    :func:`apply_total_spin`.  Each site's term changes only that
     site's digit of the basis index, so it is written in place.
     """
     sys.check_dim_guard()
@@ -286,6 +286,12 @@ class OccupationBasis(NamedTuple):
     Rows run over every n with sum n = N, first (N, 0, ..., 0): all sites
     at m = s.  |n> is the normalized sum of the M(n) = N! / prod_k n_k!
     product states with that occupation.
+
+    The ladder table holds Sum_j S_j^x and Sum_j S_j^y: column k of
+    ``ladder_rows`` is the row that Sum S^+ brings into row o by moving a
+    site from level k + 1 up to k, with amplitude sqrt(s(s+1) - m_k(m_k - 1))
+    sqrt(n_k (n_{k+1} + 1)) at o's n; column 2s + k is the row that Sum S^-
+    brings into o.  A move out of the basis points at o with coefficient 0.
     """
 
     occupations: np.ndarray  # (D, 2s+1) integer n
@@ -293,6 +299,8 @@ class OccupationBasis(NamedTuple):
     total_z: np.ndarray  # Sum_j S_j^z: (Sum_k m_k n_k)
     ising_pair_sums: np.ndarray  # Sum_{i<j} S_i^z S_j^z: ((m.n)^2 - (m^2).n) / 2
     index: Dict[Tuple[int, ...], int]  # occupation vector -> row
+    ladder_rows: np.ndarray  # (D, 4s) source rows
+    ladder_coefficients: Dict[str, np.ndarray]  # "x", "y" -> (D, 4s) matrix elements
 
 
 @lru_cache(maxsize=64)
@@ -306,13 +314,30 @@ def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
     occ = np.ascontiguousarray((np.diff(edges, axis=1) - 1)[::-1])
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_sites + 1)])
     log_sqrt_m = 0.5 * (log_fact[n_sites] - log_fact[occ].sum(axis=1))
-    m = two_s / 2.0 - np.arange(two_s + 1)
+    s = two_s / 2.0
+    m = s - np.arange(two_s + 1)
     total_z = occ @ m
     ising = (total_z**2 - occ @ m**2) / 2.0
-    for arr in (occ, log_sqrt_m, total_z, ising):
-        arr.setflags(write=False)
     index = {tuple(row): o for o, row in enumerate(occ.tolist())}
-    return OccupationBasis(occ, log_sqrt_m, total_z, ising, index)
+    rows = np.repeat(np.arange(len(occ))[:, None], 2 * two_s, axis=1)
+    half = np.zeros(rows.shape)  # halved S^+ and S^- matrix elements
+    for k in range(two_s):
+        # Sum S^+ brings src into each row with a site at level k, and Sum S^-,
+        # its transpose, brings that row into src
+        into = np.flatnonzero(occ[:, k])
+        came_from = occ[into]
+        came_from[:, k] -= 1
+        came_from[:, k + 1] += 1
+        src = [index[tuple(n)] for n in came_from.tolist()]
+        ladder = math.sqrt(s * (s + 1.0) - m[k] * (m[k] - 1.0))
+        amplitude = ladder / 2.0 * np.sqrt(occ[into, k] * (occ[into, k + 1] + 1.0))
+        rows[into, k], half[into, k] = src, amplitude
+        rows[src, two_s + k], half[src, two_s + k] = into, amplitude
+    # S^x = (S^+ + S^-) / 2, S^y = (S^+ - S^-) / 2i
+    coefficients = {"x": half, "y": half * np.repeat([-1j, 1j], two_s)}
+    for arr in (occ, log_sqrt_m, total_z, ising, rows, *coefficients.values()):
+        arr.setflags(write=False)
+    return OccupationBasis(occ, log_sqrt_m, total_z, ising, index, rows, coefficients)
 
 
 def occupation_basis(sys: SpinSystem) -> OccupationBasis:
@@ -321,36 +346,23 @@ def occupation_basis(sys: SpinSystem) -> OccupationBasis:
     return _occupation_basis(sys.n_sites, sys.two_s)
 
 
-@lru_cache(maxsize=16)
-def _occupation_spin_matrix(n_sites: int, two_s: int, kind: str) -> np.ndarray:
-    """Sum_j S_j^kind = Sum_{k,l} (S^kind)_{kl} a_k^dag a_l on the occupation basis.
+def apply_total_spin(basis: OccupationBasis, kind: str, vectors: np.ndarray) -> np.ndarray:
+    """Sum_j S_j^kind applied to each occupation-basis vector of a (..., D) stack,
+    with no D x D array: x and y gather from the ladder table, z is diagonal."""
+    if kind == "z":
+        return basis.total_z * vectors
+    gathered = vectors[..., basis.ladder_rows]
+    return np.einsum("...dj,dj->...d", gathered, basis.ladder_coefficients[kind])
 
-    a_k^dag a_l moves one site from level l to level k:
-    <n - e_l + e_k| a_k^dag a_l |n> = sqrt(n_l (n_k + 1)) for k != l, and
-    a_k^dag a_k counts n_k.
-    """
-    basis = _occupation_basis(n_sites, two_s)
-    occ = basis.occupations
-    local = _site_matrices(two_s)[kind]
-    out = np.zeros((len(occ), len(occ)), dtype=complex)
-    for k, l in zip(*np.nonzero(local)):
-        if k == l:
-            out[np.diag_indices(len(occ))] += local[k, k] * occ[:, k]
-            continue
-        src = np.nonzero(occ[:, l] > 0)[0]
-        moved = occ[src].copy()
-        moved[:, l] -= 1
-        moved[:, k] += 1
-        dst = np.array([basis.index[tuple(row)] for row in moved.tolist()], dtype=np.int64)
-        out[dst, src] += local[k, l] * np.sqrt(occ[src, l] * (occ[src, k] + 1.0))
-    out.setflags(write=False)
+
+def _total_spin_matrix(basis: OccupationBasis, kind: str) -> np.ndarray:
+    """Sum_j S_j^kind as a dense D x D array, scattered from the ladder table."""
+    if kind == "z":
+        return np.diag(basis.total_z).astype(complex)
+    out = np.zeros((len(basis.occupations),) * 2, dtype=complex)
+    # the padding entries all sit on the diagonal, where x and y are zero
+    out[np.arange(len(out))[:, None], basis.ladder_rows] = basis.ladder_coefficients[kind]
     return out
-
-
-def occupation_spin_operator(sys: SpinSystem, kind: str) -> np.ndarray:
-    """Sum_j S_j^kind restricted to the symmetric subspace, a dense D x D array."""
-    sys.check_occupation_guard()
-    return _occupation_spin_matrix(sys.n_sites, sys.two_s, kind)
 
 
 @lru_cache(maxsize=16)

@@ -269,12 +269,32 @@ DEFAULT_SYSTEMS = (
     SpinSystem(3, 3),
 )
 
+#: the dressed oracle system: N=4, s=1, h/J=1 over an 8x8 direction grid
+FIELD_SYSTEM = SpinSystem(4, 2)
+
 TOPOLOGY_SYSTEMS = (
     SpinSystem(2, 1),
     SpinSystem(3, 2),
     SpinSystem(4, 1),
     SpinSystem(6, 3),
 )
+
+
+def select_checks(only: Optional[str], tolerance: Optional[float]) -> List[str]:
+    """The names of the suite's checks that ``only`` selects, in report order.
+
+    Raises ValueError, before any check runs, for a tolerance that is NaN,
+    infinite or negative and for an ``only`` that selects no check.
+    """
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    tags = [_sys_tag(s) for s in DEFAULT_SYSTEMS] + [f"{_sys_tag(FIELD_SYSTEM)}_field"]
+    names = [f"{check}[{t}]" for t in tags for check in ("metric_equivalence", "speed_uncertainty")]
+    names += [f"topology[{_sys_tag(s)}]" for s in TOPOLOGY_SYSTEMS] + ["section7_vectors"]
+    selected = [name for name in names if only is None or name.startswith(only)]
+    if not selected:
+        raise ValueError(f"no verify check name starts with {only!r}")
+    return selected
 
 
 def _direction_grid(n_polar: int = 8, n_azimuth: int = 8):
@@ -290,16 +310,13 @@ def run_full_suite(
 
     ``only`` keeps the checks whose name starts with it ("metric",
     "speed_uncertainty[N3", "topology[N2_2s1]", ...); a group of checks
-    runs only when its family name and ``only`` are prefixes of one
-    another.  ``tolerance`` overrides each check's pass tolerance.  Raises
-    ValueError for a tolerance that is NaN, infinite or negative, and for
-    an ``only`` that selects no check.
+    runs only when it has a kept check.  ``tolerance`` overrides each
+    check's pass tolerance.  Both are checked first, by :func:`select_checks`.
     """
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    selected = select_checks(only, tolerance)
 
     def want(*families: str) -> bool:
-        return only is None or any(f.startswith(only) or only.startswith(f) for f in families)
+        return any(name.startswith(families) for name in selected)
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance
@@ -308,21 +325,16 @@ def run_full_suite(
     if want("metric_equivalence", "speed_uncertainty"):
         for sys in DEFAULT_SYSTEMS:
             entries += run_oracle_checks(sys, SweepGrid.default(sys), tol=tol(1e-9))
-        # dressed case: N=4, s=1, h/J=1 over an 8x8 direction grid
         field_grid = SweepGrid(
             theta=np.array([0.4, 1.1, 2.3]),
             phi=np.array([0.7, 2.9, 5.1]),
             chi=np.array([0.0, 0.9]),
             fields=[FieldConfig(1.0, d) for d in _direction_grid()],
         )
-        entries += run_oracle_checks(SpinSystem(4, 2), field_grid, tol=tol(1e-9))
+        entries += run_oracle_checks(FIELD_SYSTEM, field_grid, tol=tol(1e-9))
     if want("topology"):
         specs = [analytic.ManifoldSpec.for_system(s) for s in TOPOLOGY_SYSTEMS]
         entries += run_topology_suite(specs, tol=tol(1e-3))
     if want("section7_vectors"):
         entries.append(run_section7_vectors(tol=tol(1e-9)))
-    if only is not None:
-        entries = [e for e in entries if e.name.startswith(only)]
-        if not entries:
-            raise ValueError(f"no verify check name starts with {only!r}")
-    return VerificationReport(entries)
+    return VerificationReport([e for e in entries if e.name in selected])

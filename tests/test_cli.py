@@ -404,7 +404,6 @@ class TestCommandFlags:
         assert f"error: cannot write {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
 
-
     def test_unwritable_out_fails_before_the_suite_runs(self, capsys, tmp_path, monkeypatch):
         def refuse(**kwargs):
             raise AssertionError("run_full_suite called")
@@ -415,6 +414,30 @@ class TestCommandFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--only", "bogus"],
+            ["--only", "metric_equivalence[N9"],
+            ["--tolerance=-1"],
+            ["--only", "topology", "--tolerance", "nan"],
+            ["--tolerance", "inf"],
+        ],
+    )
+    def test_bad_verify_option_keeps_an_existing_out(self, capsys, tmp_path, monkeypatch, flags):
+        def refuse(**kwargs):
+            raise AssertionError("run_full_suite called")
+
+        monkeypatch.setattr(cli, "run_full_suite", refuse)
+        out = tmp_path / "r.json"
+        earlier = b'[{"name": "an earlier report"}]\n'
+        out.write_bytes(earlier)
+        assert main(["verify", *flags, "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert out.read_bytes() == earlier
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "argv", [["verify", "--samples", "3"], ["speed", "--samples", "3", "--bogus", "1"]]

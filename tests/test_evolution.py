@@ -17,9 +17,9 @@ from spinmanifold.spin_ops import (
     Direction,
     FieldConfig,
     SpinSystem,
+    apply_total_spin,
     build_spin_operators,
     occupation_basis,
-    occupation_spin_operator,
     total_spin_operator,
 )
 
@@ -39,16 +39,21 @@ def polarized(sys, theta, phi):
     return np.array(out)
 
 
+def occupation_spin(sys, kind):
+    """Dense Sum_j S_j^kind on the occupation basis: column o is the apply on basis vector o."""
+    return apply_total_spin(occupation_basis(sys), kind, np.eye(sys.occupation_dim)).T
+
+
 def occupation_generator(sys, field=None):
     """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum S.n' from the occupation-basis Sum S^alpha."""
     m = sys.s - np.arange(sys.site_dim)
-    sz = occupation_spin_operator(sys, "z")
+    sz = occupation_spin(sys, "z")
     # Sum_{i<j} S_i^z S_j^z = ((Sum S^z)^2 - Sum (S^z)^2) / 2, the last term diagonal
     g = (sz @ sz - np.diag(occupation_basis(sys).occupations @ m**2)) / 2.0
     if field is not None:
         n = field.direction.unit_vector()
         g = g + field.ratio_h_over_j / 2.0 * sum(
-            n[i] * occupation_spin_operator(sys, k) for i, k in enumerate("xyz")
+            n[i] * occupation_spin(sys, k) for i, k in enumerate("xyz")
         )
     return g
 
@@ -73,7 +78,7 @@ class TestInitialState:
             [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
         )
         for i, kind in enumerate("xyz"):
-            op = occupation_spin_operator(sys, kind)
+            op = occupation_spin(sys, kind)
             # both sites identical, so the total expectation is twice per-site
             val = np.vdot(psi, op @ psi).real / sys.n_sites
             assert val == pytest.approx(expected[i], abs=1e-10)
@@ -83,7 +88,7 @@ class TestInitialState:
         theta, phi = 1.1, 2.7
         psi = state_at(sys, CoordinatePoint(theta, phi)).amplitudes
         n = Direction(theta, phi).unit_vector()
-        op = sum(n[i] * occupation_spin_operator(sys, k) for i, k in enumerate("xyz"))
+        op = sum(n[i] * occupation_spin(sys, k) for i, k in enumerate("xyz"))
         assert np.vdot(psi, op @ psi).real / sys.n_sites == pytest.approx(sys.s, abs=1e-10)
 
     def test_theta_out_of_range(self):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from spinmanifold.analytic import metric_closed_form
-from spinmanifold.evolution import CoordinatePoint, state_at, tangent_states
+from spinmanifold.evolution import (
+    CoordinatePoint,
+    _family_vectors,
+    _generator_spectrum,
+    state_at,
+    tangent_states,
+)
 from spinmanifold.fs_metric import (
     MetricTensor,
     distance_along_evolution,
@@ -17,6 +23,7 @@ from spinmanifold.spin_ops import (
     Direction,
     FieldConfig,
     SpinSystem,
+    _occupation_basis,
     build_field_hamiltonian,
     product_to_occupation,
 )
@@ -213,21 +220,50 @@ class TestDistanceUnderField:
         )
 
 
+def cold_peaks(sys):
+    """tracemalloc peaks of one cold zero-field point and one cold point with a field along z.
+
+    Every cache the oracle keeps is emptied first, so each peak includes
+    building the occupation tables.
+    """
+    point = CoordinatePoint(1.1, 0.4, 0.9)
+    peaks = []
+    for field in (None, FieldConfig(2.0, Direction(math.pi, 0.0))):
+        for cache in (_occupation_basis, _generator_spectrum, _family_vectors):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            metric_numeric(sys, point, field)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def test_large_n_point_allocates_no_dense_matrix():
     # N = 1000, s = 1/2: D = 1001, so one dense D x D complex array is 16 MB.
-    # With the occupation tables and Sum S^y cached, a zero-field point and
-    # the first point of a field along z need only D-length vectors.
-    sys = SpinSystem(1000, 1)
-    metric_numeric(sys, CoordinatePoint(0.7, 0.2, 0.3))
-    point = CoordinatePoint(1.1, 0.4, 0.9)
-    tracemalloc.start()
-    try:
-        metric_numeric(sys, point)
-        warm_zero_field = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        metric_numeric(sys, point, FieldConfig(2.0, Direction(math.pi, 0.0)))
-        cold_along_z = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert warm_zero_field < 4e6
-    assert cold_along_z < 4e6
+    # A zero-field point and a point with a field along z need only the
+    # occupation tables and D-length vectors.
+    zero_field, along_z = cold_peaks(SpinSystem(1000, 1))
+    assert zero_field < 4e6
+    assert along_z < 4e6
+
+
+def test_cold_points_at_n5000_allocate_no_dense_matrix():
+    # D = 5001: one dense D x D complex array would be 400 MB
+    zero_field, along_z = cold_peaks(SpinSystem(5000, 1))
+    assert zero_field < 8e6
+    assert along_z < 8e6
+
+
+def test_metric_near_the_pole_keeps_its_precision_at_large_n():
+    # both terms of Gram - |<psi|t>|^2 grow as N^4 while g_chichi ~ N^2
+    # sin^2(theta) stays small, so the tangents are projected off psi first
+    sys = SpinSystem(2000, 1)
+    num = metric_numeric(sys, CoordinatePoint(0.01, 0.3, 0.7)).components
+    ref = metric_closed_form(sys, 0.01).components
+    nonzero = ref != 0.0
+    assert nonzero.sum() == 5  # the diagonal and g_phichi
+    assert np.all(np.abs(num - ref)[nonzero] <= 1e-10 * np.abs(ref[nonzero]))
+    # the zero-field closed form has g_thetaphi = g_thetachi = 0
+    assert np.all(np.abs(num[~nonzero]) <= 1e-10 * np.abs(ref).max())

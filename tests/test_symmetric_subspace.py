@@ -32,10 +32,10 @@ from spinmanifold.spin_ops import (
     DimensionGuardError,
     FieldConfig,
     SpinSystem,
+    apply_total_spin,
     build_field_hamiltonian,
     build_spin_operators,
     occupation_basis,
-    occupation_spin_operator,
     product_to_occupation,
     total_spin_operator,
 )
@@ -127,12 +127,18 @@ def reference_metric(sys, psi, vecs):
 @pytest.mark.parametrize("n,two_s", SYSTEMS)
 def test_total_spin_restricts_to_occupation_operator(n, two_s):
     sys = SpinSystem(n, two_s)
+    basis = occupation_basis(sys)
     v = isometry(sys)
     assert np.abs(v.T @ v - np.eye(v.shape[1])).max() < 1e-12
+    rng = np.random.default_rng(n * 10 + two_s)
+    stack = rng.normal(size=(2, 3, v.shape[1])) + 1j * rng.normal(size=(2, 3, v.shape[1]))
     for kind in "xyz":
         dense = total_spin_operator(sys, kind).matrix
         restricted = v.T @ (dense @ v)
-        assert np.abs(restricted - occupation_spin_operator(sys, kind)).max() < 1e-12, kind
+        # column o of the operator is its apply on basis vector o
+        applied = apply_total_spin(basis, kind, np.eye(v.shape[1])).T
+        assert np.abs(restricted - applied).max() < 1e-12, kind
+        assert np.abs(apply_total_spin(basis, kind, stack) - stack @ restricted.T).max() < 1e-12
         # Sum_j S_j^kind maps the symmetric subspace into itself
         assert np.abs(dense @ v - v @ restricted).max() < 1e-12, kind
 

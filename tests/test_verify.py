@@ -16,6 +16,7 @@ from spinmanifold.verify import (
     run_oracle_checks,
     run_section7_vectors,
     run_topology_suite,
+    select_checks,
 )
 
 #: run_full_suite()'s entries in order, as (name, grid); perfbench counts 17
@@ -129,6 +130,9 @@ class TestFullSuite:
         report = run_full_suite(only=only)
         assert [e.name for e in report.entries] == names
         assert report.overall
+
+    def test_select_checks_lists_the_report_names(self):
+        assert select_checks(None, None) == [name for name, _ in SUITE_SHAPE]
 
     def test_only_selecting_nothing_raises(self):
         with pytest.raises(ValueError, match="'bogus'"):
