@@ -250,7 +250,7 @@ def chi_max_for(two_s: int, field: Optional[FieldConfig] = None) -> float:
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """A closed (theta, chi) manifold: system plus its chi period."""
+    """A closed (theta, chi) manifold of the zero-field family: system plus its chi period."""
 
     sys: SpinSystem
     chi_max: float
@@ -264,8 +264,9 @@ class ManifoldSpec:
             )
 
     @classmethod
-    def for_system(cls, sys: SpinSystem, field: Optional[FieldConfig] = None) -> "ManifoldSpec":
-        return cls(sys, chi_max_for(sys.two_s, field))
+    def for_system(cls, sys: SpinSystem) -> "ManifoldSpec":
+        """The zero-field manifold of ``sys``, one base chi period long."""
+        return cls(sys, chi_max_for(sys.two_s))
 
 
 def angular_defect(spec: ManifoldSpec) -> float:

@@ -3,10 +3,14 @@
 Every family state and tangent vector is built in the occupation basis
 of the symmetric subspace (dimension C(N+2s, 2s); see
 :mod:`spinmanifold.spin_ops`), and that is the only basis they are
-returned in: the polarized product state is sqrt(M(n)) prod_k c_k^{n_k}
-in that basis, a generator that is diagonal there (no field, or a field
-along z) propagates as a phase, and only a field off the z axis goes
-through the eigenvectors of the D x D generator.
+returned in.  psi and its three tangents are first built at chi = 0,
+for every field, from exact operator applications with no D x D array:
+the polarized product state is sqrt(M(n)) prod_k c_k^{n_k}, the theta
+and phi tangents apply -i Sum S^y and -i Sum S^z, and the chi tangent
+-2i G.  One U(chi) = exp(-2i chi G) then moves all four rows: it is a
+phase when G is diagonal (no field, or a field along z), goes through
+the eigenvectors of the dense D x D generator only for a field off the
+z axis, and is skipped when every chi is 0.
 :func:`family_grid` builds them on a whole (theta, phi, chi) grid in a
 few array operations; :func:`state_at` and :func:`tangent_states` are
 its size-1 case.  A product-basis vector, where one is needed, is
@@ -18,21 +22,20 @@ invariant.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import os
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .spin_ops import (
+    DimensionGuardError,
     FieldConfig,
     OccupationBasis,
     SpinSystem,
-    _generator_matrix,
-    _occupation_basis,
     _site_matrices,
-    _total_spin_matrix,
+    apply_generator,
     apply_total_spin,
     occupation_basis,
 )
@@ -117,73 +120,38 @@ def _symmetric_product(basis: OccupationBasis, sites: np.ndarray) -> np.ndarray:
     return np.exp(log_abs + 1j * (angles @ occ.T))
 
 
-#: bytes of spectra the generator-spectrum cache keeps: one default verify
-#: suite asks for 69 spectra, together ~0.3 MB, in a fixed cyclic order
-SPECTRUM_CACHE_BYTES = 16 * 2**20
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _lru_by_bytes(budget: int):
-    """A least-recently-used cache of a function returning a tuple of arrays
-    (None allowed), bounded by the arrays' ``nbytes`` in total, not by entry
-    count.  A result larger than ``budget`` is returned but not kept."""
-
-    def decorate(fn):
-        entries = OrderedDict()  # key -> (result, its nbytes)
-        held = 0
-
-        @wraps(fn)
-        def cached(*key):
-            nonlocal held
-            if key in entries:
-                entries.move_to_end(key)
-                return entries[key][0]
-            result = fn(*key)
-            size = sum(a.nbytes for a in result if a is not None)
-            if size <= budget:
-                entries[key] = (result, size)
-                held += size
-                while held > budget:
-                    held -= entries.popitem(last=False)[1][1]
-            return result
-
-        def cache_clear():
-            nonlocal held
-            entries.clear()
-            held = 0
-
-        cached.cache_clear = cache_clear
-        return cached
-
-    return decorate
-
-
-@_lru_by_bytes(SPECTRUM_CACHE_BYTES)
-def _generator_spectrum(n_sites: int, two_s: int, field: Optional[FieldConfig]):
-    """Read-only ``(evals, evecs)`` of G on the occupation basis, U(chi) = exp(-i 2 chi G).
+def _generator_spectrum(basis: OccupationBasis, field: Optional[FieldConfig]):
+    """``(evals, evecs)`` of G on the occupation basis, U(chi) = exp(-i 2 chi G).
 
     G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n' depends on neither J
     nor gamma.  With no field, h/J = 0 or a field along z it is diagonal:
-    ``evecs`` is None.  Only a field off the z axis is diagonalized densely.
+    ``evecs`` is None.  Only a field off the z axis is diagonalized
+    densely, and only when its arrays fit in the host's physical memory
+    (DimensionGuardError otherwise, raised before they are allocated).
     """
-    basis = _occupation_basis(n_sites, two_s)
-    if field is None or field.ratio_h_over_j == 0.0:
-        return basis.ising_pair_sums, None
-    if field.along_z:
-        # n' = (0, 0, cos theta'): at theta' = pi the x part sin(pi) ~ 1.2e-16 is dropped
-        z_part = field.ratio_h_over_j / 2.0 * math.cos(field.direction.polar)
-        evals = basis.ising_pair_sums + z_part * basis.total_z
-        evals.setflags(write=False)
-        return evals, None
-    g = _generator_matrix(
-        basis.ising_pair_sums, lambda kind: _total_spin_matrix(basis, kind), field
-    )
+    dim, levels = basis.occupations.shape  # levels = 2s + 1
+    if field is None or field.ratio_h_over_j == 0.0 or field.along_z:
+        # G is diagonal, so G applied to the all-ones vector is its diagonal
+        return apply_generator(basis, field, np.ones(dim)).real, None
+    # building G peaks at about 3.5 + 2s D x D complex arrays (tracemalloc),
+    # 2s of them the ladder-table gather on the identity, so count
+    # 4 + 2s = 3 + levels of them; eigh needs fewer
+    needed = 16 * dim**2 * (3 + levels)
+    if needed > _physical_memory_bytes():
+        raise DimensionGuardError(
+            f"the dense generator of an off-axis field at occupation-basis dimension {dim}"
+            f" needs ~{needed / 2**30:.1f} GiB, more than the host's physical memory"
+        )
+    # row o of G^T is G applied to basis vector o
+    g = apply_generator(basis, field, np.eye(dim)).T
     try:
-        evals, evecs = np.linalg.eigh(g)
+        return np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on Hermitian
         raise RuntimeError("eigensolver failed on the field generator") from exc
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return evals, evecs
 
 
 def _family_block(
@@ -195,25 +163,21 @@ def _family_block(
 ) -> np.ndarray:
     """psi, d_theta, d_phi, d_chi stacked on axis 3: shape (n_theta, n_phi, n_chi, 4, D)."""
     basis = occupation_basis(sys)
-    evals, evecs = _generator_spectrum(sys.n_sites, sys.two_s, field)
-    minus_i_z = -1j * basis.total_z
-    minus_2i_g = -2j * evals
     psi0 = _symmetric_product(basis, _rotated_site_vector(sys.two_s, theta))
-    start = np.empty((theta.size, 4, psi0.shape[1]), dtype=complex)
-    start[:, 0] = psi0
-    start[:, 1] = -1j * apply_total_spin(basis, "y", psi0)
-    start[:, 2] = psi0 * minus_i_z
-    start[:, 3] = psi0  # d_chi = -2i G psi, G applied in its eigenbasis below
-    phi_exponents = phi[:, None, None] * minus_i_z
+    phi_phases = np.exp(np.multiply.outer(phi, -1j * basis.total_z))
+    rows = np.empty((theta.size, phi.size, 4, psi0.shape[1]), dtype=complex)
+    psi = rows[:, :, 0]
+    np.multiply(psi0[:, None], phi_phases, out=psi)
+    np.multiply((-1j * apply_total_spin(basis, "y", psi0))[:, None], phi_phases, out=rows[:, :, 1])
+    np.multiply(psi, -1j * basis.total_z, out=rows[:, :, 2])
+    np.multiply(apply_generator(basis, field, psi), -2j, out=rows[:, :, 3])
+    if not chi.any():
+        return np.repeat(rows[:, :, None], chi.size, axis=2)
+    evals, evecs = _generator_spectrum(basis, field)
+    chi_phases = np.exp(np.multiply.outer(chi, -2j * evals))
     if evecs is None:
-        # U(chi) and e^{-i phi Sum Sz} are diagonal: one phase array per
-        # (phi, chi) moves all four rows
-        start[:, 3] *= minus_2i_g
-        phases = np.exp(phi_exponents + chi[:, None] * minus_2i_g)
-        return start[:, None, None] * phases[:, :, None]
-    coeffs = (start[:, None] * np.exp(phi_exponents)) @ evecs.conj()
-    coeffs[:, :, 3] *= minus_2i_g
-    chi_phases = np.exp(np.multiply.outer(chi, minus_2i_g))
+        return rows[:, :, None] * chi_phases[:, None]
+    coeffs = rows @ evecs.conj()
     return (coeffs[:, :, None] * chi_phases[:, None]) @ evecs.T
 
 
@@ -229,13 +193,16 @@ def family_grid(
     Returns ``(psi, tangents)`` in the occupation basis: psi has shape
     (n_theta, n_phi, n_chi, D) and tangents (n_theta, n_phi, n_chi, 3, D),
     the rows of the fourth axis being d_theta, d_phi, d_chi.  psi = U(chi)
-    e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>; d_theta and d_phi
-    are the initial-state derivatives -i Sum Sy and -i Sum Sz (exact
-    operator applications) pushed through U(chi), and d_chi = -2i G psi,
-    applied before U(chi), with which G commutes.  The polarized states
-    are built once per theta, the phi and chi phases are (n_phi, D) and
-    (n_chi, D) arrays, and only a field off the z axis propagates through
-    the eigenvectors of its generator.
+    e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>.  At chi = 0,
+    d_theta = e^{-i phi Sum Sz} (-i Sum Sy) psi(theta, 0, 0), d_phi =
+    -i Sum Sz psi and d_chi = -2i G psi, all exact operator applications
+    (:func:`~spinmanifold.spin_ops.apply_total_spin` and
+    :func:`~spinmanifold.spin_ops.apply_generator`); at chi they are
+    U(chi) times those, since G commutes with U(chi).  The polarized
+    states are built once per theta and the phi and chi phases are
+    (n_phi, D) and (n_chi, D) arrays.  An all-zero chi grid propagates
+    nothing, and only a field off the z axis with some chi != 0
+    diagonalizes its dense generator.
     """
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
     if not (theta.min() >= 0.0 and theta.max() <= math.pi):  # NaN fails too

@@ -81,13 +81,18 @@ def _metric_components(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> n
 def metric_numeric(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
 ) -> MetricTensor:
-    """The metric at one point, assembled from the analytic tangent states.
+    """The metric at (theta, phi), assembled from the analytic tangent states at chi = 0.
 
+    ``point.chi`` is accepted and not used: psi and its three tangents at
+    chi are U(chi) = exp(-2i chi G) times their values at chi = 0, and
+    U(chi) is unitary, so the metric does not depend on chi.  At chi = 0
+    nothing is propagated, and no field needs an eigendecomposition.
     Works in the occupation basis, so no product-space vector is built and
     the dimension guard applies to C(N+2s, 2s).
     """
-    psi = state_at(sys, point, field).amplitudes
-    tang = tangent_states(sys, point, field)
+    at_origin = CoordinatePoint(point.theta, point.phi)
+    psi = state_at(sys, at_origin, field).amplitudes
+    tang = tangent_states(sys, at_origin, field)
     tangents = np.array((tang.d_theta, tang.d_phi, tang.d_chi))
     return MetricTensor(_metric_components(sys.gamma, psi, tangents))
 
@@ -127,7 +132,11 @@ def energy_uncertainties(ham: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
 def speed_numeric(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig] = None
 ) -> float:
-    """Anandan-Aharonov speed |J| sqrt(g_chichi) from the numeric metric."""
+    """Anandan-Aharonov speed |J| sqrt(g_chichi) from the numeric metric.
+
+    ``point.chi`` is accepted and not used: the speed is conserved along
+    the evolution, and :func:`metric_numeric` evaluates it at chi = 0.
+    """
     return float(speed_from_g_chi_chi(sys.coupling_j, metric_numeric(sys, point, field).g_chi_chi))
 
 

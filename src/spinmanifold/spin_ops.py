@@ -131,6 +131,9 @@ class Direction:
         object.__setattr__(self, "azimuth", self.azimuth % TWO_PI)
 
     def unit_vector(self) -> np.ndarray:
+        """(x, y, z); exactly (0, 0, +-1) at polar 0 and pi, where sin(pi) would leave ~1.2e-16."""
+        if self.polar in (0.0, math.pi):
+            return np.array([0.0, 0.0, math.cos(self.polar)])
         st, ct = math.sin(self.polar), math.cos(self.polar)
         return np.array([st * math.cos(self.azimuth), st * math.sin(self.azimuth), ct])
 
@@ -235,22 +238,23 @@ def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
     return _pair_sums(sys.n_sites, sys.two_s)
 
 
-def _generator_matrix(
-    ising_diag: np.ndarray,
-    total_spin: Callable[[str], np.ndarray],
+def _generator(
+    zz_term: np.ndarray,
+    spin_along: Callable[[np.ndarray], np.ndarray],
     field: Optional[FieldConfig],
 ) -> np.ndarray:
-    """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n', dense, with H = 2J G.
+    """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n', with H = 2J G.
 
-    Built in whichever basis its arguments use: ``ising_diag`` is the
-    diagonal of the zz term and ``total_spin(kind)`` returns Sum_j S_j^kind.
-    ``field=None`` and h/J = 0 both give the zero-field generator.
+    Built as a dense matrix or as G applied to vectors, whichever its
+    arguments are: ``zz_term`` is the zz term (its diagonal as a matrix,
+    or that diagonal times the vectors), a fresh array that is added to
+    in place, and ``spin_along(b)`` is b . Sum_j S_j in the same form, for
+    a real 3-vector b.  ``field=None`` and h/J = 0 both give the
+    zero-field generator.
     """
-    g = np.diag(ising_diag).astype(complex)
+    g = zz_term.astype(complex, copy=False)
     if field is not None and field.ratio_h_over_j != 0.0:
-        half_ratio = field.ratio_h_over_j / 2.0
-        for kind, n_kind in zip("xyz", field.direction.unit_vector()):
-            g += half_ratio * n_kind * total_spin(kind)
+        g += spin_along(field.ratio_h_over_j / 2.0 * field.direction.unit_vector())
     return g
 
 
@@ -265,12 +269,14 @@ def field_hamiltonians(
     is held at once.  A field of None gives the Ising Hamiltonian.
     """
     sys.check_dim_guard()
-    total_spin = {}
+    total_spin = None
     if any(f is not None and f.ratio_h_over_j != 0.0 for f in fields):
-        total_spin = {kind: total_spin_operator(sys, kind).matrix for kind in "xyz"}
+        total_spin = np.empty((3, sys.dim, sys.dim), dtype=complex)
+        for k, kind in enumerate("xyz"):
+            total_spin[k] = total_spin_operator(sys, kind).matrix
     ising = ising_pair_sums(sys)
     for field in fields:
-        g = _generator_matrix(ising, total_spin.__getitem__, field)
+        g = _generator(np.diag(ising), lambda b: np.tensordot(b, total_spin, axes=1), field)
         g *= 2.0 * sys.coupling_j
         yield ManyBodyOperator(g)
 
@@ -355,14 +361,21 @@ def apply_total_spin(basis: OccupationBasis, kind: str, vectors: np.ndarray) -> 
     return np.einsum("...dj,dj->...d", gathered, basis.ladder_coefficients[kind])
 
 
-def _total_spin_matrix(basis: OccupationBasis, kind: str) -> np.ndarray:
-    """Sum_j S_j^kind as a dense D x D array, scattered from the ladder table."""
-    if kind == "z":
-        return np.diag(basis.total_z).astype(complex)
-    out = np.zeros((len(basis.occupations),) * 2, dtype=complex)
-    # the padding entries all sit on the diagonal, where x and y are zero
-    out[np.arange(len(out))[:, None], basis.ladder_rows] = basis.ladder_coefficients[kind]
-    return out
+def apply_generator(
+    basis: OccupationBasis, field: Optional[FieldConfig], vectors: np.ndarray
+) -> np.ndarray:
+    """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n' applied to each vector of a
+    (..., D) occupation-basis stack, with no D x D matrix of G."""
+
+    def spin_along(b):
+        out = b[2] * basis.total_z * vectors
+        if b[0] or b[1]:
+            # one gather of the ladder table serves Sum S^x and Sum S^y together
+            ladder = b[0] * basis.ladder_coefficients["x"] + b[1] * basis.ladder_coefficients["y"]
+            out = out + np.einsum("...dj,dj->...d", vectors[..., basis.ladder_rows], ladder)
+        return out
+
+    return _generator(basis.ising_pair_sums * vectors, spin_along, field)
 
 
 @lru_cache(maxsize=16)

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinmanifold.analytic import metric_closed_form
+from spinmanifold.analytic import metric_closed_form, metric_closed_form_field
 from spinmanifold.evolution import (
     CoordinatePoint,
     _family_vectors,
-    _generator_spectrum,
+    family_grid,
     state_at,
     tangent_states,
 )
@@ -16,6 +16,7 @@ from spinmanifold.fs_metric import (
     MetricTensor,
     distance_along_evolution,
     energy_uncertainties,
+    metric_from_vectors,
     metric_numeric,
     speed_numeric,
 )
@@ -199,41 +200,50 @@ GENERIC_FIELDS = [
 ]
 
 
+def propagated_g_chi_chi(sys, fld, chis):
+    """g_chichi at (theta, phi) = (1.1, 0.4) and each chi, from states propagated by U(chi).
+
+    :func:`metric_numeric` evaluates at chi = 0 whatever chi it is given,
+    so it cannot show that g_chichi is conserved; the grid oracle
+    propagates every chi.
+    """
+    g = metric_from_vectors(sys.gamma, *family_grid(sys, 1.1, 0.4, chis, fld))
+    return g[0, 0, :, 2, 2]
+
+
 @pytest.mark.parametrize("sys,fld", GENERIC_FIELDS, ids=["N3_2s2", "N4_2s1"])
 class TestDistanceUnderField:
     def test_g_chi_chi_is_conserved_under_a_generic_field(self, sys, fld):
-        chis = (0.0, 0.7, 1.9, 3.1, 6.0)
-        g = [metric_numeric(sys, CoordinatePoint(1.1, 0.4, c), fld).g_chi_chi for c in chis]
-        dev = np.abs(np.array(g) - g[0])
+        g = propagated_g_chi_chi(sys, fld, [0.0, 0.7, 1.9, 3.1, 6.0])
+        dev = np.abs(g - g[0])
         # verify's rule: <= 1e-12 absolute or <= 1e-9 relative
         assert np.all((dev <= 1e-12) | (dev <= 1e-9 * np.maximum(np.abs(g), abs(g[0]))))
 
     def test_distance_matches_a_trapezoid_over_chi(self, sys, fld):
         chis = np.linspace(0.0, 2.5, 65)
-        speeds = [
-            math.sqrt(metric_numeric(sys, CoordinatePoint(1.1, 0.4, c), fld).g_chi_chi)
-            for c in chis
-        ]
-        expected = np.trapezoid(speeds, chis)
+        expected = np.trapezoid(np.sqrt(propagated_g_chi_chi(sys, fld, chis)), chis)
         assert distance_along_evolution(sys, 1.1, 0.4, 2.5, fld) == pytest.approx(
             expected, rel=1e-8
         )
 
 
-def cold_peaks(sys):
-    """tracemalloc peaks of one cold zero-field point and one cold point with a field along z.
+COLD_POINT = CoordinatePoint(1.1, 0.4, 0.9)
+
+
+def cold_peaks(sys, fields=(None, FieldConfig(2.0, Direction(math.pi, 0.0)))):
+    """tracemalloc peak of one cold ``metric_numeric`` point per field, by default
+    a zero field and a field along z.
 
     Every cache the oracle keeps is emptied first, so each peak includes
     building the occupation tables.
     """
-    point = CoordinatePoint(1.1, 0.4, 0.9)
     peaks = []
-    for field in (None, FieldConfig(2.0, Direction(math.pi, 0.0))):
-        for cache in (_occupation_basis, _generator_spectrum, _family_vectors):
+    for field in fields:
+        for cache in (_occupation_basis, _family_vectors):
             cache.cache_clear()
         tracemalloc.start()
         try:
-            metric_numeric(sys, point, field)
+            metric_numeric(sys, COLD_POINT, field)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -247,6 +257,16 @@ def test_large_n_point_allocates_no_dense_matrix():
     zero_field, along_z = cold_peaks(SpinSystem(1000, 1))
     assert zero_field < 4e6
     assert along_z < 4e6
+
+
+def test_cold_off_axis_point_allocates_no_dense_matrix():
+    # a field off the z axis needs G psi at chi = 0, not G's eigenvectors
+    sys, fld = SpinSystem(1000, 1), FieldConfig(2.0, Direction(1.1, 0.7))
+    (peak,) = cold_peaks(sys, [fld])
+    assert peak < 4e6
+    num = metric_numeric(sys, COLD_POINT, fld).components
+    ref = metric_closed_form_field(sys, COLD_POINT.theta, COLD_POINT.phi, fld).components
+    assert np.abs(num - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_cold_points_at_n5000_allocate_no_dense_matrix():

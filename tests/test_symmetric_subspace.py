@@ -9,6 +9,7 @@ verify suite with (2s+1)^N <= 4096 and the benchmark ladder rungs.
 
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -17,16 +18,15 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from spinmanifold import analytic
+from spinmanifold import analytic, evolution, verify
 from spinmanifold.evolution import (
     CoordinatePoint,
     _generator_spectrum,
-    _lru_by_bytes,
     family_grid,
     state_at,
     tangent_states,
 )
-from spinmanifold.fs_metric import metric_numeric, speed_numeric
+from spinmanifold.fs_metric import distance_along_evolution, metric_numeric, speed_numeric
 from spinmanifold.spin_ops import (
     Direction,
     DimensionGuardError,
@@ -149,7 +149,7 @@ def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
     # the occupation-basis G, rebuilt from the spectrum the oracle
     # propagates with, against V^dag H V / 2J from the dense product-space H
     sys = SpinSystem(n, two_s, coupling_j=-1.7)
-    evals, evecs = _generator_spectrum(n, two_s, field)
+    evals, evecs = _generator_spectrum(occupation_basis(sys), field)
     rebuilt = np.diag(evals) if evecs is None else (evecs * evals) @ evecs.conj().T
     rows, weights = product_to_occupation(sys)
     v = np.zeros((sys.dim, sys.occupation_dim))
@@ -169,10 +169,11 @@ def test_zero_ratio_field_is_the_zero_field_bit_for_bit(n, two_s):
 
 
 def test_only_a_field_off_the_z_axis_takes_eigh(monkeypatch):
+    # two_s = 2, as in section7_vectors, whose single-site Sy eigenvectors
+    # (an eigh, cached) the first family_grid call builds
     sys = SpinSystem(5, 2)
     grid = ([0.4, 2.2], [1.3], [0.8, 1.9])
-    family_grid(sys, *grid)  # caches the single-site Sy eigenvectors, which do take eigh
-    _generator_spectrum.cache_clear()
+    family_grid(sys, *grid)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
@@ -180,30 +181,47 @@ def test_only_a_field_off_the_z_axis_takes_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     for name in ("zero_field", "along_z", "along_minus_z", "zero_ratio"):
         family_grid(sys, *grid, FIELD_CASES[name])
+    # at chi = 0 nothing is propagated, whatever the field, and the
+    # single-point metric, speed and distance are taken there
+    point = CoordinatePoint(1.1, 0.4, 0.9)
+    for field in FIELDS:
+        family_grid(sys, grid[0], grid[1], [0.0, 0.0], field)
+        metric_numeric(sys, point, field)
+        speed_numeric(sys, point, field)
+        distance_along_evolution(sys, 1.1, 0.4, 0.9, field)
+    verify.run_section7_vectors()
     with pytest.raises(AssertionError, match="eigh called"):
         family_grid(sys, *grid, FIELD_CASES["field_a"])
 
 
-def test_spectrum_cache_is_bounded_by_bytes():
-    calls = []
+def test_off_axis_generator_is_refused_past_the_host_memory(monkeypatch):
+    # a 20 kB host: building the (D = 15, 2s = 2) generator takes about
+    # (4 + 2s) x 16 x 15^2 bytes, which do not fit, and the refusal comes
+    # before anything is allocated
+    sys = SpinSystem(4, 2)
+    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 20_000)
+    with pytest.raises(DimensionGuardError, match="occupation-basis dimension 15"):
+        state_at(sys, CoordinatePoint(1.1, 0.4, 0.9), FIELD_CASES["field_a"])
+    # chi = 0 and a diagonal generator build no dense G
+    state_at(sys, CoordinatePoint(1.1, 0.4), FIELD_CASES["field_a"])
+    state_at(sys, CoordinatePoint(1.1, 0.4, 0.9), FIELD_CASES["along_z"])
+    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 22_000)
+    state_at(sys, CoordinatePoint(1.1, 0.4, 0.9), FIELD_CASES["field_a"])
 
-    @_lru_by_bytes(budget=100)
-    def spectrum(n):
-        calls.append(n)
-        return np.zeros(n), None
 
-    spectrum(10)  # 80 bytes: kept
-    spectrum(20)  # 160 bytes: over the budget, returned but not kept
-    assert spectrum(20)[0].shape == (20,)
-    spectrum(10)
-    assert calls == [10, 20, 20]
-    spectrum(5)  # 80 + 40 bytes: the least recently used entry goes
-    spectrum(5)
-    spectrum(10)
-    assert calls == [10, 20, 20, 5, 10]
-    spectrum.cache_clear()
-    spectrum(10)
-    assert calls == [10, 20, 20, 5, 10, 10]
+@pytest.mark.parametrize("n,two_s", [(200, 1), (12, 3)])
+def test_off_axis_generator_estimate_covers_its_traced_peak(monkeypatch, n, two_s):
+    # D = 201 and 455: a host just smaller than the build's traced peak is refused
+    basis = occupation_basis(SpinSystem(n, two_s))
+    tracemalloc.start()
+    try:
+        _generator_spectrum(basis, FIELD_CASES["field_a"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: peak - 1)
+    with pytest.raises(DimensionGuardError):
+        _generator_spectrum(basis, FIELD_CASES["field_a"])
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])

@@ -85,15 +85,6 @@ class TestFullSuite:
         # field directions; section7 adds its 7 single-point speeds
         assert len(calls) == 5 + 64 + 7
 
-    def test_second_suite_takes_no_eigh(self, monkeypatch):
-        run_full_suite()
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.eigh called")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        assert run_full_suite().overall
-
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
         validated, spins = [], []
         check, total_spin = fs_metric._validated_metrics, spin_ops.total_spin_operator
