@@ -23,6 +23,7 @@ from .evolution import (
     tangent_states,
     state_at,
     family_grid,
+    family_grids,
 )
 from .fs_metric import (
     MetricTensor,
@@ -69,6 +70,7 @@ __all__ = [
     "tangent_states",
     "state_at",
     "family_grid",
+    "family_grids",
     "MetricTensor",
     "metric_numeric",
     "speed_numeric",

@@ -287,8 +287,21 @@ _QUAD_MAX_PANELS = 1024
 
 @functools.cache
 def _gauss_legendre_16():
-    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1], read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Legendre recurrence, off-diagonal k / sqrt(4k^2 - 1),
+    and each weight is 2 v_0^2, v the eigenvector's first component.  As
+    in numpy's ``leggauss``, the nodes and weights are then symmetrized
+    about 0 and the weights scaled to sum to 2.
+    """
+    k = np.arange(1.0, 16.0)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 * vectors[0] ** 2
+    nodes = (nodes - nodes[::-1]) / 2.0
+    weights = (weights + weights[::-1]) / 2.0
+    weights *= 2.0 / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

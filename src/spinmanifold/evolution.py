@@ -11,9 +11,11 @@ and phi tangents apply -i Sum S^y and -i Sum S^z, and the chi tangent
 phase when G is diagonal (no field, or a field along z), goes through
 the eigenvectors of the dense D x D generator only for a field off the
 z axis, and is skipped when every chi is 0.
-:func:`family_grid` builds them on a whole (theta, phi, chi) grid in a
-few array operations; :func:`state_at` and :func:`tangent_states` are
-its size-1 case.  A product-basis vector, where one is needed, is
+:func:`family_grids` builds them on a whole (theta, phi, chi) grid for
+a whole list of fields in a few array operations, sharing everything
+but d_chi and U(chi) between the fields; :func:`family_grid` is its
+one-field case, and :func:`state_at` and :func:`tangent_states` its
+size-1 case.  A product-basis vector, where one is needed, is
 gathered with :func:`spinmanifold.spin_ops.product_to_occupation`.
 Global phases are never stripped: all comparisons downstream are gauge
 invariant.
@@ -25,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .spin_ops import (
     _site_matrices,
     apply_generator,
     apply_total_spin,
+    field_vectors,
     occupation_basis,
 )
 
@@ -124,34 +127,51 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _generator_spectrum(basis: OccupationBasis, field: Optional[FieldConfig]):
-    """``(evals, evecs)`` of G on the occupation basis, U(chi) = exp(-i 2 chi G).
+def _generator_spectrum(basis: OccupationBasis, b: np.ndarray):
+    """``(evals, evecs)`` of every G_f on the occupation basis, U(chi) = exp(-i 2 chi G_f).
 
-    G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n' depends on neither J
-    nor gamma.  With no field, h/J = 0 or a field along z it is diagonal:
-    ``evecs`` is None.  Only a field off the z axis is diagonalized
-    densely, and only when its arrays fit in the host's physical memory
-    (DimensionGuardError otherwise, raised before they are allocated).
+    G_f = Sum_{i<j} S_i^z S_j^z + b_f . Sum_j S_j for each row b_f =
+    (h/2J) n'_f of an (F, 3) array (:func:`~spinmanifold.spin_ops.field_vectors`)
+    depends on neither J nor gamma; ``evals`` is (F, D).  When every b_f
+    lies along z (or is zero) every G_f is diagonal: ``evecs`` is None.
+    Otherwise all F generators are built densely and diagonalized by one
+    stacked eigh, ``evecs`` (F, D, D), but only when their arrays fit in
+    the host's physical memory (DimensionGuardError otherwise, raised
+    before they are allocated).
     """
-    dim, levels = basis.occupations.shape  # levels = 2s + 1
-    if field is None or field.ratio_h_over_j == 0.0 or field.along_z:
-        # G is diagonal, so G applied to the all-ones vector is its diagonal
-        return apply_generator(basis, field, np.ones(dim)).real, None
-    # building G peaks at about 3.5 + 2s D x D complex arrays (tracemalloc),
-    # 2s of them the ladder-table gather on the identity, so count
-    # 4 + 2s = 3 + levels of them; eigh needs fewer
-    needed = 16 * dim**2 * (3 + levels)
+    dim = basis.occupations.shape[0]
+    if not np.count_nonzero(b[:, :2]):
+        # every G_f is diagonal, so G_f applied to the all-ones vector is its diagonal
+        return apply_generator(basis, b, np.ones(dim)).real, None
+    # building and diagonalizing the stack peaks at about 2s D x D complex
+    # arrays for the ladder-table gather on the identity, which every field
+    # shares, plus 2.5 for one field and 2 per field for many (tracemalloc),
+    # so count 2s + 1 + 3F of them
+    two_s = basis.occupations.shape[1] - 1
+    needed = 16 * dim**2 * (two_s + 1 + 3 * len(b))
     if needed > _physical_memory_bytes():
         raise DimensionGuardError(
-            f"the dense generator of an off-axis field at occupation-basis dimension {dim}"
-            f" needs ~{needed / 2**30:.1f} GiB, more than the host's physical memory"
+            f"the dense generators of {len(b)} off-axis field(s) at occupation-basis dimension"
+            f" {dim} need ~{needed / 2**30:.1f} GiB, more than the host's physical memory"
         )
-    # row o of G^T is G applied to basis vector o
-    g = apply_generator(basis, field, np.eye(dim)).T
+    # row o of G_f^T is G_f applied to basis vector o
+    g = apply_generator(basis, b, np.eye(dim)).swapaxes(-1, -2)
     try:
         return np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on Hermitian
         raise RuntimeError("eigensolver failed on the field generator") from exc
+
+
+def _propagate(basis: OccupationBasis, rows: np.ndarray, chi: np.ndarray, b: np.ndarray):
+    """(F, n_theta, n_phi, 4, D) rows at chi = 0 moved to every chi by each field's
+    U(chi): shape (F, n_theta, n_phi, n_chi, 4, D).  Every G_f is diagonal, or none is."""
+    evals, evecs = _generator_spectrum(basis, b)
+    phases = np.moveaxis(np.exp(np.multiply.outer(chi, -2j * evals)), 0, 1)
+    phases = phases[:, None, None, :, None, :]
+    if evecs is None:
+        return rows[:, :, :, None] * phases
+    coeffs = rows @ evecs.conj()[:, None, None]
+    return (coeffs[:, :, :, None] * phases) @ evecs.swapaxes(-1, -2)[:, None, None, None]
 
 
 def _family_block(
@@ -159,26 +179,65 @@ def _family_block(
     theta: np.ndarray,
     phi: np.ndarray,
     chi: np.ndarray,
-    field: Optional[FieldConfig],
+    fields: Sequence[Optional[FieldConfig]],
 ) -> np.ndarray:
-    """psi, d_theta, d_phi, d_chi stacked on axis 3: shape (n_theta, n_phi, n_chi, 4, D)."""
+    """psi, d_theta, d_phi, d_chi stacked on axis 4: shape (n_fields, n_theta, n_phi, n_chi, 4, D)."""
     basis = occupation_basis(sys)
+    b = field_vectors(fields)
     psi0 = _symmetric_product(basis, _rotated_site_vector(sys.two_s, theta))
     phi_phases = np.exp(np.multiply.outer(phi, -1j * basis.total_z))
-    rows = np.empty((theta.size, phi.size, 4, psi0.shape[1]), dtype=complex)
-    psi = rows[:, :, 0]
-    np.multiply(psi0[:, None], phi_phases, out=psi)
-    np.multiply((-1j * apply_total_spin(basis, "y", psi0))[:, None], phi_phases, out=rows[:, :, 1])
-    np.multiply(psi, -1j * basis.total_z, out=rows[:, :, 2])
-    np.multiply(apply_generator(basis, field, psi), -2j, out=rows[:, :, 3])
-    if not chi.any():
-        return np.repeat(rows[:, :, None], chi.size, axis=2)
-    evals, evecs = _generator_spectrum(basis, field)
-    chi_phases = np.exp(np.multiply.outer(chi, -2j * evals))
-    if evecs is None:
-        return rows[:, :, None] * chi_phases[:, None]
-    coeffs = rows @ evecs.conj()
-    return (coeffs[:, :, None] * chi_phases[:, None]) @ evecs.T
+    rows = np.empty((len(b), theta.size, phi.size, 4, psi0.shape[1]), dtype=complex)
+    psi = np.multiply(psi0[:, None], phi_phases, out=rows[0, :, :, 0])
+    np.multiply((-1j * apply_total_spin(basis, "y", psi0))[:, None], phi_phases, out=rows[0, :, :, 1])
+    np.multiply(psi, -1j * basis.total_z, out=rows[0, :, :, 2])
+    if len(b) > 1:
+        rows[1:, :, :, :3] = rows[0, :, :, :3]
+    np.multiply(apply_generator(basis, b, psi), -2j, out=rows[:, :, :, 3])
+    if not np.count_nonzero(chi):
+        return rows[:, :, :, None].repeat(chi.size, axis=3)
+    diagonal = ~b[:, :2].any(axis=1)
+    if diagonal.all() or not diagonal.any():
+        return _propagate(basis, rows, chi, b)
+    out = np.empty(rows.shape[:3] + (chi.size,) + rows.shape[3:], dtype=complex)
+    for group in (diagonal, ~diagonal):
+        out[group] = _propagate(basis, rows[group], chi, b[group])
+    return out
+
+
+def family_grids(
+    sys: SpinSystem,
+    theta,
+    phi,
+    chi,
+    fields: Sequence[Optional[FieldConfig]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """psi and its three parameter derivatives on the product grid theta x phi x chi,
+    for every field of ``fields`` at once.
+
+    Returns ``(psi, tangents)`` in the occupation basis: psi has shape
+    (n_fields, n_theta, n_phi, n_chi, D) and tangents (n_fields, n_theta,
+    n_phi, n_chi, 3, D), the rows of the fifth axis being d_theta, d_phi,
+    d_chi.  psi = U(chi) e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>.
+    At chi = 0, d_theta = e^{-i phi Sum Sz} (-i Sum Sy) psi(theta, 0, 0),
+    d_phi = -i Sum Sz psi and d_chi = -2i G psi, all exact operator
+    applications (:func:`~spinmanifold.spin_ops.apply_total_spin` and
+    :func:`~spinmanifold.spin_ops.apply_generator`); at chi they are
+    U(chi) times those, since G commutes with U(chi).  psi, d_theta,
+    d_phi and the ladder-table gather of psi are built once and shared by
+    every field, and every field's d_chi is one contraction.  An all-zero
+    chi grid propagates nothing; otherwise the fields with a diagonal G
+    (none, h/J = 0 or along z) propagate by phases, and all fields off
+    the z axis go through one stacked eigh of their dense generators.
+    """
+    theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
+    if not (theta.min() >= 0.0 and theta.max() <= math.pi):  # NaN fails too
+        raise ValueError(f"theta must be in [0, pi], got {theta}")
+    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
+        raise ValueError(f"phi and chi must be finite, got phi={phi}, chi={chi}")
+    if not fields:
+        raise ValueError("fields must hold at least one field (None for no field)")
+    vecs = _family_block(sys, theta, phi, chi, fields)
+    return vecs[..., 0, :], vecs[..., 1:, :]
 
 
 def family_grid(
@@ -188,29 +247,10 @@ def family_grid(
     chi,
     field: Optional[FieldConfig] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """psi and its three parameter derivatives on the product grid theta x phi x chi.
-
-    Returns ``(psi, tangents)`` in the occupation basis: psi has shape
-    (n_theta, n_phi, n_chi, D) and tangents (n_theta, n_phi, n_chi, 3, D),
-    the rows of the fourth axis being d_theta, d_phi, d_chi.  psi = U(chi)
-    e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>.  At chi = 0,
-    d_theta = e^{-i phi Sum Sz} (-i Sum Sy) psi(theta, 0, 0), d_phi =
-    -i Sum Sz psi and d_chi = -2i G psi, all exact operator applications
-    (:func:`~spinmanifold.spin_ops.apply_total_spin` and
-    :func:`~spinmanifold.spin_ops.apply_generator`); at chi they are
-    U(chi) times those, since G commutes with U(chi).  The polarized
-    states are built once per theta and the phi and chi phases are
-    (n_phi, D) and (n_chi, D) arrays.  An all-zero chi grid propagates
-    nothing, and only a field off the z axis with some chi != 0
-    diagonalizes its dense generator.
-    """
-    theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
-    if not (theta.min() >= 0.0 and theta.max() <= math.pi):  # NaN fails too
-        raise ValueError(f"theta must be in [0, pi], got {theta}")
-    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
-        raise ValueError(f"phi and chi must be finite, got phi={phi}, chi={chi}")
-    vecs = _family_block(sys, theta, phi, chi, field)
-    return vecs[..., 0, :], vecs[..., 1:, :]
+    """The one-field case of :func:`family_grids`: psi of shape (n_theta, n_phi,
+    n_chi, D) and tangents (n_theta, n_phi, n_chi, 3, D)."""
+    psi, tangents = family_grids(sys, theta, phi, chi, [field])
+    return psi[0], tangents[0]
 
 
 @lru_cache(maxsize=1)
@@ -223,7 +263,7 @@ def _family_vectors(
     state and the tangents of one point back to back.
     """
     coords = (np.array([x]) for x in (point.theta, point.phi, point.chi))
-    vecs = _family_block(sys, *coords, field)[0, 0, 0]
+    vecs = _family_block(sys, *coords, [field])[0, 0, 0, 0]
     vecs.setflags(write=False)
     return vecs
 

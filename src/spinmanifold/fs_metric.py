@@ -114,15 +114,23 @@ def speed_from_g_chi_chi(coupling_j: float, g_chi_chi):
 
 
 def energy_uncertainties(ham: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """sqrt(<H^2> - <H>^2) of every normalized state in a (..., d) stack.
+    """sqrt(<H^2> - <H>^2) of every normalized state in a (..., d) stack, for a dense H.
+
+    See :func:`uncertainties_from_applied`, which this calls with H psi.
+    """
+    return uncertainties_from_applied(amplitudes, amplitudes @ ham.T)
+
+
+def uncertainties_from_applied(amplitudes: np.ndarray, applied: np.ndarray) -> np.ndarray:
+    """sqrt(<H^2> - <H>^2) of every normalized state psi in a (..., d) stack, from
+    psi and H psi (``applied``, the same shape).
 
     Tiny negative variances (round-off on eigenstates) are clamped to
     zero; anything below -1e-12 is an internal error.
     """
-    hpsi = amplitudes @ ham.T
-    mean = np.einsum("...d,...d->...", amplitudes.conj(), hpsi).real
+    mean = np.einsum("...d,...d->...", amplitudes.conj(), applied).real
     # ||(H - <H>) psi||^2 avoids the <H^2> - <H>^2 cancellation
-    shifted = hpsi - mean[..., None] * amplitudes
+    shifted = applied - mean[..., None] * amplitudes
     var = np.einsum("...d,...d->...", shifted.conj(), shifted).real
     if (var < -1e-12).any():
         raise ArithmeticError(f"variance {var.min():.3e} is negative beyond round-off")

@@ -238,23 +238,36 @@ def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
     return _pair_sums(sys.n_sites, sys.two_s)
 
 
+def field_vectors(fields: Sequence[Optional[FieldConfig]]) -> np.ndarray:
+    """b = (h/2J) n' of each field as one row of an (F, 3) array; a zero row for
+    ``None`` and for h/J = 0.  G = Sum_{i<j} S_i^z S_j^z + b . Sum_j S_j."""
+    b = np.zeros((len(fields), 3))
+    for k, field in enumerate(fields):
+        if field is not None and field.ratio_h_over_j != 0.0:
+            b[k] = field.ratio_h_over_j / 2.0 * field.direction.unit_vector()
+    return b
+
+
 def _generator(
     zz_term: np.ndarray,
     spin_along: Callable[[np.ndarray], np.ndarray],
-    field: Optional[FieldConfig],
+    b: np.ndarray,
 ) -> np.ndarray:
-    """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n', with H = 2J G.
+    """G_f = Sum_{i<j} S_i^z S_j^z + b_f . Sum_j S_j for each row b_f of an (F, 3)
+    array ``b`` (see :func:`field_vectors`), stacked on a new leading axis; H = 2J G.
 
-    Built as a dense matrix or as G applied to vectors, whichever its
+    Built as dense matrices or as G applied to vectors, whichever the
     arguments are: ``zz_term`` is the zz term (its diagonal as a matrix,
-    or that diagonal times the vectors), a fresh array that is added to
-    in place, and ``spin_along(b)`` is b . Sum_j S_j in the same form, for
-    a real 3-vector b.  ``field=None`` and h/J = 0 both give the
-    zero-field generator.
+    or that diagonal times the vectors), and ``spin_along(b)`` is
+    b_f . Sum_j S_j in the same form for every row of ``b``, stacked.  A
+    zero row of ``b`` gives the zz term itself.
     """
-    g = zz_term.astype(complex, copy=False)
-    if field is not None and field.ratio_h_over_j != 0.0:
-        g += spin_along(field.ratio_h_over_j / 2.0 * field.direction.unit_vector())
+    on = [any(row) for row in b.tolist()]
+    if not any(on):
+        return zz_term.astype(complex, copy=False)[None].repeat(len(b), axis=0)
+    g = np.add(zz_term, spin_along(b), dtype=complex)
+    if not all(on):
+        g[np.logical_not(on)] = zz_term
     return g
 
 
@@ -274,9 +287,9 @@ def field_hamiltonians(
         total_spin = np.empty((3, sys.dim, sys.dim), dtype=complex)
         for k, kind in enumerate("xyz"):
             total_spin[k] = total_spin_operator(sys, kind).matrix
-    ising = ising_pair_sums(sys)
-    for field in fields:
-        g = _generator(np.diag(ising), lambda b: np.tensordot(b, total_spin, axes=1), field)
+    ising = np.diag(ising_pair_sums(sys))
+    for b in field_vectors(fields)[:, None]:
+        g = _generator(ising, lambda b: np.tensordot(b, total_spin, axes=1), b)[0]
         g *= 2.0 * sys.coupling_j
         yield ManyBodyOperator(g)
 
@@ -361,21 +374,28 @@ def apply_total_spin(basis: OccupationBasis, kind: str, vectors: np.ndarray) -> 
     return np.einsum("...dj,dj->...d", gathered, basis.ladder_coefficients[kind])
 
 
-def apply_generator(
-    basis: OccupationBasis, field: Optional[FieldConfig], vectors: np.ndarray
-) -> np.ndarray:
-    """G = Sum_{i<j} S_i^z S_j^z + (h/2J) Sum_j S_j . n' applied to each vector of a
-    (..., D) occupation-basis stack, with no D x D matrix of G."""
+def apply_generator(basis: OccupationBasis, b: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """G_f = Sum_{i<j} S_i^z S_j^z + b_f . Sum_j S_j applied to each vector of a (..., D)
+    occupation-basis stack, for every row b_f of an (F, 3) array ``b`` (see
+    :func:`field_vectors`): shape (F, ..., D), with no D x D matrix of G.
+
+    The vectors are gathered from the ladder table once, for Sum S^x and
+    Sum S^y of every field together, and only when some b_f leaves the z
+    axis."""
 
     def spin_along(b):
-        out = b[2] * basis.total_z * vectors
-        if b[0] or b[1]:
-            # one gather of the ladder table serves Sum S^x and Sum S^y together
-            ladder = b[0] * basis.ladder_coefficients["x"] + b[1] * basis.ladder_coefficients["y"]
-            out = out + np.einsum("...dj,dj->...d", vectors[..., basis.ladder_rows], ladder)
+        # b_z Sum S^z, its (F, 1, ..., 1) column of b_z broadcast over the stack
+        out = b[(slice(None), 2) + (None,) * vectors.ndim] * basis.total_z * vectors
+        if np.count_nonzero(b[:, :2]):
+            ladders = (
+                b[:, 0, None, None] * basis.ladder_coefficients["x"]
+                + b[:, 1, None, None] * basis.ladder_coefficients["y"]
+            )
+            gathered = vectors[..., basis.ladder_rows]
+            out = out + np.einsum("...dj,fdj->f...d", gathered, ladders)
         return out
 
-    return _generator(basis.ising_pair_sums * vectors, spin_along, field)
+    return _generator(basis.ising_pair_sums * vectors, spin_along, b)
 
 
 @lru_cache(maxsize=16)

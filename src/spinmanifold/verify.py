@@ -1,7 +1,7 @@
 """Oracle-vs-closed-form verification sweeps and the consistency report.
 
 The metric and speed checks share the exact Hilbert-space states of a
-deterministic coordinate grid, built per field and stacked; they compare
+deterministic coordinate grid, built for all fields at once; they compare
 every point against the corresponding reference in one reduction per
 check and record the worst deviation.  A component passes when its absolute
 deviation is below the 1e-12 floor or its relative deviation (denominator
@@ -18,12 +18,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .evolution import CoordinatePoint, family_grid
+from .evolution import CoordinatePoint, family_grids
 from .fs_metric import (
-    energy_uncertainties,
     metric_from_vectors,
     speed_from_g_chi_chi,
     speed_numeric,
+    uncertainties_from_applied,
 )
 from .spin_ops import (
     TWO_PI,
@@ -31,6 +31,7 @@ from .spin_ops import (
     FieldConfig,
     SpinSystem,
     field_hamiltonians,
+    ising_pair_sums,
     product_to_occupation,
 )
 
@@ -162,6 +163,31 @@ def _closed_form_grid(sys: SpinSystem, grid: SweepGrid) -> np.ndarray:
     return ref[:, :, :, None]
 
 
+def _energy_uncertainties(
+    sys: SpinSystem, fields: Sequence[Optional[FieldConfig]], states: np.ndarray
+) -> np.ndarray:
+    """The energy uncertainty of every product-basis state of an (n_fields, ..., d)
+    stack under its field's dense product-space Hamiltonian.
+
+    With no field (or h/J = 0) H is diagonal, 2J Sum_{i<j} S_i^z S_j^z,
+    and the states are multiplied by that diagonal; every other field
+    applies its dense H from :func:`~spinmanifold.spin_ops.field_hamiltonians`,
+    which yields them one at a time.
+    """
+    applied = np.empty_like(states)
+    dressed = [f is not None and f.ratio_h_over_j != 0.0 for f in fields]
+    hams = field_hamiltonians(sys, [f for f, d in zip(fields, dressed) if d])
+    diagonal = ising_pair_sums(sys) * (2.0 * sys.coupling_j)
+    for k, d in enumerate(dressed):
+        if d:
+            # the product as energy_uncertainties forms it: matmul(out=) into
+            # this slot gave sums that differ in the last bits
+            applied[k] = states[k] @ next(hams).matrix.T
+        else:
+            np.multiply(states[k], diagonal, out=applied[k])
+    return uncertainties_from_applied(states, applied)
+
+
 def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> List[CheckResult]:
     """Both oracle identities at every grid point, in one pass over all fields.
 
@@ -176,25 +202,22 @@ def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> Li
     deviation.  Squared agreement within tol implies the speeds
     themselves agree to better than tol where nonzero.
 
-    The states, tangents and energy uncertainties are built per field
-    (one :func:`~spinmanifold.evolution.family_grid` call each) and
-    stacked; the metrics of the whole stack are then assembled and
-    validated once, the closed form is evaluated once, and each row is
-    one :meth:`_Deviation.add_arrays` reduction.
+    One :func:`~spinmanifold.evolution.family_grids` call builds the
+    states and tangents of every field; their metrics are then assembled
+    and validated once, the closed form is evaluated once, the energy
+    uncertainties of the whole stack take one mean and one variance
+    reduction, and each row is one :meth:`_Deviation.add_arrays`
+    reduction.
     """
     fields = grid.fields or [None]
     rows, weights = product_to_occupation(sys)
-    psi, tangents, de = [], [], []
-    for fld, ham in zip(fields, field_hamiltonians(sys, fields)):
-        p, t = family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
-        psi.append(p)
-        tangents.append(t)
-        de.append(energy_uncertainties(ham.matrix, p[..., rows] * weights))
-    g = metric_from_vectors(sys.gamma, np.stack(psi), np.stack(tangents))
+    psi, tangents = family_grids(sys, grid.theta, grid.phi, grid.chi, fields)
+    de = _energy_uncertainties(sys, fields, psi[..., rows] * weights)
+    g = metric_from_vectors(sys.gamma, psi, tangents)
     metric, speed = _Deviation(), _Deviation()
     metric.add_arrays(g, _closed_form_grid(sys, grid))
     v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
-    speed.add_arrays(v * v, (sys.gamma * np.stack(de)) ** 2)
+    speed.add_arrays(v * v, (sys.gamma * de) ** 2)
     tag = f"[{_sys_tag(sys)}{'_field' if fields != [None] else ''}]"
     points = f"{v.size} points"
     return [

@@ -3,6 +3,8 @@
 ``family_grid`` and ``metric_from_vectors`` evaluate a whole
 (theta, phi, chi) grid at once; ``state_at``, ``tangent_states`` and
 ``metric_numeric`` are the scalar calls.  Both must give the same numbers under verify's rule.
+``family_grids`` stacks many fields and must give every field's
+``family_grid`` exactly.
 """
 
 import math
@@ -10,7 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from spinmanifold.evolution import CoordinatePoint, family_grid, state_at, tangent_states
+from spinmanifold.evolution import (
+    CoordinatePoint,
+    family_grid,
+    family_grids,
+    state_at,
+    tangent_states,
+)
 from spinmanifold.fs_metric import (
     _validated_metrics,
     energy_uncertainties,
@@ -79,6 +87,35 @@ def test_family_grid_size_one_is_state_at(field):
     assert np.array_equal(psi[0, 0, 0], state_at(sys, point, field).amplitudes)
     for got, want in zip(tangents[0, 0, 0], (ref.d_theta, ref.d_phi, ref.d_chi)):
         assert np.array_equal(got, want)
+
+
+#: no field, h/J = 0, +z, -z and two directions off the z axis
+MIXED_FIELDS = [
+    None,
+    FieldConfig(0.0, Direction(0.7, 2.1)),
+    FieldConfig(2.5, Direction(0.0, 1.2)),
+    FieldConfig(-1.3, Direction(math.pi, 0.4)),
+    *FIELDS,
+]
+
+
+@pytest.mark.parametrize("chi", [[0.0, 0.0], CHI], ids=["chi_zero", "chi"])
+@pytest.mark.parametrize("n,two_s", [(3, 2), (4, 2), (2, 3)])
+def test_stacked_fields_equal_each_family_grid(n, two_s, chi):
+    # THETA includes both poles; the off-axis fields share one eigh, the
+    # diagonal ones propagate by phases, and all-zero chi propagates nothing
+    sys = SpinSystem(n, two_s)
+    psi, tangents = family_grids(sys, THETA, PHI, chi, MIXED_FIELDS)
+    assert psi.shape == (len(MIXED_FIELDS), THETA.size, PHI.size, len(chi), sys.occupation_dim)
+    for k, field in enumerate(MIXED_FIELDS):
+        one_psi, one_tangents = family_grid(sys, THETA, PHI, chi, field)
+        assert np.array_equal(psi[k], one_psi)
+        assert np.array_equal(tangents[k], one_tangents)
+
+
+def test_family_grids_rejects_an_empty_field_list():
+    with pytest.raises(ValueError, match="at least one field"):
+        family_grids(SpinSystem(2, 1), [0.3], 0.0, 0.0, [])
 
 
 @pytest.mark.parametrize("theta", [[0.3, 3.2], [-0.1], [0.3, math.nan]])

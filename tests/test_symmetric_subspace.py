@@ -23,6 +23,7 @@ from spinmanifold.evolution import (
     CoordinatePoint,
     _generator_spectrum,
     family_grid,
+    family_grids,
     state_at,
     tangent_states,
 )
@@ -35,6 +36,7 @@ from spinmanifold.spin_ops import (
     apply_total_spin,
     build_field_hamiltonian,
     build_spin_operators,
+    field_vectors,
     occupation_basis,
     product_to_occupation,
     total_spin_operator,
@@ -149,8 +151,8 @@ def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
     # the occupation-basis G, rebuilt from the spectrum the oracle
     # propagates with, against V^dag H V / 2J from the dense product-space H
     sys = SpinSystem(n, two_s, coupling_j=-1.7)
-    evals, evecs = _generator_spectrum(occupation_basis(sys), field)
-    rebuilt = np.diag(evals) if evecs is None else (evecs * evals) @ evecs.conj().T
+    evals, evecs = _generator_spectrum(occupation_basis(sys), field_vectors([field]))
+    rebuilt = np.diag(evals[0]) if evecs is None else (evecs[0] * evals[0]) @ evecs[0].conj().T
     rows, weights = product_to_occupation(sys)
     v = np.zeros((sys.dim, sys.occupation_dim))
     v[np.arange(sys.dim), rows] = weights
@@ -215,13 +217,55 @@ def test_off_axis_generator_estimate_covers_its_traced_peak(monkeypatch, n, two_
     basis = occupation_basis(SpinSystem(n, two_s))
     tracemalloc.start()
     try:
-        _generator_spectrum(basis, FIELD_CASES["field_a"])
+        _generator_spectrum(basis, field_vectors([FIELD_CASES["field_a"]]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: peak - 1)
     with pytest.raises(DimensionGuardError):
-        _generator_spectrum(basis, FIELD_CASES["field_a"])
+        _generator_spectrum(basis, field_vectors([FIELD_CASES["field_a"]]))
+
+
+#: three directions off the z axis, for the stacked dense build
+OFF_AXIS_STACK = [FIELD_CASES["field_a"], FIELD_CASES["field_b"], FieldConfig(0.4, Direction(1.2, 0.3))]
+
+
+def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
+    # D = 201, 2s = 1: one off-axis field counts 2s + 1 + 3 = 5 D x D complex
+    # arrays, three fields 2s + 1 + 9 = 11; a host between the two builds one
+    # field and refuses the stack of three, before any D x D array exists
+    sys = SpinSystem(200, 1)
+    square = 16 * sys.occupation_dim**2
+    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 8 * square)
+    grid = ([1.1], [0.4], [0.9])
+    family_grids(sys, *grid, OFF_AXIS_STACK[:1])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError, match="3 off-axis field"):
+            family_grids(sys, *grid, OFF_AXIS_STACK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < square
+    # the same stack at chi = 0 builds no dense generator
+    family_grids(sys, grid[0], grid[1], [0.0], OFF_AXIS_STACK)
+
+
+@pytest.mark.parametrize("n,two_s", [(200, 1), (6, 4)])
+def test_off_axis_stack_estimate_covers_its_traced_peak(monkeypatch, n, two_s):
+    # D = 201 and 210, three fields: the traced peak of the stacked build
+    # and eigh stays within the guard's estimate
+    basis = occupation_basis(SpinSystem(n, two_s))
+    b = field_vectors(OFF_AXIS_STACK)
+    tracemalloc.start()
+    try:
+        _generator_spectrum(basis, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: peak - 1)
+    with pytest.raises(DimensionGuardError, match="3 off-axis field"):
+        _generator_spectrum(basis, b)
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])

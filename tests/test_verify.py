@@ -81,9 +81,9 @@ class TestFullSuite:
         report = run_full_suite()
         assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
         assert report.overall
-        # one family_grid per field and grid: 5 zero-field grids plus 64
-        # field directions; section7 adds its 7 single-point speeds
-        assert len(calls) == 5 + 64 + 7
+        # one block per grid: 5 zero-field grids plus one stacked block for
+        # all 64 field directions; section7 adds its 7 single-point speeds
+        assert len(calls) == 5 + 1 + 7
 
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
         validated, spins = [], []
