@@ -5,9 +5,9 @@ of the symmetric subspace (dimension C(N+2s, 2s); see
 :mod:`spinmanifold.spin_ops`), and that is the only basis they are
 returned in.  psi and its three tangents are first built at chi = 0,
 for every field, from exact operator applications with no D x D array:
-the polarized product state is sqrt(M(n)) prod_k c_k^{n_k}, the theta
-and phi tangents apply -i Sum S^y and -i Sum S^z, and the chi tangent
--2i G.  One U(chi) = exp(-2i chi G) then moves all four rows: it is a
+the polarized product state is a spin coherent state in closed form,
+the theta and phi tangents apply -i Sum S^y and -i Sum S^z, and the chi
+tangent -2i G.  One U(chi) = exp(-2i chi G) then moves all four rows: it is a
 phase when G is diagonal (no field, or a field along z), goes through
 the eigenvectors of the dense D x D generator only for a field off the
 z axis, and is skipped when every chi is 0.
@@ -36,7 +36,6 @@ from .spin_ops import (
     FieldConfig,
     OccupationBasis,
     SpinSystem,
-    _site_matrices,
     apply_generator,
     apply_total_spin,
     field_vectors,
@@ -84,43 +83,32 @@ class TangentStates:
     d_chi: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _site_y_eig(two_s: int):
-    """Eigenvalues of the single-site Sy and the rows that rotate |s> with them.
+def _symmetric_product(basis: OccupationBasis, theta: np.ndarray) -> np.ndarray:
+    """Polarized product states e^{-i theta Sum S^y} |s, ..., s> in the occupation basis,
+    one real row of length D per entry of an array theta.
 
-    With Sy = V diag(lambda) V^dag, e^{-i theta Sy}|s> = e^{-i theta lambda} @ R
-    where R[k, j] = conj(V[0, k]) V[j, k].
-    """
-    evals, evecs = np.linalg.eigh(_site_matrices(two_s)["y"])
-    rows = evecs[0].conj()[:, None] * evecs.T
-    evals.setflags(write=False)
-    rows.setflags(write=False)
-    return evals, rows
-
-
-def _rotated_site_vector(two_s: int, theta) -> np.ndarray:
-    """Single-site e^{-i theta Sy} |s>, one row per entry of an array theta."""
-    evals, rows = _site_y_eig(two_s)
-    return np.exp(-1j * np.multiply.outer(theta, evals)) @ rows
-
-
-def _symmetric_product(basis: OccupationBasis, sites: np.ndarray) -> np.ndarray:
-    """Product states site^{(x)N} in the occupation basis: sqrt(M(n)) prod_k c_k^{n_k}.
-
-    ``sites`` stacks single-site vectors along its first axis; the result
-    has one row of length D per site vector.  Evaluated in log space so
-    that large N neither overflows sqrt(M) nor underflows c^n.  Each row
-    is renormalized, in log space too: the lgamma round-off shared by all
-    its entries would otherwise leave the norm off 1 by up to ~7e-12 at
-    N ~ 2e4, past :class:`StateVector`'s 1e-12 check.
+    They are spin coherent states (Arecchi, Courtens, Gilmore & Thomas,
+    PRA 6, 2211 (1972)): sqrt(M(n) prod_k C(2s, k)^{n_k})
+    cos(theta/2)^{2sN - K} sin(theta/2)^K with K = Sum_k k n_k.  Evaluated
+    in log space so that large N neither overflows sqrt(M) nor underflows
+    the powers; a zero power of a zero cosine or sine counts as 1.  Each
+    row is renormalized, in log space too: the lgamma round-off shared by
+    all its entries would otherwise leave the norm off 1 by up to ~7e-12
+    at N ~ 2e4, past :class:`StateVector`'s 1e-12 check.
     """
     occ = basis.occupations
+    k = np.arange(occ.shape[1])
+    log_binomials = np.array([math.log(math.comb(k[-1], j)) for j in k])
+    downs, ups = occ @ k[::-1], occ @ k  # 2sN - K and K
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_terms = np.where(occ > 0, occ * np.log(np.abs(sites))[:, None], 0.0)
-    log_abs = basis.log_sqrt_multinomial + log_terms.sum(axis=2)
+        log_abs = (
+            basis.log_sqrt_multinomial
+            + 0.5 * (occ @ log_binomials)
+            + np.where(downs > 0, downs * np.log(np.cos(theta / 2.0))[:, None], 0.0)
+            + np.where(ups > 0, ups * np.log(np.sin(theta / 2.0))[:, None], 0.0)
+        )
     log_abs -= 0.5 * np.log(np.exp(2.0 * log_abs).sum(axis=1, keepdims=True))
-    angles = np.arctan2(sites.imag, sites.real)
-    return np.exp(log_abs + 1j * (angles @ occ.T))
+    return np.exp(log_abs)
 
 
 def _physical_memory_bytes() -> int:
@@ -184,7 +172,7 @@ def _family_block(
     """psi, d_theta, d_phi, d_chi stacked on axis 4: shape (n_fields, n_theta, n_phi, n_chi, 4, D)."""
     basis = occupation_basis(sys)
     b = field_vectors(fields)
-    psi0 = _symmetric_product(basis, _rotated_site_vector(sys.two_s, theta))
+    psi0 = _symmetric_product(basis, theta)
     phi_phases = np.exp(np.multiply.outer(phi, -1j * basis.total_z))
     rows = np.empty((len(b), theta.size, phi.size, 4, psi0.shape[1]), dtype=complex)
     psi = np.multiply(psi0[:, None], phi_phases, out=rows[0, :, :, 0])
@@ -230,7 +218,7 @@ def family_grids(
     the z axis go through one stacked eigh of their dense generators.
     """
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
-    if not (theta.min() >= 0.0 and theta.max() <= math.pi):  # NaN fails too
+    if not np.all((theta >= 0.0) & (theta <= math.pi)):  # NaN fails too
         raise ValueError(f"theta must be in [0, pi], got {theta}")
     if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
         raise ValueError(f"phi and chi must be finite, got phi={phi}, chi={chi}")

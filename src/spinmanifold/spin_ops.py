@@ -193,11 +193,6 @@ def build_spin_operators(two_s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     return sx, sy, sz
 
 
-@lru_cache(maxsize=64)
-def _site_matrices(two_s: int) -> dict:
-    return dict(zip("xyz", build_spin_operators(two_s)))
-
-
 def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
     """Sum_j S_j^kind on the full product space, built on demand (no cache).
 
@@ -207,7 +202,7 @@ def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
     site's digit of the basis index, so it is written in place.
     """
     sys.check_dim_guard()
-    local = _site_matrices(sys.two_s)[kind]
+    local = dict(zip("xyz", build_spin_operators(sys.two_s)))[kind]
     d1, n = sys.site_dim, sys.n_sites
     states = np.arange(sys.dim)
     total = np.zeros((sys.dim, sys.dim), dtype=complex)
@@ -220,22 +215,12 @@ def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
     return ManyBodyOperator(total)
 
 
-@lru_cache(maxsize=64)
-def _pair_sums(n_sites: int, two_s: int) -> np.ndarray:
-    """Sum_{i<j} m_i m_j per basis state, from the (d, N) table of m labels."""
-    single = two_s / 2.0 - np.arange(two_s + 1)
-    grids = np.meshgrid(*([single] * n_sites), indexing="ij")
-    table = np.stack([g.ravel() for g in grids], axis=1)
-    totals = table.sum(axis=1)
-    squares = (table**2).sum(axis=1)
-    out = (totals**2 - squares) / 2.0
-    out.setflags(write=False)
-    return out
-
-
 def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
-    """Diagonal of Sum_{i<j} S_i^z S_j^z in the product basis."""
-    return _pair_sums(sys.n_sites, sys.two_s)
+    """Diagonal of Sum_{i<j} S_i^z S_j^z in the product basis: Sum_{i<j} m_i m_j
+    per basis state, from the (d, N) table of m labels."""
+    grids = np.meshgrid(*([sys.s - np.arange(sys.site_dim)] * sys.n_sites), indexing="ij")
+    table = np.stack([g.ravel() for g in grids], axis=1)
+    return (table.sum(axis=1) ** 2 - (table**2).sum(axis=1)) / 2.0
 
 
 def field_vectors(fields: Sequence[Optional[FieldConfig]]) -> np.ndarray:
@@ -398,20 +383,6 @@ def apply_generator(basis: OccupationBasis, b: np.ndarray, vectors: np.ndarray) 
     return _generator(basis.ising_pair_sums * vectors, spin_along, b)
 
 
-@lru_cache(maxsize=16)
-def _product_gather(n_sites: int, two_s: int) -> Tuple[np.ndarray, np.ndarray]:
-    basis = _occupation_basis(n_sites, two_s)
-    d1 = two_s + 1
-    states = np.arange(d1**n_sites)
-    digits = (states[:, None] // d1 ** np.arange(n_sites - 1, -1, -1)) % d1
-    counts = (digits[:, :, None] == np.arange(d1)).sum(axis=1)
-    rows = np.array([basis.index[tuple(c)] for c in counts.tolist()], dtype=np.int64)
-    weights = np.exp(-basis.log_sqrt_multinomial[rows])
-    rows.setflags(write=False)
-    weights.setflags(write=False)
-    return rows, weights
-
-
 def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
     """The isometry V from the occupation basis into the product basis.
 
@@ -420,4 +391,9 @@ def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
     ``V @ v == v[rows] * weights`` and V^dag is the matching weighted sum.
     """
     sys.check_dim_guard()
-    return _product_gather(sys.n_sites, sys.two_s)
+    basis = _occupation_basis(sys.n_sites, sys.two_s)
+    d1, n = sys.site_dim, sys.n_sites
+    digits = (np.arange(sys.dim)[:, None] // d1 ** np.arange(n - 1, -1, -1)) % d1
+    counts = (digits[:, :, None] == np.arange(d1)).sum(axis=1)
+    rows = np.array([basis.index[tuple(c)] for c in counts.tolist()], dtype=np.int64)
+    return rows, np.exp(-basis.log_sqrt_multinomial[rows])

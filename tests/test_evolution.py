@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -9,7 +10,7 @@ from spinmanifold.analytic import chi_max_for
 from spinmanifold.evolution import (
     CoordinatePoint,
     StateVector,
-    _rotated_site_vector,
+    _symmetric_product,
     state_at,
     tangent_states,
 )
@@ -28,10 +29,15 @@ def fidelity(a, b):
     return abs(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def site_vector(two_s, theta):
+    """Single-site e^{-i theta Sy} |s> from scipy's expm of the dense Sy."""
+    return expm(-1j * theta * build_spin_operators(two_s)[1])[:, 0]
+
+
 def polarized(sys, theta, phi):
     """Occupation-basis sqrt(M(n)) prod_k c_k^{n_k} of the polarized state, exact factorials."""
     m = sys.s - np.arange(sys.site_dim)
-    site = np.exp(-1j * phi * m) * _rotated_site_vector(sys.two_s, theta)
+    site = np.exp(-1j * phi * m) * site_vector(sys.two_s, theta)
     out = []
     for n in occupation_basis(sys).occupations.tolist():
         multinomial = math.factorial(sys.n_sites) // math.prod(map(math.factorial, n))
@@ -67,7 +73,7 @@ class TestInitialState:
         assert np.allclose(psi.amplitudes, expected)
 
     def test_single_site_rotation(self):
-        v = _rotated_site_vector(1, math.pi / 2)
+        v = site_vector(1, math.pi / 2)
         assert np.allclose(v, [math.cos(math.pi / 4), math.sin(math.pi / 4)])
 
     def test_bloch_vector_per_site(self):
@@ -94,6 +100,29 @@ class TestInitialState:
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
             state_at(SpinSystem(2, 1), CoordinatePoint(-0.1))
+
+
+POLES_AND_INTERIOR = [0.0, 0.4, math.pi / 2, 2.9, math.pi]
+
+
+class TestCoherentStateClosedForm:
+    """The closed-form polarized state against the expm product reference."""
+
+    @pytest.mark.parametrize("theta", POLES_AND_INTERIOR)
+    @pytest.mark.parametrize("n,two_s", [(2, 1), (3, 3), (9, 4)])
+    def test_matches_expm_reference(self, n, two_s, theta):
+        sys = SpinSystem(n, two_s)
+        with warnings.catch_warnings():
+            # 0 log 0 at the poles must be guarded, not warned about
+            warnings.simplefilter("error")
+            psi = state_at(sys, CoordinatePoint(theta, 0.0)).amplitudes
+        assert np.abs(psi - polarized(sys, theta, 0.0)).max() < 1e-13
+        assert np.all(psi.imag == 0.0)
+
+    @pytest.mark.parametrize("n,two_s", [(2, 150), (19999, 1)])
+    def test_norm_at_large_dimension(self, n, two_s):
+        rows = _symmetric_product(occupation_basis(SpinSystem(n, two_s)), np.array(POLES_AND_INTERIOR))
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
 
 class TestIsingEvolution:

@@ -118,6 +118,17 @@ def test_family_grids_rejects_an_empty_field_list():
         family_grids(SpinSystem(2, 1), [0.3], 0.0, 0.0, [])
 
 
+@pytest.mark.parametrize("empty", ["theta", "phi", "chi"])
+def test_an_empty_axis_gives_empty_stacks(empty):
+    grid = {"theta": [0.3, math.pi], "phi": [0.0, 1.9], "chi": [0.0, 0.9], empty: []}
+    sys = SpinSystem(3, 2)
+    psi, tangents = family_grid(sys, grid["theta"], grid["phi"], grid["chi"], FIELDS[0])
+    shape = tuple(len(grid[axis]) for axis in ("theta", "phi", "chi"))
+    assert psi.shape == shape + (sys.occupation_dim,)
+    assert tangents.shape == shape + (3, sys.occupation_dim)
+    assert metric_from_vectors(sys.gamma, psi, tangents).shape == shape + (3, 3)
+
+
 @pytest.mark.parametrize("theta", [[0.3, 3.2], [-0.1], [0.3, math.nan]])
 def test_family_grid_rejects_theta_out_of_range(theta):
     with pytest.raises(ValueError):
