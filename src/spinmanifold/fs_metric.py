@@ -30,8 +30,12 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
     With scale = max(1, max |g|) per metric, a metric fails when an entry
     is NaN or infinite (ValueError "not finite"), when an entry of
     |g - g^T| exceeds 1e-10 * scale (ValueError "not symmetric") or when
-    the least eigenvalue of (g + g^T) / 2 lies below -1e-10 * scale
-    (ValueError "not positive semidefinite").  An empty stack passes.
+    the Cholesky factorization of (g + g^T) / 2 + 1e-10 * scale * I fails
+    (ValueError "not positive semidefinite").  That shifted matrix is
+    positive definite exactly when the least eigenvalue of the metric
+    lies above -1e-10 * scale, so the verdict is the least-eigenvalue
+    test's everywhere but at the threshold itself, and a whole stack
+    takes one LAPACK call.  An empty stack passes.
     """
     if g.size == 0:
         return g
@@ -43,8 +47,10 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
     if asymmetry > 1e-10:
         raise ValueError("metric components are not symmetric")
     g = (g + g_t) / 2.0
-    if (np.linalg.eigvalsh(g)[..., 0] / scale).min() < -1e-10:
-        raise ValueError("metric is not positive semidefinite")
+    try:
+        np.linalg.cholesky(g + (1e-10 * scale)[..., None, None] * np.eye(g.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValueError("metric is not positive semidefinite") from None
     return g
 
 
@@ -121,6 +127,12 @@ def energy_uncertainties(ham: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return uncertainties_from_applied(amplitudes, amplitudes @ ham.T)
 
 
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a|b> over the last axis, without a conjugate copy of ``a``."""
+    real = np.einsum("...d,...d->...", a.real, b.real)
+    return real + np.einsum("...d,...d->...", a.imag, b.imag)
+
+
 def uncertainties_from_applied(amplitudes: np.ndarray, applied: np.ndarray) -> np.ndarray:
     """sqrt(<H^2> - <H>^2) of every normalized state psi in a (..., d) stack, from
     psi and H psi (``applied``, the same shape).
@@ -128,10 +140,10 @@ def uncertainties_from_applied(amplitudes: np.ndarray, applied: np.ndarray) -> n
     Tiny negative variances (round-off on eigenstates) are clamped to
     zero; anything below -1e-12 is an internal error.
     """
-    mean = np.einsum("...d,...d->...", amplitudes.conj(), applied).real
+    mean = _real_dot(amplitudes, applied)
     # ||(H - <H>) psi||^2 avoids the <H^2> - <H>^2 cancellation
     shifted = applied - mean[..., None] * amplitudes
-    var = np.einsum("...d,...d->...", shifted.conj(), shifted).real
+    var = _real_dot(shifted, shifted)
     if (var < -1e-12).any():
         raise ArithmeticError(f"variance {var.min():.3e} is negative beyond round-off")
     return np.sqrt(np.maximum(var, 0.0))
@@ -160,11 +172,13 @@ def distance_along_evolution(
     The family evolves as exp(-i chi H/J) with H independent of chi, so
     g_chichi = gamma^2 Var(H/J) is conserved along the trajectory for
     every field direction, and one metric at chi' = 0 gives the whole
-    line integral.  Raises ValueError for a negative, NaN or infinite chi.
+    line integral.  Raises ValueError for a negative, NaN or infinite chi,
+    and for a theta or phi that :class:`CoordinatePoint` refuses.
     """
     if not (math.isfinite(chi) and chi >= 0.0):
         raise ValueError(f"chi must be finite and >= 0, got {chi}")
+    point = CoordinatePoint(theta, phi)  # validates theta and phi, also at chi = 0
     if chi == 0.0:
         return 0.0
-    g = metric_numeric(sys, CoordinatePoint(theta, phi, 0.0), field)
+    g = metric_numeric(sys, point, field)
     return math.sqrt(max(g.g_chi_chi, 0.0)) * chi

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -66,6 +67,10 @@ class SpinSystem:
     dim_guard: int = DIMENSION_GUARD
 
     def __post_init__(self):
+        for name in ("n_sites", "two_s"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         if self.two_s < 1:

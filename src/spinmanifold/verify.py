@@ -212,7 +212,7 @@ def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> Li
     fields = grid.fields or [None]
     rows, weights = product_to_occupation(sys)
     psi, tangents = family_grids(sys, grid.theta, grid.phi, grid.chi, fields)
-    de = _energy_uncertainties(sys, fields, psi[..., rows] * weights)
+    de = _energy_uncertainties(sys, fields, np.take(psi, rows, axis=-1) * weights)
     g = metric_from_vectors(sys.gamma, psi, tangents)
     metric, speed = _Deviation(), _Deviation()
     metric.add_arrays(g, _closed_form_grid(sys, grid))

@@ -188,6 +188,15 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance_along_evolution(SpinSystem(2, 1), 1.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "theta,phi,message",
+        [(math.nan, 0.0, "theta"), (-0.1, 0.0, "theta"), (1.0, math.inf, "finite")],
+    )
+    def test_rejects_a_bad_point_at_any_chi(self, theta, phi, message, chi):
+        with pytest.raises(ValueError, match=message):
+            distance_along_evolution(SpinSystem(3, 2), theta, phi, chi)
+
     @pytest.mark.parametrize("chi", [math.nan, math.inf])
     def test_rejects_non_finite_chi(self, chi):
         with pytest.raises(ValueError, match="finite"):

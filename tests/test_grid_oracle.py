@@ -150,8 +150,14 @@ def test_batched_energy_uncertainty_matches_scalar(field):
     ham = build_field_hamiltonian(sys, field).matrix
     psi, _ = family_grid(sys, THETA, PHI, CHI, field)
     rows, weights = product_to_occupation(sys)
-    batched = energy_uncertainties(ham, psi[..., rows] * weights)
+    gathered = psi[..., rows] * weights
+    batched = energy_uncertainties(ham, gathered)
     assert batched.shape == psi.shape[:3]
+    # the fancy gather is strided in memory and np.take's is C-contiguous;
+    # the uncertainties must not depend on the layout
+    taken = np.take(psi, rows, axis=-1) * weights
+    assert not gathered.flags.c_contiguous and taken.flags.c_contiguous
+    assert np.array_equal(energy_uncertainties(ham, taken), batched)
     scalar = [
         float(
             energy_uncertainties(
@@ -175,3 +181,52 @@ def test_batched_checks_reject_a_bad_point_anywhere():
         _validated_metrics(asymmetric)
     with pytest.raises(ValueError, match="not positive semidefinite"):
         _validated_metrics(indefinite)
+
+
+def _metric_with_least_eigenvalue(rng, ratio, big):
+    """A random symmetric 3x3 metric whose least eigenvalue is ratio * 1e-10 * scale,
+    with scale = max(1, max |g|) as _validated_metrics takes it; the other two
+    eigenvalues are of order ``big``."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    g = (q * np.array([0.0, *rng.uniform(0.2, 0.5, 2) * big])) @ q.T
+    scale = max(1.0, np.abs(g).max())
+    g = g + ratio * 1e-10 * scale * np.outer(q[:, 0], q[:, 0])
+    return (g + g.T) / 2.0, scale
+
+
+@pytest.mark.parametrize("big", [1.0, 1e4], ids=["scale_1", "scale_1e4"])
+@pytest.mark.parametrize("ratio", [-1.1, -1.01, -0.99, -0.9])
+def test_psd_rule_is_the_least_eigenvalue_rule(ratio, big):
+    rng = np.random.default_rng(19)
+    for _ in range(25):
+        g, scale = _metric_with_least_eigenvalue(rng, ratio, big)
+        assert (scale == 1.0) == (big == 1.0)
+        refused = np.linalg.eigvalsh(g)[0] / scale < -1e-10
+        assert refused == (ratio < -1.0)
+        if refused:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                _validated_metrics(g)
+        else:
+            assert np.array_equal(_validated_metrics(g), g)
+
+
+def test_psd_rule_passes_the_zero_and_the_pole_metric():
+    for g in (np.zeros((3, 3)), np.diag([0.25, 0.0, 0.0])):
+        assert np.array_equal(_validated_metrics(g), g)
+
+
+@pytest.mark.parametrize("where", [0, 17, 49])
+def test_one_indefinite_metric_refuses_a_whole_stack(where):
+    stack = np.repeat(np.diag([0.25, 0.0, 0.0])[None], 50, axis=0)
+    assert np.array_equal(_validated_metrics(stack), stack)
+    stack[where, 2, 2] = -1e-6
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        _validated_metrics(stack)
+
+
+def test_a_nan_is_refused_before_the_psd_check():
+    stack = np.repeat(np.eye(3)[None], 3, axis=0)
+    stack[0, 1, 1] = -1.0
+    stack[2, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="not finite"):
+        _validated_metrics(stack)

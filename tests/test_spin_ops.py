@@ -59,6 +59,18 @@ class TestSpinSystem:
         with pytest.raises(ValueError, match="finite"):
             SpinSystem(3, 1, **kwargs)
 
+    @pytest.mark.parametrize(
+        "n_sites,two_s,field",
+        [(3, 1.5, "two_s"), (2.5, 1, "n_sites"), (3.0, 2, "n_sites"), (3, "2", "two_s")],
+    )
+    def test_rejects_non_integer_sizes(self, n_sites, two_s, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SpinSystem(n_sites, two_s)
+
+    def test_accepts_numpy_integer_sizes(self):
+        sys = SpinSystem(np.int64(3), np.int32(2))
+        assert sys.occupation_dim == 10
+
     def test_half_integer_bookkeeping(self):
         sys = SpinSystem(3, 3)
         assert sys.s == 1.5

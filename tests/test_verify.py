@@ -97,9 +97,13 @@ class TestFullSuite:
             spins.append(kind)
             return total_spin(sys, kind)
 
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("metric validation takes one Cholesky per stack, no eigenvalues")
+
         for module in (fs_metric, analytic):
             monkeypatch.setattr(module, "_validated_metrics", counted_check)
         monkeypatch.setattr(spin_ops, "total_spin_operator", counted_spin)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
         assert run_full_suite().overall
         # 6 oracle checks (5 zero-field systems, one field system over 64
         # directions), one oracle and one closed-form stack per check, and
