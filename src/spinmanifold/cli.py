@@ -288,6 +288,8 @@ def cmd_field_optimize(cfg: argparse.Namespace) -> int:
     """Minimal-speed field conditions at fixed state angles."""
     if cfg.theta is None:
         raise ConfigError("field-optimize requires --theta")
+    if cfg.scan_direction != (cfg.h_over_j is not None):  # only the scan reads h/J
+        raise ConfigError("--scan-direction and --h-over-j need each other")
     sys = SpinSystem(cfg.n, cfg.two_s, cfg.j, cfg.gamma)
     direction = Direction(cfg.theta_prime, cfg.phi_prime)
     try:
@@ -300,8 +302,6 @@ def cmd_field_optimize(cfg: argparse.Namespace) -> int:
     except analytic.DegenerateDirection as exc:
         record = {"error": str(exc)}
     if cfg.scan_direction:
-        if cfg.h_over_j is None:
-            raise ConfigError("--scan-direction requires --h-over-j")
         # the first argmin/argmax in (theta', phi') row-major order, as a
         # double loop keeping only strict improvements would pick
         polar = np.linspace(0.0, math.pi, 61)

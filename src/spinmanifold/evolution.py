@@ -10,7 +10,8 @@ the theta and phi tangents apply -i Sum S^y and -i Sum S^z, and the chi
 tangent -2i G.  One U(chi) = exp(-2i chi G) then moves all four rows: it is a
 phase when G is diagonal (no field, or a field along z), goes through
 the eigenvectors of the dense D x D generator only for a field off the
-z axis, and is skipped when every chi is 0.
+z axis (refused when its estimated bytes exceed the host's memory), and
+is skipped when every chi is 0.
 :func:`family_grids` builds them on a whole (theta, phi, chi) grid for
 a whole list of fields in a few array operations, sharing everything
 but d_chi and U(chi) between the fields; :func:`family_grid` is its
@@ -24,7 +25,6 @@ invariant.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -32,10 +32,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .spin_ops import (
-    DimensionGuardError,
     FieldConfig,
     OccupationBasis,
     SpinSystem,
+    _check_bytes,
     apply_generator,
     apply_total_spin,
     field_vectors,
@@ -111,10 +111,6 @@ def _symmetric_product(basis: OccupationBasis, theta: np.ndarray) -> np.ndarray:
     return np.exp(log_abs)
 
 
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _generator_spectrum(basis: OccupationBasis, b: np.ndarray):
     """``(evals, evecs)`` of every G_f on the occupation basis, U(chi) = exp(-i 2 chi G_f).
 
@@ -123,9 +119,8 @@ def _generator_spectrum(basis: OccupationBasis, b: np.ndarray):
     depends on neither J nor gamma; ``evals`` is (F, D).  When every b_f
     lies along z (or is zero) every G_f is diagonal: ``evecs`` is None.
     Otherwise all F generators are built densely and diagonalized by one
-    stacked eigh, ``evecs`` (F, D, D), but only when their arrays fit in
-    the host's physical memory (DimensionGuardError otherwise, raised
-    before they are allocated).
+    stacked eigh, ``evecs`` (F, D, D), if their estimated bytes fit in the
+    host's physical memory (DimensionGuardError before they are allocated).
     """
     dim = basis.occupations.shape[0]
     if not np.count_nonzero(b[:, :2]):
@@ -133,15 +128,10 @@ def _generator_spectrum(basis: OccupationBasis, b: np.ndarray):
         return apply_generator(basis, b, np.ones(dim)).real, None
     # building and diagonalizing the stack peaks at about 2s D x D complex
     # arrays for the ladder-table gather on the identity, which every field
-    # shares, plus 2.5 for one field and 2 per field for many (tracemalloc),
-    # so count 2s + 1 + 3F of them
-    two_s = basis.occupations.shape[1] - 1
-    needed = 16 * dim**2 * (two_s + 1 + 3 * len(b))
-    if needed > _physical_memory_bytes():
-        raise DimensionGuardError(
-            f"the dense generators of {len(b)} off-axis field(s) at occupation-basis dimension"
-            f" {dim} need ~{needed / 2**30:.1f} GiB, more than the host's physical memory"
-        )
+    # shares, plus 2.5 for one field and 2 per field for many: count 2s + 1 + 3F,
+    # and 256 KiB of einsum buffers and eigh work (up to 239 kB, D = 3 to 1001)
+    needed = 16 * dim**2 * (basis.occupations.shape[1] + 3 * len(b)) + 2**18
+    _check_bytes(needed, f"the generators of {len(b)} off-axis field(s)", "occupation-basis", dim)
     # row o of G_f^T is G_f applied to basis vector o
     g = apply_generator(basis, b, np.eye(dim)).swapaxes(-1, -2)
     try:
@@ -218,6 +208,9 @@ def family_grids(
     the z axis go through one stacked eigh of their dense generators.
     """
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
+    for name, grid in (("theta", theta), ("phi", phi), ("chi", chi)):
+        if grid.ndim > 1:
+            raise ValueError(f"{name} must be a number or a 1-D grid, got shape {grid.shape}")
     if not np.all((theta >= 0.0) & (theta <= math.pi)):  # NaN fails too
         raise ValueError(f"theta must be in [0, pi], got {theta}")
     if not (np.isfinite(phi).all() and np.isfinite(chi).all()):

@@ -93,8 +93,7 @@ def metric_numeric(
     chi are U(chi) = exp(-2i chi G) times their values at chi = 0, and
     U(chi) is unitary, so the metric does not depend on chi.  At chi = 0
     nothing is propagated, and no field needs an eigendecomposition.
-    Works in the occupation basis, so no product-space vector is built and
-    the dimension guard applies to C(N+2s, 2s).
+    Works in the occupation basis: no product-space vector is built.
     """
     at_origin = CoordinatePoint(point.theta, point.phi)
     psi = state_at(sys, at_origin, field).amplitudes

@@ -14,6 +14,10 @@ works in the symmetric subspace, spanned by the normalized symmetrizations
 |n> of occupation vectors n = (n_0, ..., n_2s) (n_k sites at m = s - k,
 sum n = N).  Its dimension is C(N+2s, 2s), N+1 for s = 1/2, against
 (2s+1)^N for the product space.
+
+Each dense build estimates its peak bytes from its shapes, with coefficients
+fitted to tracemalloc peaks at several sizes, before it allocates, and raises
+:class:`DimensionGuardError` when they exceed the host's physical memory.
 """
 
 from __future__ import annotations
@@ -21,26 +25,38 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Default ceiling on the dimension of a dense construction: (2s+1)^N in the
-#: product basis, C(N+2s, 2s) in the occupation basis.
-DIMENSION_GUARD = 20000
-
 TWO_PI = 2.0 * math.pi
 
 
 class DimensionGuardError(ValueError):
-    """The dimension of a dense construction exceeds the configured guard."""
+    """A dense construction would need more memory than the host has."""
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_bytes(needed: int, build: str, basis: str, dim: int):
+    """Refuse ``build`` before it allocates if its estimated peak exceeds the host's memory."""
+    budget = _physical_memory_bytes()
+    if needed > budget:
+        size = f"an estimated {needed:,} bytes" if needed < 2**64 else "over 2^64 bytes"
+        dim = dim if dim < 2**64 else "over 2^64"  # (2s+1)^N can have thousands of digits
+        raise DimensionGuardError(
+            f"{build} at {basis} dimension {dim} needs {size}, more than the host's {budget:,}"
+        )
 
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Static description of the model.
+    """Static description of the model; it refuses no size (dense builds check their bytes).
 
     Parameters
     ----------
@@ -54,17 +70,12 @@ class SpinSystem:
         Pair coupling J in Hz (hbar = 1), finite.
     gamma : float
         Scale factor of the metric, positive and finite, default 1.
-    dim_guard : int
-        Maximum allowed dimension for dense constructions, compared with
-        ``dim`` in the product basis and ``occupation_dim`` in the
-        occupation basis.
     """
 
     n_sites: int
     two_s: int
     coupling_j: float = 1.0
     gamma: float = 1.0
-    dim_guard: int = DIMENSION_GUARD
 
     def __post_init__(self):
         for name in ("n_sites", "two_s"):
@@ -96,18 +107,6 @@ class SpinSystem:
     def occupation_dim(self) -> int:
         """Dimension C(N+2s, 2s) of the symmetric subspace."""
         return math.comb(self.n_sites + self.two_s, self.two_s)
-
-    def check_dim_guard(self):
-        if self.dim > self.dim_guard:
-            raise DimensionGuardError(
-                f"Hilbert dimension {self.dim} exceeds guard {self.dim_guard}"
-            )
-
-    def check_occupation_guard(self):
-        if self.occupation_dim > self.dim_guard:
-            raise DimensionGuardError(
-                f"occupation-basis dimension {self.occupation_dim} exceeds guard {self.dim_guard}"
-            )
 
 
 @dataclass(eq=False)
@@ -206,11 +205,12 @@ def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
     :func:`apply_total_spin`.  Each site's term changes only that
     site's digit of the basis index, so it is written in place.
     """
-    sys.check_dim_guard()
+    d = sys.dim  # the d x d result and index arrays of length d
+    _check_bytes(16 * d**2 + 64 * d + 8192, "the total spin", "Hilbert", d)
     local = dict(zip("xyz", build_spin_operators(sys.two_s)))[kind]
     d1, n = sys.site_dim, sys.n_sites
-    states = np.arange(sys.dim)
-    total = np.zeros((sys.dim, sys.dim), dtype=complex)
+    states = np.arange(d)
+    total = np.zeros((d, d), dtype=complex)
     for site in range(n):
         stride = d1 ** (n - 1 - site)
         digit = (states // stride) % d1
@@ -223,7 +223,9 @@ def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
 def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
     """Diagonal of Sum_{i<j} S_i^z S_j^z in the product basis: Sum_{i<j} m_i m_j
     per basis state, from the (d, N) table of m labels."""
-    grids = np.meshgrid(*([sys.s - np.arange(sys.site_dim)] * sys.n_sites), indexing="ij")
+    d, n = sys.dim, sys.n_sites  # the meshgrid, the table and its square: 3 (d, N) arrays
+    _check_bytes(24 * d * n + 32 * d + 16384, "the zz diagonal", "Hilbert", d)
+    grids = np.meshgrid(*([sys.s - np.arange(sys.site_dim)] * n), indexing="ij")
     table = np.stack([g.ravel() for g in grids], axis=1)
     return (table.sum(axis=1) ** 2 - (table**2).sum(axis=1)) / 2.0
 
@@ -271,10 +273,14 @@ def field_hamiltonians(
     is nonzero; the Hamiltonians are yielded one at a time, so only one
     is held at once.  A field of None gives the Ising Hamiltonian.
     """
-    sys.check_dim_guard()
+    dressed = any(f is not None and f.ratio_h_over_j != 0.0 for f in fields)
+    # halves of a d x d complex array: Ising and H 5, the total spins and a field
+    # term 6 more, the last H 2 more; plus 128 KiB of casting buffers
+    d, halves = sys.dim, 5 if not dressed else 11 if len(fields) == 1 else 13
+    _check_bytes(8 * d**2 * halves + 64 * d + 147456, "the Hamiltonians", "Hilbert", d)
     total_spin = None
-    if any(f is not None and f.ratio_h_over_j != 0.0 for f in fields):
-        total_spin = np.empty((3, sys.dim, sys.dim), dtype=complex)
+    if dressed:
+        total_spin = np.empty((3, d, d), dtype=complex)
         for k, kind in enumerate("xyz"):
             total_spin[k] = total_spin_operator(sys, kind).matrix
     ising = np.diag(ising_pair_sums(sys))
@@ -314,6 +320,8 @@ class OccupationBasis(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
+    dim = math.comb(n_sites + two_s, two_s)  # per row: the tables and the index's key
+    _check_bytes(112 * dim * (two_s + 4) + 16384, "the tables", "occupation-basis", dim)
     # stars and bars: 2s bar positions among N + 2s slots fix one occupation
     slots = n_sites + two_s
     bars = np.array(list(itertools.combinations(range(slots), two_s)), dtype=np.int64)
@@ -351,7 +359,6 @@ def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
 
 def occupation_basis(sys: SpinSystem) -> OccupationBasis:
     """Occupation-basis tables of ``sys`` (cached per (N, 2s))."""
-    sys.check_occupation_guard()
     return _occupation_basis(sys.n_sites, sys.two_s)
 
 
@@ -395,10 +402,10 @@ def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
     ``rows[i]`` with amplitude ``weights[i]`` = 1/sqrt(M(n)), so
     ``V @ v == v[rows] * weights`` and V^dag is the matching weighted sum.
     """
-    sys.check_dim_guard()
-    basis = _occupation_basis(sys.n_sites, sys.two_s)
-    d1, n = sys.site_dim, sys.n_sites
-    digits = (np.arange(sys.dim)[:, None] // d1 ** np.arange(n - 1, -1, -1)) % d1
+    d, d1, n = sys.dim, sys.site_dim, sys.n_sites  # digit tables, counts and their lists
+    _check_bytes(d * ((8 + d1) * n + 16 * d1 + 128) + 32768, "the gather", "Hilbert", d)
+    basis = _occupation_basis(n, sys.two_s)
+    digits = (np.arange(d)[:, None] // d1 ** np.arange(n - 1, -1, -1)) % d1
     counts = (digits[:, :, None] == np.arange(d1)).sum(axis=1)
     rows = np.array([basis.index[tuple(c)] for c in counts.tolist()], dtype=np.int64)
     return rows, np.exp(-basis.log_sqrt_multinomial[rows])

@@ -229,6 +229,21 @@ class TestFieldOptimize:
         assert main(argv) == EXIT_BAD_CONFIG
         assert "h/J must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_ratio_without_scan_is_refused(self, capsys, tmp_path, source):
+        # only the scan reads h/J, so h/J alone would print the record without it
+        argv = ["field-optimize", "--n", "4", "--two-s", "2", "--theta", "1.0"]
+        if source == "flag":
+            argv += ["--h-over-j", "5"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"h_over_j": 5.0}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--scan-direction" in captured.err
+
     def test_requires_theta(self, capsys):
         assert main(["field-optimize", "--n", "3", "--two-s", "1"]) == EXIT_BAD_CONFIG
 

@@ -144,6 +144,20 @@ def test_family_grid_rejects_non_finite_phi_chi(phi, chi):
         family_grid(SpinSystem(2, 1), [0.3], phi, chi)
 
 
+@pytest.mark.parametrize(
+    "name,grids",
+    [
+        ("theta", ([[0.3, 0.5]], [0.1], [0.0])),
+        ("phi", ([0.3], [[0.1], [0.2]], [0.0])),
+        ("chi", ([0.3], [0.1], [[0.0, 0.5]])),
+    ],
+)
+def test_family_grid_rejects_a_grid_of_more_than_one_dimension(name, grids):
+    # a nested chi once came back as psi of shape (1, 1, 1, 1, 4), not (1, 1, 2, 4)
+    with pytest.raises(ValueError, match=f"{name} must be a number or a 1-D grid"):
+        family_grid(SpinSystem(3, 1), *grids)
+
+
 @pytest.mark.parametrize("field", [None, FIELDS[1]], ids=["zero_field", "field"])
 def test_batched_energy_uncertainty_matches_scalar(field):
     sys = SpinSystem(3, 2, coupling_j=-1.3)

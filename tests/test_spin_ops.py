@@ -40,10 +40,12 @@ class TestSpinSystem:
         with pytest.raises(ValueError):
             SpinSystem(2, 0)
 
-    def test_dimension_guard(self):
-        sys = SpinSystem(10, 3, dim_guard=20000)  # 4^10 >> 20000
-        with pytest.raises(DimensionGuardError):
-            build_field_hamiltonian(sys, None)
+    def test_dimension_guard(self, monkeypatch):
+        # d = 4^4: the Ising Hamiltonian's 2.5 d x d complex arrays (2.6 MB)
+        # do not fit a 1 MiB host
+        monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 2**20)
+        with pytest.raises(DimensionGuardError, match="Hilbert dimension 256"):
+            build_field_hamiltonian(SpinSystem(4, 3), None)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -9,6 +9,7 @@ verify suite with (2s+1)^N <= 4096 and the benchmark ladder rungs.
 
 import itertools
 import math
+import re
 import tracemalloc
 from functools import reduce
 
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from spinmanifold import analytic, evolution, verify
+from spinmanifold import analytic, spin_ops, verify
 from spinmanifold.evolution import (
     CoordinatePoint,
     _generator_spectrum,
@@ -36,7 +37,9 @@ from spinmanifold.spin_ops import (
     apply_total_spin,
     build_field_hamiltonian,
     build_spin_operators,
+    field_hamiltonians,
     field_vectors,
+    ising_pair_sums,
     occupation_basis,
     product_to_occupation,
     total_spin_operator,
@@ -197,37 +200,94 @@ def test_only_a_field_off_the_z_axis_takes_eigh(monkeypatch):
 
 
 def test_off_axis_generator_is_refused_past_the_host_memory(monkeypatch):
-    # a 20 kB host: building the (D = 15, 2s = 2) generator takes about
-    # (4 + 2s) x 16 x 15^2 bytes, which do not fit, and the refusal comes
-    # before anything is allocated
+    # a 250 kB host: building the (D = 15, 2s = 2) generator is counted as
+    # (4 + 2s) x 16 x 15^2 bytes plus 256 KiB of buffers, which do not fit,
+    # and the refusal comes before anything is allocated
     sys = SpinSystem(4, 2)
-    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 20_000)
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 250_000)
     with pytest.raises(DimensionGuardError, match="occupation-basis dimension 15"):
         state_at(sys, CoordinatePoint(1.1, 0.4, 0.9), FIELD_CASES["field_a"])
     # chi = 0 and a diagonal generator build no dense G
     state_at(sys, CoordinatePoint(1.1, 0.4), FIELD_CASES["field_a"])
     state_at(sys, CoordinatePoint(1.1, 0.4, 0.9), FIELD_CASES["along_z"])
-    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 22_000)
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 300_000)
     state_at(sys, CoordinatePoint(1.1, 0.4, 0.9), FIELD_CASES["field_a"])
 
 
-@pytest.mark.parametrize("n,two_s", [(200, 1), (12, 3)])
-def test_off_axis_generator_estimate_covers_its_traced_peak(monkeypatch, n, two_s):
-    # D = 201 and 455: a host just smaller than the build's traced peak is refused
-    basis = occupation_basis(SpinSystem(n, two_s))
+def traced_peak(call):
+    """The tracemalloc peak of ``call()``, in bytes."""
     tracemalloc.start()
     try:
-        _generator_spectrum(basis, field_vectors([FIELD_CASES["field_a"]]))
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def refused(call, match=None):
+    """The estimated bytes in the DimensionGuardError that ``call()`` raises,
+    and the call's tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError, match=match) as info:
+            call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: peak - 1)
-    with pytest.raises(DimensionGuardError):
-        _generator_spectrum(basis, field_vectors([FIELD_CASES["field_a"]]))
+    estimate = re.search(r"an estimated ([\d,]+) bytes", str(info.value)).group(1)
+    return int(estimate.replace(",", "")), peak
 
 
 #: three directions off the z axis, for the stacked dense build
 OFF_AXIS_STACK = [FIELD_CASES["field_a"], FIELD_CASES["field_b"], FieldConfig(0.4, Direction(1.2, 0.3))]
+
+#: guarded build -> (its call on a system, the bytes of one of its unit arrays)
+GUARDED_BUILDS = {
+    "total_spin_operator": (lambda sys: total_spin_operator(sys, "x"), lambda sys: 16 * sys.dim**2),
+    "field_hamiltonians": (
+        lambda sys: [h.matrix[0, 0] for h in field_hamiltonians(sys, [OFF_AXIS_STACK[0], None])],
+        lambda sys: 16 * sys.dim**2,
+    ),
+    "ising_pair_sums": (ising_pair_sums, lambda sys: 8 * sys.dim * sys.n_sites),
+    "product_to_occupation": (product_to_occupation, lambda sys: 8 * sys.dim * sys.n_sites),
+    "_occupation_basis": (
+        lambda sys: spin_ops._occupation_basis.__wrapped__(sys.n_sites, sys.two_s),
+        lambda sys: 8 * sys.occupation_dim * sys.site_dim,
+    ),
+    "_generator_spectrum": (
+        lambda sys: _generator_spectrum(occupation_basis(sys), field_vectors(OFF_AXIS_STACK[:1])),
+        lambda sys: 16 * sys.occupation_dim**2,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build,n,two_s",
+    [
+        (build, n, two_s)
+        for build, sizes in [
+            ("total_spin_operator", [(6, 1), (4, 3)]),
+            ("field_hamiltonians", [(6, 1), (5, 2)]),
+            ("ising_pair_sums", [(10, 1), (6, 3)]),
+            ("product_to_occupation", [(10, 1), (6, 3)]),
+            ("_occupation_basis", [(2000, 1), (20, 4)]),
+            ("_generator_spectrum", [(200, 1), (12, 3)]),
+        ]
+        for n, two_s in sizes
+    ],
+)
+def test_guarded_build_estimate_covers_its_traced_peak(monkeypatch, build, n, two_s):
+    # a host just smaller than the build's traced peak refuses it, with an
+    # estimate between that peak and twice it, before it has allocated one
+    # unit array
+    call, unit = GUARDED_BUILDS[build]
+    sys = SpinSystem(n, two_s)
+    call(sys)  # the occupation basis, which some builds read, is cached
+    peak = traced_peak(lambda: call(sys))
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: peak - 1)
+    estimate, refused_peak = refused(lambda: call(sys))
+    assert peak <= estimate <= 2 * peak
+    assert refused_peak < unit(sys)
 
 
 def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
@@ -236,36 +296,34 @@ def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
     # field and refuses the stack of three, before any D x D array exists
     sys = SpinSystem(200, 1)
     square = 16 * sys.occupation_dim**2
-    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: 8 * square)
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 8 * square)
     grid = ([1.1], [0.4], [0.9])
     family_grids(sys, *grid, OFF_AXIS_STACK[:1])
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionGuardError, match="3 off-axis field"):
-            family_grids(sys, *grid, OFF_AXIS_STACK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < square
+    assert refused(lambda: family_grids(sys, *grid, OFF_AXIS_STACK), "3 off-axis field")[1] < square
     # the same stack at chi = 0 builds no dense generator
     family_grids(sys, grid[0], grid[1], [0.0], OFF_AXIS_STACK)
 
 
-@pytest.mark.parametrize("n,two_s", [(200, 1), (6, 4)])
-def test_off_axis_stack_estimate_covers_its_traced_peak(monkeypatch, n, two_s):
-    # D = 201 and 210, three fields: the traced peak of the stacked build
-    # and eigh stays within the guard's estimate
+#: verify's field directions off the z axis: 48 of its 64
+VERIFY_OFF_AXIS = [FieldConfig(1.0, d) for d in verify._direction_grid() if 0.0 < d.polar < math.pi]
+
+
+@pytest.mark.parametrize(
+    "n,two_s,fields",
+    [
+        pytest.param(200, 1, OFF_AXIS_STACK, id="200-1"),
+        pytest.param(6, 4, OFF_AXIS_STACK, id="6-4"),
+        pytest.param(4, 2, VERIFY_OFF_AXIS, id="4-2-verify"),
+    ],
+)
+def test_off_axis_stack_estimate_covers_its_traced_peak(monkeypatch, n, two_s, fields):
+    # D = 201 and 210 with three fields, and verify's D = 15 with 48: the
+    # traced peak of the stacked build and eigh stays within the estimate
     basis = occupation_basis(SpinSystem(n, two_s))
-    b = field_vectors(OFF_AXIS_STACK)
-    tracemalloc.start()
-    try:
-        _generator_spectrum(basis, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(evolution, "_physical_memory_bytes", lambda: peak - 1)
-    with pytest.raises(DimensionGuardError, match="3 off-axis field"):
-        _generator_spectrum(basis, b)
+    b = field_vectors(fields)
+    peak = traced_peak(lambda: _generator_spectrum(basis, b))
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: peak - 1)
+    assert refused(lambda: _generator_spectrum(basis, b), f"{len(fields)} off-axis field")[0] >= peak
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
@@ -305,19 +363,31 @@ def test_field_evolution_of_initial_state_matches_state_at():
     assert np.abs(evolved - direct).max() < 1e-12
 
 
-def test_metric_guard_counts_occupation_dimension():
-    # d = 2^12 exceeds the guard, D = 13 does not: the oracle needs only D
-    small_guard = SpinSystem(12, 1, dim_guard=20)
+def test_metric_guard_counts_occupation_dimension(monkeypatch):
+    # a 100 kB host: the d = 2^12 product gather (~1.2 MB) does not fit, the
+    # D = 13 tables (~23 kB) do: the oracle needs only D
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 100_000)
+    sys = SpinSystem(12, 1)
     point = CoordinatePoint(0.9, 0.2, 0.4)
-    metric_numeric(small_guard, point)
-    assert state_at(small_guard, point).amplitudes.shape == (13,)
-    tang = tangent_states(small_guard, point)
+    metric_numeric(sys, point)
+    assert state_at(sys, point).amplitudes.shape == (13,)
+    tang = tangent_states(sys, point)
     assert all(vec.shape == (13,) for vec in (tang.d_theta, tang.d_phi, tang.d_chi))
     # gathering into the product basis is a d-dimensional construction
     with pytest.raises(DimensionGuardError, match="Hilbert dimension 4096"):
-        product_to_occupation(small_guard)
+        product_to_occupation(sys)
+    # D = 496 tables (~0.35 MB) do not fit
     with pytest.raises(DimensionGuardError, match="occupation-basis dimension 496"):
-        metric_numeric(SpinSystem(30, 2, dim_guard=100), CoordinatePoint(0.9))
+        metric_numeric(SpinSystem(30, 2), CoordinatePoint(0.9))
+
+
+def test_metric_at_thirty_thousand_spins():
+    # N = 30000, s = 1/2: D = 30001 rows, whose tables take ~16 MB
+    sys = SpinSystem(30000, 1)
+    for theta in (0.01, 1.1):
+        g = metric_numeric(sys, CoordinatePoint(theta, 0.3)).components
+        closed = analytic.metric_closed_form(sys, theta).components
+        assert np.abs(g - closed).max() <= 1e-10 * np.abs(closed).max(), theta
 
 
 class TestThermodynamicLimit:
