@@ -271,15 +271,24 @@ GUARDED_BUILDS = {
             ("ising_pair_sums", [(10, 1), (6, 3)]),
             ("product_to_occupation", [(10, 1), (6, 3)]),
             ("_occupation_basis", [(2000, 1), (20, 4)]),
-            ("_generator_spectrum", [(200, 1), (12, 3)]),
         ]
         for n, two_s in sizes
     ],
 )
 def test_guarded_build_estimate_covers_its_traced_peak(monkeypatch, build, n, two_s):
-    # a host just smaller than the build's traced peak refuses it, with an
-    # estimate between that peak and twice it, before it has allocated one
-    # unit array
+    assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s)
+
+
+@pytest.mark.parametrize("n,two_s", [(200, 1), (12, 3)])
+def test_off_axis_generator_estimate_covers_its_traced_peak(monkeypatch, n, two_s):
+    # D = 201 and 455, one field off the z axis
+    assert_estimate_covers_traced_peak(monkeypatch, "_generator_spectrum", n, two_s)
+
+
+def assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s):
+    """A host just smaller than the build's traced peak refuses it, with an
+    estimate between that peak and twice it, before it has allocated one
+    unit array."""
     call, unit = GUARDED_BUILDS[build]
     sys = SpinSystem(n, two_s)
     call(sys)  # the occupation basis, which some builds read, is cached
