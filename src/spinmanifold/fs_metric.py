@@ -7,9 +7,10 @@ tangent vectors in the occupation basis of the symmetric subspace
 checks the metrics of a whole
 :func:`~spinmanifold.evolution.family_grid` at once, with the same
 helpers as the single-point :func:`metric_numeric`.
-:func:`energy_uncertainties` takes a stack of states and a dense
-Hamiltonian in the same basis (verify gathers product-basis states for
-the product-space Hamiltonian), as a cross-check of the metric.
+:func:`covariances_from_applied` gives the covariances of K operators in a
+stack of states, and :func:`energy_uncertainties` is its K = 1 case for a
+dense Hamiltonian; verify's cross-check of the metric reads every field's
+energy uncertainty from one such covariance, not from the metric assembly.
 """
 
 from __future__ import annotations
@@ -119,30 +120,38 @@ def speed_from_g_chi_chi(coupling_j: float, g_chi_chi):
 
 
 def energy_uncertainties(ham: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """sqrt(<H^2> - <H>^2) of every normalized state in a (..., d) stack, for a dense H.
+    """sqrt(<H^2> - <H>^2) of every normalized state in a (..., d) stack, for a dense H."""
+    cov = covariances_from_applied(amplitudes, (amplitudes @ ham.T)[..., None, :])
+    return uncertainties_from_covariances(cov, np.ones(1))
 
-    See :func:`uncertainties_from_applied`, which this calls with H psi.
+
+def _real_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_k|b_l> of (..., K, d) and (..., L, d) stacks, without a conjugate copy."""
+    real = np.einsum("...kd,...ld->...kl", a.real, b.real)
+    return real + np.einsum("...kd,...ld->...kl", a.imag, b.imag)
+
+
+def covariances_from_applied(amplitudes: np.ndarray, applied: np.ndarray) -> np.ndarray:
+    """Cov(A_k, A_l) = Re <A_k psi|A_l psi> - <A_k><A_l>, (..., K, K), of every normalized
+    psi in a (..., d) stack, from the A_k psi of K Hermitian operators, (..., K, d).
+
+    Var(Sum_k w_k A_k) = w^T C w for real w (Provost & Vallee, Commun. Math.
+    Phys. 76, 289 (1980)); see :func:`uncertainties_from_covariances`.
     """
-    return uncertainties_from_applied(amplitudes, amplitudes @ ham.T)
+    psi = amplitudes[..., None, :]
+    # the Gram matrix of the (A_k - <A_k>) psi avoids the <A_k A_l> - <A_k><A_l> cancellation
+    shifted = applied - _real_dots(applied, psi) * psi
+    return _real_dots(shifted, shifted)
 
 
-def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a|b> over the last axis, without a conjugate copy of ``a``."""
-    real = np.einsum("...d,...d->...", a.real, b.real)
-    return real + np.einsum("...d,...d->...", a.imag, b.imag)
+def uncertainties_from_covariances(cov: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sqrt(w^T C w) for covariances C (..., K, K) and real weights w (..., K) that
+    broadcast against them.
 
-
-def uncertainties_from_applied(amplitudes: np.ndarray, applied: np.ndarray) -> np.ndarray:
-    """sqrt(<H^2> - <H>^2) of every normalized state psi in a (..., d) stack, from
-    psi and H psi (``applied``, the same shape).
-
-    Tiny negative variances (round-off on eigenstates) are clamped to
-    zero; anything below -1e-12 is an internal error.
+    Tiny negative variances (round-off on eigenstates, or in w^T C w) are
+    clamped to zero; anything below -1e-12 is an internal error.
     """
-    mean = _real_dot(amplitudes, applied)
-    # ||(H - <H>) psi||^2 avoids the <H^2> - <H>^2 cancellation
-    shifted = applied - mean[..., None] * amplitudes
-    var = _real_dot(shifted, shifted)
+    var = np.einsum("...k,...kl,...l->...", weights, cov, weights)
     if (var < -1e-12).any():
         raise ArithmeticError(f"variance {var.min():.3e} is negative beyond round-off")
     return np.sqrt(np.maximum(var, 0.0))

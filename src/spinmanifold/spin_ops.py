@@ -1,8 +1,9 @@
 """Spin-s operators, Hamiltonians and the symmetric-subspace
 (occupation-number) basis.
 
-Product basis, used only by the dense cross-check operators
-(:func:`total_spin_operator`, :func:`field_hamiltonians`) and by
+Product basis, used only by the dense cross-check operators (verify's
+speed check applies :func:`total_spin_operator` and :func:`ising_pair_sums`;
+no runtime path builds :func:`build_field_hamiltonian`) and by
 :func:`product_to_occupation`: lexicographic with site 1 slowest,
 per-site magnetic quantum number m descending from s to -s.  With that
 ordering every S^z is diagonal and the all-to-all zz coupling is a
@@ -28,7 +29,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,8 +201,8 @@ def build_spin_operators(two_s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
     """Sum_j S_j^kind on the full product space, built on demand (no cache).
 
-    The metric oracle never uses it: it feeds the dense Hamiltonian of the
-    energy-uncertainty check and is the product-space cross-check of
+    The metric oracle never uses it: verify's energy-uncertainty check
+    applies it, and it is the product-space cross-check of
     :func:`apply_total_spin`.  Each site's term changes only that
     site's digit of the basis index, so it is written in place.
     """
@@ -222,12 +223,15 @@ def total_spin_operator(sys: SpinSystem, kind: str) -> ManyBodyOperator:
 
 def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
     """Diagonal of Sum_{i<j} S_i^z S_j^z in the product basis: Sum_{i<j} m_i m_j
-    per basis state, from the (d, N) table of m labels."""
-    d, n = sys.dim, sys.n_sites  # the meshgrid, the table and its square: 3 (d, N) arrays
-    _check_bytes(24 * d * n + 32 * d + 16384, "the zz diagonal", "Hilbert", d)
-    grids = np.meshgrid(*([sys.s - np.arange(sys.site_dim)] * n), indexing="ij")
-    table = np.stack([g.ravel() for g in grids], axis=1)
-    return (table.sum(axis=1) ** 2 - (table**2).sum(axis=1)) / 2.0
+    = ((Sum m)^2 - Sum m^2) / 2 per basis state, both sums grown one site at a time."""
+    d = sys.dim  # at the end the two sums, a square and the result: 4 length-d arrays
+    _check_bytes(40 * d + 8192, "the zz diagonal", "Hilbert", d)
+    m = sys.s - np.arange(sys.site_dim)
+    total, squares = np.zeros(1), np.zeros(1)
+    for _ in range(sys.n_sites):  # the site added last is the fastest digit
+        total = np.add.outer(total, m).ravel()
+        squares = np.add.outer(squares, m * m).ravel()
+    return (total**2 - squares) / 2.0
 
 
 def field_vectors(fields: Sequence[Optional[FieldConfig]]) -> np.ndarray:
@@ -263,36 +267,26 @@ def _generator(
     return g
 
 
-def field_hamiltonians(
-    sys: SpinSystem, fields: Sequence[Optional[FieldConfig]]
-) -> Iterator[ManyBodyOperator]:
-    """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n' for each field in turn, h = (h/J) * J.
+def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> ManyBodyOperator:
+    """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n', h = (h/J) * J, dense on the product space.
 
-    Dense on the product space.  The three total spins of
-    :func:`total_spin_operator` are built once, and only when some field
-    is nonzero; the Hamiltonians are yielded one at a time, so only one
-    is held at once.  A field of None gives the Ising Hamiltonian.
+    ``field=None`` (or h/J = 0) gives the Ising Hamiltonian, and only a
+    nonzero field builds the three total spins of :func:`total_spin_operator`.
     """
-    dressed = any(f is not None and f.ratio_h_over_j != 0.0 for f in fields)
-    # halves of a d x d complex array: Ising and H 5, the total spins and a field
-    # term 6 more, the last H 2 more; plus 128 KiB of casting buffers
-    d, halves = sys.dim, 5 if not dressed else 11 if len(fields) == 1 else 13
-    _check_bytes(8 * d**2 * halves + 64 * d + 147456, "the Hamiltonians", "Hilbert", d)
-    total_spin = None
-    if dressed:
+    b = field_vectors([field])
+    # halves of a d x d complex array: the Ising diagonal and H's casts 5; with a
+    # field, the diagonal, the total spins and their sum along b 9; plus 128 KiB
+    d, halves = sys.dim, 9 if b.any() else 5
+    _check_bytes(8 * d**2 * halves + 64 * d + 147456, "the Hamiltonian", "Hilbert", d)
+
+    def spin_along(b):
         total_spin = np.empty((3, d, d), dtype=complex)
         for k, kind in enumerate("xyz"):
             total_spin[k] = total_spin_operator(sys, kind).matrix
-    ising = np.diag(ising_pair_sums(sys))
-    for b in field_vectors(fields)[:, None]:
-        g = _generator(ising, lambda b: np.tensordot(b, total_spin, axes=1), b)[0]
-        g *= 2.0 * sys.coupling_j
-        yield ManyBodyOperator(g)
+        return np.tensordot(b, total_spin, axes=1)
 
-
-def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> ManyBodyOperator:
-    """The one-field case of :func:`field_hamiltonians`; ``field=None`` gives the Ising Hamiltonian."""
-    return next(field_hamiltonians(sys, [field]))
+    g = _generator(np.diag(ising_pair_sums(sys)), spin_along, b)[0]
+    return ManyBodyOperator(2.0 * sys.coupling_j * g)
 
 
 class OccupationBasis(NamedTuple):

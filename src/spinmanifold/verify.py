@@ -1,11 +1,11 @@
 """Oracle-vs-closed-form verification sweeps and the consistency report.
 
-The metric and speed checks share the exact Hilbert-space states of a
-deterministic coordinate grid, built for all fields at once; they compare
-every point against the corresponding reference in one reduction per
-check and record the worst deviation.  A component passes when its absolute
-deviation is below the 1e-12 floor or its relative deviation (denominator
-max(|a|, |b|, 1e-12)) is below the check tolerance.
+The metric check holds the exact metric on a deterministic coordinate grid,
+built for all fields at once, against the closed form, and the speed check
+its g_chichi against every field's energy uncertainty from one covariance;
+each records its worst deviation in one reduction.  A component passes when
+its absolute deviation is below the 1e-12 floor or its relative deviation
+(denominator max(|a|, |b|, 1e-12)) is below the check tolerance.
 """
 
 from __future__ import annotations
@@ -18,21 +18,23 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .evolution import CoordinatePoint, family_grids
+from .evolution import CoordinatePoint, family_grid, family_grids
 from .fs_metric import (
+    covariances_from_applied,
     metric_from_vectors,
     speed_from_g_chi_chi,
     speed_numeric,
-    uncertainties_from_applied,
+    uncertainties_from_covariances,
 )
 from .spin_ops import (
     TWO_PI,
     Direction,
     FieldConfig,
     SpinSystem,
-    field_hamiltonians,
+    field_vectors,
     ising_pair_sums,
     product_to_occupation,
+    total_spin_operator,
 )
 
 ABS_FLOOR = 1e-12
@@ -164,55 +166,49 @@ def _closed_form_grid(sys: SpinSystem, grid: SweepGrid) -> np.ndarray:
 
 
 def _energy_uncertainties(
-    sys: SpinSystem, fields: Sequence[Optional[FieldConfig]], states: np.ndarray
+    sys: SpinSystem, fields: Sequence[Optional[FieldConfig]], theta: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    """The energy uncertainty of every product-basis state of an (n_fields, ..., d)
-    stack under its field's dense product-space Hamiltonian.
+    """Every field's energy uncertainty under its product-space Hamiltonian at each
+    (theta, phi): shape (n_fields, n_theta, n_phi, 1), the same at every chi.
 
-    With no field (or h/J = 0) H is diagonal, 2J Sum_{i<j} S_i^z S_j^z,
-    and the states are multiplied by that diagonal; every other field
-    applies its dense H from :func:`~spinmanifold.spin_ops.field_hamiltonians`,
-    which yields them one at a time.
+    H_f = 2J (Z + b_f . Sum_j S_j) commutes with U(chi), so its variance is
+    that of the chi = 0 state, which no field changes; H_f is linear in b_f
+    (:func:`~spinmanifold.spin_ops.field_vectors`), so Var H_f = 4J^2 v^T C v
+    with v = (1, b_f) and C the covariance of (Z, Sum S^x, Sum S^y, Sum S^z).
+    The three dense total spins are applied only when some field is nonzero.
     """
-    applied = np.empty_like(states)
-    dressed = [f is not None and f.ratio_h_over_j != 0.0 for f in fields]
-    hams = field_hamiltonians(sys, [f for f, d in zip(fields, dressed) if d])
-    diagonal = ising_pair_sums(sys) * (2.0 * sys.coupling_j)
-    for k, d in enumerate(dressed):
-        if d:
-            # the product as energy_uncertainties forms it: matmul(out=) into
-            # this slot gave sums that differ in the last bits
-            applied[k] = states[k] @ next(hams).matrix.T
-        else:
-            np.multiply(states[k], diagonal, out=applied[k])
-    return uncertainties_from_applied(states, applied)
+    rows, weights = product_to_occupation(sys)
+    psi = family_grid(sys, theta, phi, 0.0)[0][..., rows] * weights
+    b = field_vectors(fields)
+    applied = [ising_pair_sums(sys) * psi]
+    if b.any():
+        applied += [psi @ total_spin_operator(sys, kind).matrix.T for kind in "xyz"]
+    v = np.concatenate([np.ones((len(b), 1)), b], axis=1)[:, : len(applied)]
+    cov = covariances_from_applied(psi, np.stack(applied, axis=-2))
+    return uncertainties_from_covariances(cov, 2.0 * sys.coupling_j * v[:, None, None, None])
 
 
 def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> List[CheckResult]:
     """Both oracle identities at every grid point, in one pass over all fields.
 
     ``metric_equivalence``: the numeric metric against the closed form.
-    ``speed_uncertainty``: |J| sqrt(g_chichi) against gamma * (energy
-    uncertainty of the generator), the uncertainty taken with the dense
-    product-space Hamiltonian on the product-basis states
-    (:func:`~spinmanifold.spin_ops.field_hamiltonians` builds the three
-    dense total spins once per system).  Speeds are compared squared: at
-    stationary points both sides are the square root of ~eps round-off,
-    so the raw values carry O(sqrt(eps)) noise that is not a real
-    deviation.  Squared agreement within tol implies the speeds
-    themselves agree to better than tol where nonzero.
+    ``speed_uncertainty``: |J| sqrt(g_chichi) at every chi against gamma *
+    (the energy uncertainty of :func:`_energy_uncertainties`, at chi = 0
+    with no Hamiltonian built), so U(chi) shows here only through the
+    metric.  Speeds are compared squared: at stationary points both sides
+    are the square root of ~eps round-off, so the raw values carry
+    O(sqrt(eps)) noise that is not a real deviation.  Squared agreement
+    within tol implies the speeds themselves agree to better than tol
+    where nonzero.
 
     One :func:`~spinmanifold.evolution.family_grids` call builds the
     states and tangents of every field; their metrics are then assembled
-    and validated once, the closed form is evaluated once, the energy
-    uncertainties of the whole stack take one mean and one variance
-    reduction, and each row is one :meth:`_Deviation.add_arrays`
-    reduction.
+    and validated once, the closed form is evaluated once, and each row
+    is one :meth:`_Deviation.add_arrays` reduction.
     """
     fields = grid.fields or [None]
-    rows, weights = product_to_occupation(sys)
     psi, tangents = family_grids(sys, grid.theta, grid.phi, grid.chi, fields)
-    de = _energy_uncertainties(sys, fields, np.take(psi, rows, axis=-1) * weights)
+    de = _energy_uncertainties(sys, fields, grid.theta, grid.phi)
     g = metric_from_vectors(sys.gamma, psi, tangents)
     metric, speed = _Deviation(), _Deviation()
     metric.add_arrays(g, _closed_form_grid(sys, grid))

@@ -13,7 +13,6 @@ from spinmanifold.spin_ops import (
     SpinSystem,
     build_field_hamiltonian,
     build_spin_operators,
-    field_hamiltonians,
     ising_pair_sums,
     total_spin_operator,
 )
@@ -218,23 +217,15 @@ class TestFieldHamiltonian:
         mat = build_field_hamiltonian(sys, fld).matrix
         assert np.abs(mat - mat.conj().T).max() < 1e-12
 
-    def test_many_fields_build_the_total_spins_once(self, monkeypatch):
+    def test_zero_fields_build_no_total_spin(self, monkeypatch):
+        def refused(sys, kind):
+            raise AssertionError("a zero field needs no total spin")
+
+        monkeypatch.setattr(spin_ops, "total_spin_operator", refused)
         sys = SpinSystem(3, 2, coupling_j=-0.8)
-        fields = [None, FieldConfig(1.7, Direction(1.1, 2.3)), FieldConfig(-0.4, Direction(0.0))]
-        expected = [build_field_hamiltonian(sys, f).matrix for f in fields]
-        kinds = []
-
-        def counted(sys, kind):
-            kinds.append(kind)
-            return total_spin_operator(sys, kind)
-
-        monkeypatch.setattr(spin_ops, "total_spin_operator", counted)
-        got = [h.matrix for h in field_hamiltonians(sys, fields)]
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected)) and len(got) == 3
-        assert sorted(kinds) == ["x", "y", "z"]
-        kinds.clear()
-        list(field_hamiltonians(sys, [None, FieldConfig(0.0, Direction(1.0))]))
-        assert kinds == []
+        for fld in (None, FieldConfig(0.0, Direction(1.0))):
+            mat = build_field_hamiltonian(sys, fld).matrix
+            assert np.array_equal(mat, np.diag(2.0 * sys.coupling_j * ising_pair_sums(sys)))
 
 
 class TestDirectionAndFieldConfig:

@@ -37,7 +37,6 @@ from spinmanifold.spin_ops import (
     apply_total_spin,
     build_field_hamiltonian,
     build_spin_operators,
-    field_hamiltonians,
     field_vectors,
     ising_pair_sums,
     occupation_basis,
@@ -244,8 +243,8 @@ OFF_AXIS_STACK = [FIELD_CASES["field_a"], FIELD_CASES["field_b"], FieldConfig(0.
 #: guarded build -> (its call on a system, the bytes of one of its unit arrays)
 GUARDED_BUILDS = {
     "total_spin_operator": (lambda sys: total_spin_operator(sys, "x"), lambda sys: 16 * sys.dim**2),
-    "field_hamiltonians": (
-        lambda sys: [h.matrix[0, 0] for h in field_hamiltonians(sys, [OFF_AXIS_STACK[0], None])],
+    "build_field_hamiltonian": (
+        lambda sys: build_field_hamiltonian(sys, OFF_AXIS_STACK[0]),
         lambda sys: 16 * sys.dim**2,
     ),
     "ising_pair_sums": (ising_pair_sums, lambda sys: 8 * sys.dim * sys.n_sites),
@@ -267,7 +266,7 @@ GUARDED_BUILDS = {
         (build, n, two_s)
         for build, sizes in [
             ("total_spin_operator", [(6, 1), (4, 3)]),
-            ("field_hamiltonians", [(6, 1), (5, 2)]),
+            ("build_field_hamiltonian", [(6, 1), (5, 2)]),
             ("ising_pair_sums", [(10, 1), (6, 3)]),
             ("product_to_occupation", [(10, 1), (6, 3)]),
             ("_occupation_basis", [(2000, 1), (20, 4)]),

@@ -6,7 +6,7 @@ import pytest
 
 from spinmanifold import analytic, evolution, fs_metric, spin_ops, verify
 from spinmanifold.analytic import ManifoldSpec
-from spinmanifold.spin_ops import FieldConfig, SpinSystem
+from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem
 from spinmanifold.verify import (
     ABS_FLOOR,
     CheckResult,
@@ -81,9 +81,11 @@ class TestFullSuite:
         report = run_full_suite()
         assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
         assert report.overall
-        # one block per grid: 5 zero-field grids plus one stacked block for
-        # all 64 field directions; section7 adds its 7 single-point speeds
-        assert len(calls) == 5 + 1 + 7
+        # two blocks per oracle check, 5 zero-field grids and one stacked
+        # grid for all 64 field directions: the grid itself and its chi = 0
+        # states for the energy uncertainties; section7 adds its 7
+        # single-point speeds
+        assert len(calls) == 2 * (5 + 1) + 7
 
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
         validated, spins = [], []
@@ -100,9 +102,14 @@ class TestFullSuite:
         def no_eigvalsh(*args, **kwargs):
             raise AssertionError("metric validation takes one Cholesky per stack, no eigenvalues")
 
+        def no_hamiltonian(*args, **kwargs):
+            raise AssertionError("the energy uncertainties need no dense Hamiltonian")
+
         for module in (fs_metric, analytic):
             monkeypatch.setattr(module, "_validated_metrics", counted_check)
-        monkeypatch.setattr(spin_ops, "total_spin_operator", counted_spin)
+        for module in (spin_ops, verify):
+            monkeypatch.setattr(module, "total_spin_operator", counted_spin)
+        monkeypatch.setattr(spin_ops, "build_field_hamiltonian", no_hamiltonian)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
         assert run_full_suite().overall
         # 6 oracle checks (5 zero-field systems, one field system over 64
@@ -297,16 +304,27 @@ def _dressed_grid():
     )
 
 
+def looped_uncertainties(sys, grid, fields):
+    """Every field's energy uncertainty on ``grid`` from its dense product-space
+    Hamiltonian, applied field by field to the states propagated to every chi."""
+    rows, weights = spin_ops.product_to_occupation(sys)
+    de = []
+    for fld in fields:
+        psi, _ = evolution.family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
+        ham = spin_ops.build_field_hamiltonian(sys, fld).matrix
+        de.append(fs_metric.energy_uncertainties(ham, psi[..., rows] * weights))
+    return np.array(de)
+
+
 @pytest.mark.parametrize(
     "sys,grid",
     [(SpinSystem(4, 2), _dressed_grid()), (SpinSystem(3, 3), SweepGrid.default(SpinSystem(3, 3)))],
     ids=["N4_2s2_field", "N3_2s3"],
 )
 def test_batched_checks_equal_the_per_field_loop(sys, grid):
-    metric, speed = _Deviation(), _Deviation()
-    rows, weights = spin_ops.product_to_occupation(sys)
+    metric = _Deviation()
     fields = grid.fields or [None]
-    for fld, ham in zip(fields, spin_ops.field_hamiltonians(sys, fields)):
+    for fld in fields:
         psi, tangents = evolution.family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
         g = fs_metric.metric_from_vectors(sys.gamma, psi, tangents)
         if fld is None:
@@ -318,11 +336,36 @@ def test_batched_checks_equal_the_per_field_loop(sys, grid):
             )[:, :, None]
         for x, y in zip(g.ravel(), np.broadcast_to(ref, g.shape).ravel()):
             metric.add(float(x), float(y))
-        v = fs_metric.speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
-        de = fs_metric.energy_uncertainties(ham.matrix, psi[..., rows] * weights)
-        for x, y in zip((v * v).ravel(), ((sys.gamma * de) ** 2).ravel()):
-            speed.add(float(x), float(y))
     got_metric, got_speed = run_oracle_checks(sys, grid)
     assert (got_metric.max_abs, got_metric.max_rel) == (metric.max_abs, metric.max_rel)
-    assert (got_speed.max_abs, got_speed.max_rel) == (speed.max_abs, speed.max_rel)
-    assert got_metric.max_abs > 0.0 and got_speed.max_abs > 0.0
+    assert got_metric.max_abs > 0.0
+    # the batched uncertainties come from one covariance at chi = 0, so they
+    # agree with the loop's to round-off, not bit for bit
+    looped = looped_uncertainties(sys, grid, fields)
+    batched = verify._energy_uncertainties(sys, fields, grid.theta, grid.phi)
+    assert np.abs(batched - looped).max() <= 1e-13
+    assert got_speed.passed and got_speed.max_abs > 0.0
+
+
+#: fields past verify's h/J = 1: none, a zero ratio, off axis, along -z, strong and off axis
+FIELD_LIST = {
+    "none": None,
+    "zero_ratio": FieldConfig(0.0, Direction(0.7, 2.1)),
+    "off_axis": FieldConfig(-0.4, Direction(1.2, 0.3)),
+    "along_minus_z": FieldConfig(1.7, Direction(math.pi, 0.4)),
+    "strong_off_axis": FieldConfig(3.0, Direction(2.3, 5.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [[f] for f in FIELD_LIST.values()] + [list(FIELD_LIST.values())],
+    ids=list(FIELD_LIST) + ["all"],
+)
+def test_energy_uncertainties_equal_the_per_field_loop(fields):
+    sys = SpinSystem(4, 2, coupling_j=-1.3)
+    grid = SweepGrid.default(sys, n_theta=5, n_phi=3, n_chi=3)
+    looped = looped_uncertainties(sys, grid, fields)
+    batched = verify._energy_uncertainties(sys, fields, grid.theta, grid.phi)
+    assert batched.shape == looped.shape[:3] + (1,)
+    assert np.abs(batched - looped).max() <= 1e-13
