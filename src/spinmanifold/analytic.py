@@ -234,9 +234,9 @@ def curvature_numeric_from_profile(g_thth: float, g_chichi: Callable, theta):
 def chi_max_for(two_s: int, field: Optional[FieldConfig] = None) -> float:
     """Evolution period: 2*pi (half-integer s) or pi (integer s).
 
-    A field along z with declared rational ratio p/q stretches the period
-    by q.  An undeclared (irrational) nonzero ratio leaves chi unbounded,
-    and a generic field direction has no known period; both are rejected.
+    A field along z with declared rational ratio p/q makes it 2*pi*q, or pi*q for
+    integer s and even p.  An undeclared (irrational) nonzero ratio leaves chi
+    unbounded, and a generic field direction has no known period; both are rejected.
     """
     base = TWO_PI if two_s % 2 == 1 else math.pi
     if field is None or field.ratio_h_over_j == 0.0:
@@ -245,7 +245,8 @@ def chi_max_for(two_s: int, field: Optional[FieldConfig] = None) -> float:
         raise ValueError("chi period is only defined for a field along z")
     if field.rational_ratio is None:
         raise ValueError("irrational h/J along z leaves the manifold unbounded in chi")
-    return base * field.rational_ratio[1]
+    p, q = field.rational_ratio
+    return (base if p % 2 == 0 else TWO_PI) * q
 
 
 @dataclass(frozen=True)

@@ -126,11 +126,10 @@ def _generator_spectrum(basis: OccupationBasis, b: np.ndarray):
     if not np.count_nonzero(b[:, :2]):
         # every G_f is diagonal, so G_f applied to the all-ones vector is its diagonal
         return apply_generator(basis, b, np.ones(dim)).real, None
-    # building and diagonalizing the stack peaks at about 2s D x D complex
-    # arrays for the ladder-table gather on the identity, which every field
-    # shares, plus 2.5 for one field and 2 per field for many: count 2s + 1 + 3F,
-    # and 256 KiB of einsum buffers and eigh work (up to 239 kB, D = 3 to 1001)
-    needed = 16 * dim**2 * (basis.occupations.shape[1] + 3 * len(b)) + 2**18
+    # the (D, D, W) ladder gather on the identity, shared by every field, peaks at about
+    # W/2 + 2 D x D complex arrays, and eigh at 3F + 1 for F fields: count W/2 + 1 + 3F,
+    # and 256 KiB of einsum buffers and eigh work (239 kB at D <= 1001)
+    needed = 8 * dim**2 * (basis.ladder_rows.shape[1] + 2 + 6 * len(b)) + 2**18
     _check_bytes(needed, f"the generators of {len(b)} off-axis field(s)", "occupation-basis", dim)
     # row o of G_f^T is G_f applied to basis vector o
     g = apply_generator(basis, b, np.eye(dim)).swapaxes(-1, -2)

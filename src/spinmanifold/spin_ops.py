@@ -3,7 +3,8 @@
 
 Product basis, used only by the dense cross-check operators (verify's
 speed check applies :func:`total_spin_operator` and :func:`ising_pair_sums`;
-no runtime path builds :func:`build_field_hamiltonian`) and by
+no runtime path builds :func:`build_field_hamiltonian`, the dense reference
+for the oracle's only generator :func:`apply_generator`) and by
 :func:`product_to_occupation`: lexicographic with site 1 slowest,
 per-site magnetic quantum number m descending from s to -s.  With that
 ordering every S^z is diagonal and the all-to-all zz coupling is a
@@ -23,13 +24,12 @@ fitted to tracemalloc peaks at several sizes, before it allocates, and raises
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,111 +244,112 @@ def field_vectors(fields: Sequence[Optional[FieldConfig]]) -> np.ndarray:
     return b
 
 
-def _generator(
-    zz_term: np.ndarray,
-    spin_along: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-) -> np.ndarray:
-    """G_f = Sum_{i<j} S_i^z S_j^z + b_f . Sum_j S_j for each row b_f of an (F, 3)
-    array ``b`` (see :func:`field_vectors`), stacked on a new leading axis; H = 2J G.
-
-    Built as dense matrices or as G applied to vectors, whichever the
-    arguments are: ``zz_term`` is the zz term (its diagonal as a matrix,
-    or that diagonal times the vectors), and ``spin_along(b)`` is
-    b_f . Sum_j S_j in the same form for every row of ``b``, stacked.  A
-    zero row of ``b`` gives the zz term itself.
-    """
-    on = [any(row) for row in b.tolist()]
-    if not any(on):
-        return zz_term.astype(complex, copy=False)[None].repeat(len(b), axis=0)
-    g = np.add(zz_term, spin_along(b), dtype=complex)
-    if not all(on):
-        g[np.logical_not(on)] = zz_term
-    return g
-
-
 def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> ManyBodyOperator:
     """H = 2J Sum_{i<j} S_i^z S_j^z + h Sum_j S_j . n', h = (h/J) * J, dense on the product space.
 
-    ``field=None`` (or h/J = 0) gives the Ising Hamiltonian, and only a
-    nonzero field builds the three total spins of :func:`total_spin_operator`.
-    """
-    b = field_vectors([field])
-    # halves of a d x d complex array: the Ising diagonal and H's casts 5; with a
-    # field, the diagonal, the total spins and their sum along b 9; plus 128 KiB
-    d, halves = sys.dim, 9 if b.any() else 5
-    _check_bytes(8 * d**2 * halves + 64 * d + 147456, "the Hamiltonian", "Hilbert", d)
-
-    def spin_along(b):
-        total_spin = np.empty((3, d, d), dtype=complex)
-        for k, kind in enumerate("xyz"):
-            total_spin[k] = total_spin_operator(sys, kind).matrix
-        return np.tensordot(b, total_spin, axes=1)
-
-    g = _generator(np.diag(ising_pair_sums(sys)), spin_along, b)[0]
-    return ManyBodyOperator(2.0 * sys.coupling_j * g)
+    ``field=None`` (or h/J = 0) gives the Ising Hamiltonian; only a nonzero
+    field builds total spins, one at a time.  It shares no code with
+    :func:`apply_generator`."""
+    b, d = field_vectors([field])[0], sys.dim
+    units = 3 if b.any() else 1  # H, and with a field one total spin and b_k times it
+    _check_bytes(16 * d**2 * units + 64 * d + 16384, "the Hamiltonian", "Hilbert", d)
+    g = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(g, ising_pair_sums(sys))
+    for b_k, kind in zip(b, "xyz"):
+        if b_k:
+            g += b_k * total_spin_operator(sys, kind).matrix
+    g *= 2.0 * sys.coupling_j
+    return ManyBodyOperator(g)
 
 
 class OccupationBasis(NamedTuple):
     """Tables of the occupation basis of one (N, 2s); row o is the state |n_o>.
 
-    Rows run over every n with sum n = N, first (N, 0, ..., 0): all sites
-    at m = s.  |n> is the normalized sum of the M(n) = N! / prod_k n_k!
-    product states with that occupation.
+    Rows run over every n with sum n = N in descending lexicographic order,
+    first (N, 0, ..., 0): all sites at m = s; row o is the stars-and-bars
+    rank of n (:func:`_occupation_rows`).  |n> is the normalized sum of the
+    M(n) = N! / prod_k n_k! product states with that occupation.
 
-    The ladder table holds Sum_j S_j^x and Sum_j S_j^y: column k of
-    ``ladder_rows`` is the row that Sum S^+ brings into row o by moving a
-    site from level k + 1 up to k, with amplitude sqrt(s(s+1) - m_k(m_k - 1))
-    sqrt(n_k (n_{k+1} + 1)) at o's n; column 2s + k is the row that Sum S^-
-    brings into o.  A move out of the basis points at o with coefficient 0.
+    The ladder table holds Sum_j S_j^x and Sum_j S_j^y: row o lists the rows
+    that Sum S^+ brings into o by moving a site from level k + 1 up to k,
+    with amplitude sqrt(s(s+1) - m_k(m_k - 1)) sqrt(n_k (n_{k+1} + 1)) at o's
+    n, in level order, then those of Sum S^-, its transpose, and points at o
+    with coefficient 0 in its spare entries.  W, the most moves of any row,
+    is at most 2 min(N, 2s).
     """
 
     occupations: np.ndarray  # (D, 2s+1) integer n
     log_sqrt_multinomial: np.ndarray  # log sqrt(M(n)), from lgamma
     total_z: np.ndarray  # Sum_j S_j^z: (Sum_k m_k n_k)
     ising_pair_sums: np.ndarray  # Sum_{i<j} S_i^z S_j^z: ((m.n)^2 - (m^2).n) / 2
-    index: Dict[Tuple[int, ...], int]  # occupation vector -> row
-    ladder_rows: np.ndarray  # (D, 4s) source rows
-    ladder_coefficients: Dict[str, np.ndarray]  # "x", "y" -> (D, 4s) matrix elements
+    ladder_rows: np.ndarray  # (D, W) source rows
+    ladder_coefficients: Dict[str, np.ndarray]  # "x", "y" -> (D, W) matrix elements
+
+
+def _rank_terms(n_sites: int, two_s: int) -> np.ndarray:
+    """(2s, N + 1) int64 table t[i, c] = C(c - 1 + 2s - i, 2s - i), 0 at c = 0: the
+    term of level i in the rank of an occupation with c sites past level i."""
+    terms = np.empty((two_s, n_sites + 1), dtype=np.int64)
+    terms[-1] = np.arange(n_sites + 1)
+    for i in range(two_s - 2, -1, -1):  # hockey stick: each row is the running sum of the next
+        np.cumsum(terms[i + 1], out=terms[i])
+    return terms
+
+
+def _occupation_rows(occupations: np.ndarray) -> np.ndarray:
+    """The row of each occupation vector of an (R, 2s+1) stack: its stars-and-bars rank
+    Sum_i C(N + 2s - 1 - b_i, 2s - i), with the 2s bars at b_i = i + n_0 + ... + n_i."""
+    n_sites, two_s = int(occupations[0].sum()), occupations.shape[1] - 1
+    past = np.cumsum(occupations[:, :-1], axis=1)
+    np.subtract(n_sites, past, out=past)  # sites past each level
+    return _rank_terms(n_sites, two_s)[np.arange(two_s), past].sum(axis=1)
 
 
 @lru_cache(maxsize=64)
 def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
-    dim = math.comb(n_sites + two_s, two_s)  # per row: the tables and the index's key
-    _check_bytes(112 * dim * (two_s + 4) + 16384, "the tables", "occupation-basis", dim)
-    # stars and bars: 2s bar positions among N + 2s slots fix one occupation
-    slots = n_sites + two_s
-    bars = np.array(list(itertools.combinations(range(slots), two_s)), dtype=np.int64)
-    edges = np.concatenate(
-        [np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)], axis=1
-    )
-    occ = np.ascontiguousarray((np.diff(edges, axis=1) - 1)[::-1])
+    dim = math.comb(n_sites + two_s, two_s)
+    # per row: the occupations and a float copy of them, the ladder table at its
+    # widest and a few working columns; per site: the rank's terms and log factorials
+    needed = dim * (16 * two_s + 64 * min(n_sites, two_s) + 144) + 8 * (two_s + 5) * (n_sites + 1)
+    _check_bytes(needed + 16384, "the tables", "occupation-basis", dim)
+    # invert the rank greedily: at each level, the most sites past it whose term fits
+    terms = _rank_terms(n_sites, two_s)
+    occ = np.empty((dim, two_s + 1), dtype=np.int64)
+    left, past = np.arange(dim), np.full(dim, n_sites)
+    for i, level_terms in enumerate(terms):
+        past_i = np.searchsorted(level_terms, left, side="right") - 1
+        occ[:, i], past = past - past_i, past_i
+        left -= level_terms[past_i]
+    occ[:, -1] = past
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_sites + 1)])
     log_sqrt_m = 0.5 * (log_fact[n_sites] - log_fact[occ].sum(axis=1))
     s = two_s / 2.0
     m = s - np.arange(two_s + 1)
     total_z = occ @ m
     ising = (total_z**2 - occ @ m**2) / 2.0
-    index = {tuple(row): o for o, row in enumerate(occ.tolist())}
-    rows = np.repeat(np.arange(len(occ))[:, None], 2 * two_s, axis=1)
-    half = np.zeros(rows.shape)  # halved S^+ and S^- matrix elements
-    for k in range(two_s):
-        # Sum S^+ brings src into each row with a site at level k, and Sum S^-,
-        # its transpose, brings that row into src
-        into = np.flatnonzero(occ[:, k])
-        came_from = occ[into]
-        came_from[:, k] -= 1
-        came_from[:, k + 1] += 1
-        src = [index[tuple(n)] for n in came_from.tolist()]
-        ladder = math.sqrt(s * (s + 1.0) - m[k] * (m[k] - 1.0))
-        amplitude = ladder / 2.0 * np.sqrt(occ[into, k] * (occ[into, k + 1] + 1.0))
-        rows[into, k], half[into, k] = src, amplitude
-        rows[src, two_s + k], half[src, two_s + k] = into, amplitude
+    # a row's moves: S^+ into each occupied level but the last, S^- into each but the first
+    width = int(((occ[:, :-1] > 0).sum(axis=1) + (occ[:, 1:] > 0).sum(axis=1)).max())
+    rows = np.repeat(np.arange(dim)[:, None], width, axis=1)
     # S^x = (S^+ + S^-) / 2, S^y = (S^+ - S^-) / 2i
-    coefficients = {"x": half, "y": half * np.repeat([-1j, 1j], two_s)}
+    coefficients = {"x": np.zeros((dim, width)), "y": np.zeros((dim, width), dtype=complex)}
+    ladder = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] - 1.0)) / 2.0
+    used = np.zeros(dim, dtype=np.int64)  # entries filled per row
+    for down in (0, 1):  # Sum S^+, then Sum S^-
+        past = np.full(dim, n_sites)
+        for k in range(two_s):
+            # a move between levels k and k + 1 changes only the sites past k, by
+            # 1, and so only the term of level k in the rank
+            past -= occ[:, k]
+            into = np.flatnonzero(occ[:, k + down])
+            c, at = past[into], used[into]
+            rows[into, at] = into + terms[k, c + 1 - 2 * down] - terms[k, c]
+            half = ladder[k] * np.sqrt((occ[into, k] + down) * (occ[into, k + 1] + 1.0 - down))
+            coefficients["x"][into, at] = half
+            coefficients["y"][into, at] = half * (1j if down else -1j)
+            used[into] += 1
     for arr in (occ, log_sqrt_m, total_z, ising, rows, *coefficients.values()):
         arr.setflags(write=False)
-    return OccupationBasis(occ, log_sqrt_m, total_z, ising, index, rows, coefficients)
+    return OccupationBasis(occ, log_sqrt_m, total_z, ising, rows, coefficients)
 
 
 def occupation_basis(sys: SpinSystem) -> OccupationBasis:
@@ -370,23 +371,21 @@ def apply_generator(basis: OccupationBasis, b: np.ndarray, vectors: np.ndarray) 
     occupation-basis stack, for every row b_f of an (F, 3) array ``b`` (see
     :func:`field_vectors`): shape (F, ..., D), with no D x D matrix of G.
 
-    The vectors are gathered from the ladder table once, for Sum S^x and
-    Sum S^y of every field together, and only when some b_f leaves the z
-    axis."""
-
-    def spin_along(b):
-        # b_z Sum S^z, its (F, 1, ..., 1) column of b_z broadcast over the stack
-        out = b[(slice(None), 2) + (None,) * vectors.ndim] * basis.total_z * vectors
-        if np.count_nonzero(b[:, :2]):
-            ladders = (
-                b[:, 0, None, None] * basis.ladder_coefficients["x"]
-                + b[:, 1, None, None] * basis.ladder_coefficients["y"]
-            )
-            gathered = vectors[..., basis.ladder_rows]
-            out = out + np.einsum("...dj,fdj->f...d", gathered, ladders)
-        return out
-
-    return _generator(basis.ising_pair_sums * vectors, spin_along, b)
+    This is the oracle's only G: d_chi and the dense off-axis generators
+    both come from it.  The vectors are gathered from the ladder table
+    once, for Sum S^x and Sum S^y of every field together, and only when
+    some b_f leaves the z axis; a zero b_f adds exact zeros.
+    """
+    # b_z Sum S^z, its (F, 1, ..., 1) column of b_z broadcast over the stack
+    spin_along = b[(slice(None), 2) + (None,) * vectors.ndim] * basis.total_z * vectors
+    if np.count_nonzero(b[:, :2]):
+        ladders = (
+            b[:, 0, None, None] * basis.ladder_coefficients["x"]
+            + b[:, 1, None, None] * basis.ladder_coefficients["y"]
+        )
+        ladder_term = np.einsum("...dj,fdj->f...d", vectors[..., basis.ladder_rows], ladders)
+        spin_along = spin_along + ladder_term  # the (..., D, W) gather is freed by now
+    return basis.ising_pair_sums * vectors + spin_along
 
 
 def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
@@ -396,10 +395,10 @@ def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
     ``rows[i]`` with amplitude ``weights[i]`` = 1/sqrt(M(n)), so
     ``V @ v == v[rows] * weights`` and V^dag is the matching weighted sum.
     """
-    d, d1, n = sys.dim, sys.site_dim, sys.n_sites  # digit tables, counts and their lists
-    _check_bytes(d * ((8 + d1) * n + 16 * d1 + 128) + 32768, "the gather", "Hilbert", d)
-    basis = _occupation_basis(n, sys.two_s)
-    digits = (np.arange(d)[:, None] // d1 ** np.arange(n - 1, -1, -1)) % d1
-    counts = (digits[:, :, None] == np.arange(d1)).sum(axis=1)
-    rows = np.array([basis.index[tuple(c)] for c in counts.tolist()], dtype=np.int64)
-    return rows, np.exp(-basis.log_sqrt_multinomial[rows])
+    d, d1, n = sys.dim, sys.site_dim, sys.n_sites  # the counts, and the rank's terms
+    _check_bytes(8 * d * (d1 + 3 * sys.two_s + 1) + 32768, "the gather", "Hilbert", d)
+    counts = np.zeros((1, d1), dtype=np.int64)  # occupation of each product state
+    for _ in range(n):  # the site added last is the fastest digit
+        counts = (counts[:, None] + np.eye(d1, dtype=np.int64)).reshape(-1, d1)
+    rows = _occupation_rows(counts)
+    return rows, np.exp(-_occupation_basis(n, sys.two_s).log_sqrt_multinomial[rows])

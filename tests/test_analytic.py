@@ -163,7 +163,9 @@ class TestTopology:
     def test_chi_max_for_field_along_either_sign_of_z(self, polar):
         fld = FieldConfig(1.0, Direction(polar), rational_ratio=(1, 1))
         assert chi_max_for(1, fld) == 2 * math.pi
-        assert chi_max_for(2, FieldConfig(1.5, Direction(polar), (3, 2))) == 2 * math.pi
+        # integer s and odd p: pi * q leaves the odd-M states with a sign of -1
+        assert chi_max_for(2, FieldConfig(1.5, Direction(polar), (3, 2))) == 4 * math.pi
+        assert chi_max_for(2, FieldConfig(-2.0, Direction(polar), (-2, 1))) == math.pi
 
     def test_chi_max_rejects_irrational_and_generic(self):
         with pytest.raises(ValueError):

@@ -187,6 +187,31 @@ class TestFieldEvolution:
         assert fidelity(psi, looped) == pytest.approx(1.0, abs=1e-10)
 
 
+    @pytest.mark.parametrize("polar", [0.0, math.pi])
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 2), (2, 1), (-2, 3)])
+    @pytest.mark.parametrize("n,two_s", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+    def test_field_along_z_returns_at_chi_max(self, n, two_s, p, q, polar):
+        # the oracle's state at chi_max_for is the chi = 0 state up to a phase
+        sys = SpinSystem(n, two_s)
+        fld = FieldConfig(p / q, Direction(polar), rational_ratio=(p, q))
+        psi = state_at(sys, CoordinatePoint(1.0, 0.3), fld)
+        looped = state_at(sys, CoordinatePoint(1.0, 0.3, chi_max_for(two_s, fld)), fld)
+        assert fidelity(psi, looped) == pytest.approx(1.0, abs=1e-10)
+
+    def test_integer_spin_odd_ratio_is_open_at_pi(self):
+        # N = 2, s = 1, h/J = 1 along z: the loop is open at pi and closed at 2 pi
+        sys = SpinSystem(2, 2)
+        fld = FieldConfig(1.0, Direction(0.0), rational_ratio=(1, 1))
+        psi = state_at(sys, CoordinatePoint(1.0, 0.3), fld)
+        at_pi, at_two_pi = (
+            fidelity(psi, state_at(sys, CoordinatePoint(1.0, 0.3, chi), fld))
+            for chi in (math.pi, 2 * math.pi)
+        )
+        assert at_pi < 0.5
+        assert at_two_pi == pytest.approx(1.0, abs=1e-10)
+        assert chi_max_for(2, fld) == 2 * math.pi
+
+
 # (A2) scalar products of the evolved state with its tangents, zero field
 def expected_overlaps(n, s, theta):
     ct, st = math.cos(theta), math.sin(theta)

@@ -44,9 +44,12 @@ from spinmanifold.spin_ops import (
     total_spin_operator,
 )
 
-#: (N, 2s): verify's zero-field and field systems, its topology system (6, 3)
-#: and the ladder rungs (4, 1), (3, 3), (6, 1), (10, 1), (12, 1).
-SYSTEMS = [(2, 1), (3, 2), (4, 1), (2, 3), (3, 3), (4, 2), (6, 3), (6, 1), (10, 1), (12, 1)]
+#: (N, 2s): verify's zero-field and field systems, its topology system (6, 3),
+#: the ladder rungs (4, 1), (3, 3), (6, 1), (10, 1), (12, 1), and (2, 8), whose
+#: ladder table is 4 wide where 4s = 16
+SYSTEMS = [
+    (2, 1), (3, 2), (4, 1), (2, 3), (3, 3), (4, 2), (6, 3), (6, 1), (10, 1), (12, 1), (2, 8)
+]
 #: field cases by test id; every one but field_a and field_b has a diagonal generator
 FIELD_CASES = {
     "zero_field": None,
@@ -147,6 +150,41 @@ def test_total_spin_restricts_to_occupation_operator(n, two_s):
         assert np.abs(dense @ v - v @ restricted).max() < 1e-12, kind
 
 
+@pytest.mark.parametrize("n,two_s", SYSTEMS + [(2, 150), (19999, 1)])
+def test_rank_of_each_occupation_is_its_row(n, two_s):
+    # the rows run in descending lexicographic order of n, and the rank finds them
+    occ = occupation_basis(SpinSystem(n, two_s)).occupations
+    assert occ.shape == (math.comb(n + two_s, two_s), two_s + 1)
+    assert np.all(occ.sum(axis=1) == n) and np.all(occ >= 0)
+    assert np.all(np.diff(occ[:, 0]) <= 0)
+    steps = np.diff(occ, axis=0)
+    first = np.argmax(steps != 0, axis=1)  # the first level at which two rows differ
+    assert np.all(steps[np.arange(len(steps)), first] < 0)
+    np.testing.assert_array_equal(spin_ops._occupation_rows(occ), np.arange(len(occ)))
+
+
+@pytest.mark.parametrize("n,two_s", SYSTEMS + [(2, 150), (19999, 1), (20, 4), (3, 10)])
+def test_ladder_table_holds_only_real_moves(n, two_s):
+    basis = occupation_basis(SpinSystem(n, two_s))
+    rows, half = basis.ladder_rows, basis.ladder_coefficients["x"]
+    moves = np.count_nonzero(half, axis=1)
+    assert rows.shape == half.shape == basis.ladder_coefficients["y"].shape
+    assert rows.shape[1] == moves.max() <= 2 * min(n, two_s)
+    # each row's moves come first; its spare entries point at itself with weight 0
+    spare = np.arange(rows.shape[1]) >= moves[:, None]
+    assert np.all((half != 0) == ~spare)
+    assert np.all(rows[spare] == np.nonzero(spare)[0])
+    assert np.all(basis.ladder_coefficients["y"][spare] == 0)
+
+
+def test_tables_at_two_spins_of_spin_seventy_five_fit_in_twenty_megabytes():
+    # D = 11476 rows of 151 levels: the ladder table is 4 wide, not 4s = 300
+    basis = spin_ops._occupation_basis.__wrapped__(2, 150)
+    arrays = [*basis[:-1], *basis.ladder_coefficients.values()]
+    assert basis.ladder_rows.shape == (11476, 4)
+    assert sum(a.nbytes for a in arrays) < 20e6
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
 def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
@@ -199,8 +237,8 @@ def test_only_a_field_off_the_z_axis_takes_eigh(monkeypatch):
 
 
 def test_off_axis_generator_is_refused_past_the_host_memory(monkeypatch):
-    # a 250 kB host: building the (D = 15, 2s = 2) generator is counted as
-    # (4 + 2s) x 16 x 15^2 bytes plus 256 KiB of buffers, which do not fit,
+    # a 250 kB host: building the (D = 15, W = 4) generator is counted as
+    # (4 + W/2) x 16 x 15^2 bytes plus 256 KiB of buffers, which do not fit,
     # and the refusal comes before anything is allocated
     sys = SpinSystem(4, 2)
     monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 250_000)
@@ -269,7 +307,7 @@ GUARDED_BUILDS = {
             ("build_field_hamiltonian", [(6, 1), (5, 2)]),
             ("ising_pair_sums", [(10, 1), (6, 3)]),
             ("product_to_occupation", [(10, 1), (6, 3)]),
-            ("_occupation_basis", [(2000, 1), (20, 4)]),
+            ("_occupation_basis", [(2000, 1), (20, 4), (2, 150)]),
         ]
         for n, two_s in sizes
     ],
@@ -278,9 +316,9 @@ def test_guarded_build_estimate_covers_its_traced_peak(monkeypatch, build, n, tw
     assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s)
 
 
-@pytest.mark.parametrize("n,two_s", [(200, 1), (12, 3)])
+@pytest.mark.parametrize("n,two_s", [(200, 1), (12, 3), (3, 12)])
 def test_off_axis_generator_estimate_covers_its_traced_peak(monkeypatch, n, two_s):
-    # D = 201 and 455, one field off the z axis
+    # D = 201, 455 and 455 (ladder widths 2, 6 and 6), one field off the z axis
     assert_estimate_covers_traced_peak(monkeypatch, "_generator_spectrum", n, two_s)
 
 
@@ -299,8 +337,8 @@ def assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s):
 
 
 def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
-    # D = 201, 2s = 1: one off-axis field counts 2s + 1 + 3 = 5 D x D complex
-    # arrays, three fields 2s + 1 + 9 = 11; a host between the two builds one
+    # D = 201, W = 2: one off-axis field counts W/2 + 1 + 3 = 5 D x D complex
+    # arrays, three fields W/2 + 1 + 9 = 11; a host between the two builds one
     # field and refuses the stack of three, before any D x D array exists
     sys = SpinSystem(200, 1)
     square = 16 * sys.occupation_dim**2
