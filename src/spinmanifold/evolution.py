@@ -51,7 +51,7 @@ class StateVector:
 
     def __post_init__(self):
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
 
@@ -76,11 +76,33 @@ class CoordinatePoint:
 
 @dataclass(eq=False)
 class TangentStates:
-    """Parameter derivatives of the evolved state (unnormalized vectors)."""
+    """Parameter derivatives of the evolved state (unnormalized vectors): the rows
+    d_theta, d_phi, d_chi of one (3, D) block."""
 
-    d_theta: np.ndarray
-    d_phi: np.ndarray
-    d_chi: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def d_theta(self) -> np.ndarray:
+        return self.vectors[0]
+
+    @property
+    def d_phi(self) -> np.ndarray:
+        return self.vectors[1]
+
+    @property
+    def d_chi(self) -> np.ndarray:
+        return self.vectors[2]
+
+
+def _log_power(powers: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """powers * log(base), (T, D), for (D,) powers and a (T,) base in [0, 1]; a zero
+    power of a zero base counts as 1.  With no zero base this is the plain product:
+    a zero power then gives a signed zero, and adding that to the log prefactor, which
+    is never -0, changes no bit."""
+    if base.all():
+        return powers * np.log(base)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(powers > 0, powers * np.log(base)[:, None], 0.0)
 
 
 def _symmetric_product(basis: OccupationBasis, theta: np.ndarray) -> np.ndarray:
@@ -94,19 +116,15 @@ def _symmetric_product(basis: OccupationBasis, theta: np.ndarray) -> np.ndarray:
     the powers; a zero power of a zero cosine or sine counts as 1.  Each
     row is renormalized, in log space too: the lgamma round-off shared by
     all its entries would otherwise leave the norm off 1 by up to ~7e-12
-    at N ~ 2e4, past :class:`StateVector`'s 1e-12 check.
+    at N ~ 2e4, past :class:`StateVector`'s 1e-12 check.  The prefactor and
+    both powers depend on n alone and are read from the basis tables.
     """
-    occ = basis.occupations
-    k = np.arange(occ.shape[1])
-    log_binomials = np.array([math.log(math.comb(k[-1], j)) for j in k])
-    downs, ups = occ @ k[::-1], occ @ k  # 2sN - K and K
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs = (
-            basis.log_sqrt_multinomial
-            + 0.5 * (occ @ log_binomials)
-            + np.where(downs > 0, downs * np.log(np.cos(theta / 2.0))[:, None], 0.0)
-            + np.where(ups > 0, ups * np.log(np.sin(theta / 2.0))[:, None], 0.0)
-        )
+    half = theta / 2.0
+    log_abs = (
+        basis.log_coherent_prefactor
+        + _log_power(basis.down_powers, np.cos(half))
+        + _log_power(basis.up_powers, np.sin(half))
+    )
     log_abs -= 0.5 * np.log(np.exp(2.0 * log_abs).sum(axis=1, keepdims=True))
     return np.exp(log_abs)
 
@@ -162,16 +180,19 @@ def _family_block(
     basis = occupation_basis(sys)
     b = field_vectors(fields)
     psi0 = _symmetric_product(basis, theta)
-    phi_phases = np.exp(np.multiply.outer(phi, -1j * basis.total_z))
+    minus_i_z = -1j * basis.total_z
+    phi_phases = np.exp(np.multiply.outer(phi, minus_i_z))
     rows = np.empty((len(b), theta.size, phi.size, 4, psi0.shape[1]), dtype=complex)
     psi = np.multiply(psi0[:, None], phi_phases, out=rows[0, :, :, 0])
-    np.multiply((-1j * apply_total_spin(basis, "y", psi0))[:, None], phi_phases, out=rows[0, :, :, 1])
-    np.multiply(psi, -1j * basis.total_z, out=rows[0, :, :, 2])
+    d_theta0 = apply_total_spin(basis, "y", psi0)
+    np.multiply(d_theta0, -1j, out=d_theta0)
+    np.multiply(d_theta0[:, None], phi_phases, out=rows[0, :, :, 1])
+    np.multiply(psi, minus_i_z, out=rows[0, :, :, 2])
     if len(b) > 1:
         rows[1:, :, :, :3] = rows[0, :, :, :3]
     np.multiply(apply_generator(basis, b, psi), -2j, out=rows[:, :, :, 3])
     if not np.count_nonzero(chi):
-        return rows[:, :, :, None].repeat(chi.size, axis=3)
+        return rows[:, :, :, None] if chi.size == 1 else rows[:, :, :, None].repeat(chi.size, axis=3)
     diagonal = ~b[:, :2].any(axis=1)
     if diagonal.all() or not diagonal.any():
         return _propagate(basis, rows, chi, b)
@@ -267,4 +288,4 @@ def tangent_states(
     exactly propagated state (see :func:`family_grid`).  Occupation-basis
     vectors, like :func:`state_at`.
     """
-    return TangentStates(*_family_vectors(sys, point, field)[1:])
+    return TangentStates(_family_vectors(sys, point, field)[1:])

@@ -25,19 +25,41 @@ from .evolution import CoordinatePoint, state_at, tangent_states
 from .spin_ops import FieldConfig, SpinSystem
 
 
+def _cholesky_pivots(g00, g01, g02, g11, g12, g22):
+    """The pivots of the Cholesky factorization of a symmetric 3x3 matrix, from its six
+    entries (floats, or arrays for a stack): d0 = g00, d1 = g11 - g01^2/g00 and
+    d2 = g22 - g02^2/g00 - (g12 - g01 g02/g00)^2/d1.
+
+    The matrix is positive definite exactly when every pivot is > 0, the
+    condition LAPACK's factorization succeeds on.  They are yielded one at a
+    time, and each is computed only once the one before it was taken: a
+    float caller that stops at the first pivot <= 0 never divides by it.
+    """
+    yield g00
+    l10, l20 = g01 / g00, g02 / g00
+    d1 = g11 - l10 * g01
+    yield d1
+    r = g12 - l20 * g01
+    yield g22 - l20 * g02 - r * r / d1
+
+
 def _validated_metrics(g: np.ndarray) -> np.ndarray:
     """Symmetrized (..., 3, 3) metrics, each checked for symmetry and positive semidefiniteness.
 
     With scale = max(1, max |g|) per metric, a metric fails when an entry
     is NaN or infinite (ValueError "not finite"), when an entry of
     |g - g^T| exceeds 1e-10 * scale (ValueError "not symmetric") or when
-    the Cholesky factorization of (g + g^T) / 2 + 1e-10 * scale * I fails
+    a Cholesky pivot of (g + g^T) / 2 + 1e-10 * scale * I is not positive
     (ValueError "not positive semidefinite").  That shifted matrix is
     positive definite exactly when the least eigenvalue of the metric
     lies above -1e-10 * scale, so the verdict is the least-eigenvalue
-    test's everywhere but at the threshold itself, and a whole stack
-    takes one LAPACK call.  An empty stack passes.
+    test's everywhere but at the threshold itself.  A single 3x3 is
+    checked in Python floats, a stack in whole-stack array operations,
+    both with the same pivots (:func:`_cholesky_pivots`), so they give the
+    same verdict.  An empty stack passes.
     """
+    if g.shape == (3, 3):
+        return _validated_metric(g)
     if g.size == 0:
         return g
     scale = np.abs(g).max(axis=(-2, -1), initial=1.0)
@@ -48,10 +70,32 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
     if asymmetry > 1e-10:
         raise ValueError("metric components are not symmetric")
     g = (g + g_t) / 2.0
-    try:
-        np.linalg.cholesky(g + (1e-10 * scale)[..., None, None] * np.eye(g.shape[-1]))
-    except np.linalg.LinAlgError:
-        raise ValueError("metric is not positive semidefinite") from None
+    shift = 1e-10 * scale
+    entries = (g[..., 0, 0] + shift, g[..., 0, 1], g[..., 0, 2])
+    entries += (g[..., 1, 1] + shift, g[..., 1, 2], g[..., 2, 2] + shift)
+    with np.errstate(all="ignore"):  # past a failed pivot the next ones may be NaN
+        d0, d1, d2 = _cholesky_pivots(*entries)
+        definite = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+    if not definite.all():
+        raise ValueError("metric is not positive semidefinite")
+    return g
+
+
+def _validated_metric(g: np.ndarray) -> np.ndarray:
+    """:func:`_validated_metrics` of one 3x3, in Python floats."""
+    entries = g.ravel().tolist()
+    if not all(map(math.isfinite, entries)):  # max() would drop a NaN
+        raise ValueError("metric components are not finite")
+    scale = max(1.0, *map(abs, entries))
+    _, g01, g02, g10, _, g12, g20, g21, _ = entries
+    if max(abs(g01 - g10), abs(g02 - g20), abs(g12 - g21)) / scale > 1e-10:
+        raise ValueError("metric components are not symmetric")
+    g = (g + g.T) / 2.0
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = g.tolist()
+    shift = 1e-10 * scale
+    pivots = _cholesky_pivots(g00 + shift, g01, g02, g11 + shift, g12, g22 + shift)
+    if not all(p > 0.0 for p in pivots):  # stops before a division by a failed pivot
+        raise ValueError("metric is not positive semidefinite")
     return g
 
 
@@ -98,8 +142,7 @@ def metric_numeric(
     """
     at_origin = CoordinatePoint(point.theta, point.phi)
     psi = state_at(sys, at_origin, field).amplitudes
-    tang = tangent_states(sys, at_origin, field)
-    tangents = np.array((tang.d_theta, tang.d_phi, tang.d_chi))
+    tangents = tangent_states(sys, at_origin, field).vectors
     return MetricTensor(_metric_components(sys.gamma, psi, tangents))
 
 

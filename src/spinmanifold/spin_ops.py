@@ -27,8 +27,9 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -276,12 +277,21 @@ class OccupationBasis(NamedTuple):
     n, in level order, then those of Sum S^-, its transpose, and points at o
     with coefficient 0 in its spare entries.  W, the most moves of any row,
     is at most 2 min(N, 2s).
+
+    The coherent-state tables hold what the polarized state
+    e^{-i theta Sum S^y} |s, ..., s> needs of n, so that a state costs no
+    table work per theta: the log prefactor log sqrt(M(n)) + 1/2 Sum_k n_k
+    log C(2s, k), and the powers K = Sum_k k n_k of sin(theta/2) and
+    2sN - K of cos(theta/2), as floats (exact integers below 2^53).
     """
 
     occupations: np.ndarray  # (D, 2s+1) integer n
     log_sqrt_multinomial: np.ndarray  # log sqrt(M(n)), from lgamma
     total_z: np.ndarray  # Sum_j S_j^z: (Sum_k m_k n_k)
     ising_pair_sums: np.ndarray  # Sum_{i<j} S_i^z S_j^z: ((m.n)^2 - (m^2).n) / 2
+    log_coherent_prefactor: np.ndarray  # log sqrt(M(n)) + 1/2 Sum_k n_k log C(2s, k)
+    up_powers: np.ndarray  # K = Sum_k k n_k, as floats
+    down_powers: np.ndarray  # 2sN - K, as floats
     ladder_rows: np.ndarray  # (D, W) source rows
     ladder_coefficients: Dict[str, np.ndarray]  # "x", "y" -> (D, W) matrix elements
 
@@ -305,13 +315,59 @@ def _occupation_rows(occupations: np.ndarray) -> np.ndarray:
     return _rank_terms(n_sites, two_s)[np.arange(two_s), past].sum(axis=1)
 
 
-@lru_cache(maxsize=64)
+def _basis_bytes(n_sites: int, two_s: int) -> int:
+    """The estimated peak bytes of building the occupation-basis tables of (N, 2s)."""
+    dim = math.comb(n_sites + two_s, two_s)
+    # per row: the occupations and a float copy of them, the ladder table at its widest,
+    # the coherent-state tables and a few working columns; per site: the rank's terms
+    # and log factorials
+    per_row = 16 * two_s + 64 * min(n_sites, two_s) + 168
+    return dim * per_row + 8 * (two_s + 5) * (n_sites + 1) + 16384
+
+
+def _byte_bounded_cache(entry_bytes):
+    """Cache a function of hashable arguments, evicting the least recently used entries
+    while the summed ``entry_bytes(*args)`` of those kept would exceed a quarter of the
+    host's physical memory; a result larger than that alone is returned uncached.
+
+    The cached function keeps ``__wrapped__``, the uncached one, and gains
+    ``cache_clear()`` and ``cache_bytes()``, the summed estimate of the entries kept.
+    """
+
+    def decorate(build):
+        entries = OrderedDict()  # args -> (result, estimated bytes), oldest first
+        held = 0
+
+        @wraps(build)
+        def cached(*args):
+            nonlocal held
+            if args in entries:
+                entries.move_to_end(args)
+                return entries[args][0]
+            result, size = build(*args), entry_bytes(*args)
+            budget = _physical_memory_bytes() // 4
+            if size <= budget:
+                while held + size > budget:
+                    held -= entries.popitem(last=False)[1][1]
+                entries[args] = (result, size)
+                held += size
+            return result
+
+        def cache_clear():
+            nonlocal held
+            entries.clear()
+            held = 0
+
+        cached.cache_clear, cached.cache_bytes = cache_clear, lambda: held
+        return cached
+
+    return decorate
+
+
+@_byte_bounded_cache(_basis_bytes)
 def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
     dim = math.comb(n_sites + two_s, two_s)
-    # per row: the occupations and a float copy of them, the ladder table at its
-    # widest and a few working columns; per site: the rank's terms and log factorials
-    needed = dim * (16 * two_s + 64 * min(n_sites, two_s) + 144) + 8 * (two_s + 5) * (n_sites + 1)
-    _check_bytes(needed + 16384, "the tables", "occupation-basis", dim)
+    _check_bytes(_basis_bytes(n_sites, two_s), "the tables", "occupation-basis", dim)
     # invert the rank greedily: at each level, the most sites past it whose term fits
     terms = _rank_terms(n_sites, two_s)
     occ = np.empty((dim, two_s + 1), dtype=np.int64)
@@ -323,6 +379,11 @@ def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
     occ[:, -1] = past
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_sites + 1)])
     log_sqrt_m = 0.5 * (log_fact[n_sites] - log_fact[occ].sum(axis=1))
+    # the coherent-state tables: every power and prefactor of the polarized state
+    log_binomials = np.array([math.log(math.comb(two_s, k)) for k in range(two_s + 1)])
+    log_prefactor = log_sqrt_m + 0.5 * (occ @ log_binomials)
+    ups = occ @ np.arange(two_s + 1.0)  # exact: integer sums below 2^53
+    downs = two_s * n_sites - ups
     s = two_s / 2.0
     m = s - np.arange(two_s + 1)
     total_z = occ @ m
@@ -347,13 +408,14 @@ def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
             coefficients["x"][into, at] = half
             coefficients["y"][into, at] = half * (1j if down else -1j)
             used[into] += 1
-    for arr in (occ, log_sqrt_m, total_z, ising, rows, *coefficients.values()):
+    tables = (occ, log_sqrt_m, total_z, ising, log_prefactor, ups, downs, rows)
+    for arr in (*tables, *coefficients.values()):
         arr.setflags(write=False)
-    return OccupationBasis(occ, log_sqrt_m, total_z, ising, rows, coefficients)
+    return OccupationBasis(*tables, coefficients)
 
 
 def occupation_basis(sys: SpinSystem) -> OccupationBasis:
-    """Occupation-basis tables of ``sys`` (cached per (N, 2s))."""
+    """Occupation-basis tables of ``sys``, cached per (N, 2s) in a byte-bounded LRU cache."""
     return _occupation_basis(sys.n_sites, sys.two_s)
 
 

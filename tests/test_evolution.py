@@ -125,6 +125,43 @@ class TestCoherentStateClosedForm:
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
 
+def per_call_symmetric_product(basis, theta):
+    """The polarized state as it was computed before the basis held its coherent-state
+    tables: the binomials and both powers rebuilt from the occupations on every call."""
+    occ = basis.occupations
+    k = np.arange(occ.shape[1])
+    log_binomials = np.array([math.log(math.comb(k[-1], j)) for j in k])
+    downs, ups = occ @ k[::-1], occ @ k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = (
+            basis.log_sqrt_multinomial
+            + 0.5 * (occ @ log_binomials)
+            + np.where(downs > 0, downs * np.log(np.cos(theta / 2.0))[:, None], 0.0)
+            + np.where(ups > 0, ups * np.log(np.sin(theta / 2.0))[:, None], 0.0)
+        )
+    log_abs -= 0.5 * np.log(np.exp(2.0 * log_abs).sum(axis=1, keepdims=True))
+    return np.exp(log_abs)
+
+
+#: one theta at a time (a pole alone, the interior alone), both poles with the
+#: interior, and a theta whose half underflows to a zero sine
+THETA_SETS = [[t] for t in POLES_AND_INTERIOR] + [POLES_AND_INTERIOR, [5e-324, 0.4]]
+
+
+@pytest.mark.parametrize("n,two_s", [(2, 1), (12, 1), (3, 3), (2, 150), (19999, 1)])
+def test_cached_coherent_tables_give_the_per_call_state_bit_for_bit(n, two_s):
+    basis = occupation_basis(SpinSystem(n, two_s))
+    assert np.array_equal(basis.up_powers + basis.down_powers, np.full(basis.up_powers.shape, n * two_s))
+    for thetas in THETA_SETS:
+        theta = np.array(thetas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _symmetric_product(basis, theta)
+        want = per_call_symmetric_product(basis, theta)
+        assert np.array_equal(got, want), thetas
+        assert got.tobytes() == want.tobytes(), thetas
+
+
 class TestIsingEvolution:
     def test_chi_zero_is_identity(self):
         sys = SpinSystem(3, 1)
@@ -299,3 +336,11 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_amplitude(self, bad):
+        # |nan - 1| > 1e-12 is False, so the norm test must be written to fail on NaN
+        with pytest.raises(ValueError, match="state norm deviates"):
+            StateVector(np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="state norm deviates"):
+            StateVector(np.array([0.6, 0.8j, bad * 1j]))

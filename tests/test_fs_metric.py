@@ -68,6 +68,18 @@ class TestMetricTensor:
         assert g.g_chi_chi == 3.0
         assert g.components[0, 2] == 0.0
 
+    def test_one_point_takes_no_lapack_factorization(self, monkeypatch):
+        # a single 3x3 is validated in Python floats, on the oracle and the closed-form side
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        sys, fld = SpinSystem(4, 2), FieldConfig(1.3, Direction(0.9, 2.1))
+        point = CoordinatePoint(1.1, 0.4, 0.9)
+        numeric = metric_numeric(sys, point, fld).components
+        closed = metric_closed_form_field(sys, point.theta, point.phi, fld).components
+        assert np.abs(numeric - closed).max() < 1e-12 * np.abs(closed).max()
+
 
 class TestMetricNumeric:
     def test_two_spin_half_equator(self):

@@ -244,3 +244,58 @@ def test_a_nan_is_refused_before_the_psd_check():
     stack[2, 0, 0] = math.nan
     with pytest.raises(ValueError, match="not finite"):
         _validated_metrics(stack)
+
+
+def _verdict_corpus():
+    """(label, 3x3 metric) pairs spanning every verdict of _validated_metrics: NaN and
+    infinities in each entry, asymmetry on either side of 1e-10 * scale, least
+    eigenvalues on either side of -1e-10 * scale, and the zero and the pole metric."""
+    base = np.array([[0.5, 0.1, -0.2], [0.1, 0.3, 0.05], [-0.2, 0.05, 2.0]])
+    corpus = [("zero", np.zeros((3, 3))), ("pole", np.diag([0.25, 0.0, 0.0]))]
+    for i, j in np.ndindex(3, 3):
+        for bad in (math.nan, math.inf, -math.inf):
+            g = base.copy()
+            g[i, j] = bad
+            corpus.append((f"{bad}@{i}{j}", g))
+    for big in (1.0, 1e4):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for ratio in (0.99, 1.01):
+                g = base * big
+                g[i, j] += ratio * 1e-10 * max(1.0, np.abs(g).max())
+                corpus.append((f"asymmetry {ratio}@{i}{j} x{big}", g))
+    rng = np.random.default_rng(23)
+    for big in (1.0, 1e4):
+        for ratio in (-1.1, -1.01, -0.99, -0.9):
+            for k in range(5):
+                corpus.append((f"least {ratio} x{big} #{k}", _metric_with_least_eigenvalue(rng, ratio, big)[0]))
+    return corpus
+
+
+def _outcome(call):
+    """The result's bytes, or the ValueError message."""
+    try:
+        return call().tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+VERDICT_CORPUS = _verdict_corpus()
+
+
+@pytest.mark.parametrize("label,g", VERDICT_CORPUS, ids=[label for label, _ in VERDICT_CORPUS])
+def test_one_metric_and_a_stack_get_the_same_verdict(label, g):
+    # the bare 3x3 is checked in Python floats, a stack in array operations
+    others = np.stack([np.eye(3), np.diag([0.25, 0.0, 0.0]), np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0])])
+    at = sum(map(ord, label)) % 5
+    stack = np.insert(others, at, g, axis=0)
+    single = _outcome(lambda: _validated_metrics(g.copy()))
+    assert _outcome(lambda: _validated_metrics(g[None].copy())) == single
+    assert _outcome(lambda: _validated_metrics(stack)[at]) == single
+    if label.startswith("least"):
+        refused = "-1.1 " in label or "-1.01 " in label
+        assert (single == "metric is not positive semidefinite") == refused
+        assert isinstance(single, bytes) != refused
+    elif label.startswith("asymmetry"):
+        assert (single == "metric components are not symmetric") == ("1.01" in label)
+    elif label not in ("zero", "pole"):
+        assert single == "metric components are not finite"

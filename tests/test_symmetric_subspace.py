@@ -185,6 +185,31 @@ def test_tables_at_two_spins_of_spin_seventy_five_fit_in_twenty_megabytes():
     assert sum(a.nbytes for a in arrays) < 20e6
 
 
+def test_cached_tables_stay_under_a_quarter_of_the_host_memory(monkeypatch):
+    # a 24 MB host: the cache keeps at most 6 MB of estimated tables, evicting the
+    # least recently used first, and does not keep a basis estimated past that alone
+    cache, budget = spin_ops._occupation_basis, 6_000_000
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 4 * budget)
+    sizes = {args: spin_ops._basis_bytes(*args) for args in [(9000, 1), (40, 3), (8000, 1), (100, 2)]}
+    assert all(1_000_000 < size < budget for size in sizes.values())
+    cache.cache_clear()
+    try:
+        kept = []  # least recently used first
+        for args in [*sizes, (40, 3), (9000, 1), (100, 2)]:
+            basis = cache(*args)
+            assert cache(*args) is basis
+            kept = [a for a in kept if a != args] + [args]
+            while sum(sizes[a] for a in kept) > budget:
+                kept.pop(0)
+            assert cache.cache_bytes() == sum(sizes[a] for a in kept) <= budget
+        assert len(kept) < len(sizes)
+        assert spin_ops._basis_bytes(50, 3) > budget
+        assert cache(50, 3) is not cache(50, 3)
+        assert cache.cache_bytes() == sum(sizes[a] for a in kept)
+    finally:
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
 def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
