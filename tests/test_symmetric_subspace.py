@@ -195,7 +195,8 @@ def test_cached_tables_stay_under_a_quarter_of_the_host_memory(monkeypatch):
     cache.cache_clear()
     try:
         kept = []  # least recently used first
-        for args in [*sizes, (40, 3), (9000, 1), (100, 2)]:
+        # the last (9000, 1) is a hit, so (8000, 1) then evicts (100, 2), not (9000, 1)
+        for args in [*sizes, (40, 3), (9000, 1), (100, 2), (9000, 1), (8000, 1)]:
             basis = cache(*args)
             assert cache(*args) is basis
             kept = [a for a in kept if a != args] + [args]
