@@ -9,12 +9,15 @@ the polarized product state is a spin coherent state in closed form,
 the theta and phi tangents apply -i Sum S^y and -i Sum S^z, and the chi
 tangent -2i G.  One U(chi) = exp(-2i chi G) then moves all four rows: it is a
 phase when G is diagonal (no field, or a field along z), goes through
-the eigenvectors of the dense D x D generator only for a field off the
+the eigenvectors of a dense D x D generator only for a field off the
 z axis (refused when its estimated bytes exceed the host's memory), and
-is skipped when every chi is 0.
+is the identity at chi = 0.  Fields off the z axis that share h/J and
+theta' share that generator up to a diagonal phase, the rotation by
+their azimuth, so one eigendecomposition serves each such family.
 :func:`family_grids` builds them on a whole (theta, phi, chi) grid for
 a whole list of fields in a few array operations, sharing everything
-but d_chi and U(chi) between the fields; :func:`family_grid` is its
+but d_chi and U(chi) between the fields and building each distinct
+field once; :func:`family_grid` is its
 one-field case, and :func:`state_at` and :func:`tangent_states` its
 size-1 case.  A product-basis vector, where one is needed, is
 gathered with :func:`spinmanifold.spin_ops.product_to_occupation`.
@@ -129,44 +132,104 @@ def _symmetric_product(basis: OccupationBasis, theta: np.ndarray) -> np.ndarray:
     return np.exp(log_abs)
 
 
-def _generator_spectrum(basis: OccupationBasis, b: np.ndarray):
-    """``(evals, evecs)`` of every G_f on the occupation basis, U(chi) = exp(-i 2 chi G_f).
+def _family_of(field: Optional[FieldConfig]):
+    """(h/J, theta') of a field off the z axis, the key of its family; None for a field
+    whose G is diagonal (none, h/J = 0 or along z)."""
+    if field is None or field.ratio_h_over_j == 0.0 or field.along_z:
+        return None
+    return field.ratio_h_over_j, field.direction.polar
 
-    G_f = Sum_{i<j} S_i^z S_j^z + b_f . Sum_j S_j for each row b_f =
-    (h/2J) n'_f of an (F, 3) array (:func:`~spinmanifold.spin_ops.field_vectors`)
-    depends on neither J nor gamma; ``evals`` is (F, D).  When every b_f
-    lies along z (or is zero) every G_f is diagonal: ``evecs`` is None.
-    Otherwise all F generators are built densely and diagonalized by one
-    stacked eigh, ``evecs`` (F, D, D), if their estimated bytes fit in the
-    host's physical memory (DimensionGuardError before they are allocated).
+
+def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldConfig]]):
+    """``(evals, evecs, family)``: the spectra of the G_f of ``fields``, U(chi) = exp(-i 2 chi G_f).
+
+    G_f = Sum_{i<j} S_i^z S_j^z + b_f . Sum_j S_j, with b_f = (h/2J) n'_f
+    (:func:`~spinmanifold.spin_ops.field_vectors`), depends on neither J nor
+    gamma.  Every G_f is diagonal, or none is.  When every G_f is diagonal,
+    ``evals`` (F, D) holds their diagonals and ``evecs`` and ``family`` are
+    None.  Otherwise every field is off the z axis, and the fields that
+    share h/J and theta', compared exactly, form a family: field f of
+    family k has G_f = R_f G_k R_f^dag with R_f = exp(-i phi'_f Sum S^z), a
+    diagonal phase in the occupation basis, and G_k the real symmetric
+    generator at phi' = 0, b = (h/2J)(sin theta', 0, cos theta') (Arecchi,
+    Courtens, Gilmore & Thomas, PRA 6, 2211 (1972)).  Only the K generators
+    G_k are built densely, and diagonalized by one stacked eigh, if their
+    estimated bytes fit in the host's physical memory (DimensionGuardError
+    before they are allocated): ``evals`` (K, D), ``evecs`` (K, D, D) real
+    and ``family`` (F,) the family of each field, in order of first
+    appearance.
     """
     dim = basis.occupations.shape[0]
-    if not np.count_nonzero(b[:, :2]):
+    families = {}
+    family = [families.setdefault(_family_of(f), len(families)) for f in fields]
+    if None in families:
         # every G_f is diagonal, so G_f applied to the all-ones vector is its diagonal
-        return apply_generator(basis, b, np.ones(dim)).real, None
-    # the (D, D, W) ladder gather on the identity, shared by every field, peaks at about
-    # W/2 + 2 D x D complex arrays, and eigh at 3F + 1 for F fields: count W/2 + 1 + 3F,
-    # and 256 KiB of einsum buffers and eigh work (239 kB at D <= 1001)
-    needed = 8 * dim**2 * (basis.ladder_rows.shape[1] + 2 + 6 * len(b)) + 2**18
-    _check_bytes(needed, f"the generators of {len(b)} off-axis field(s)", "occupation-basis", dim)
-    # row o of G_f^T is G_f applied to basis vector o
-    g = apply_generator(basis, b, np.eye(dim)).swapaxes(-1, -2)
+        return apply_generator(basis, field_vectors(fields), np.ones(dim)).real, None, None
+    # all real: the identity, its (D, D, W) ladder gather and Sum S^x of it, shared by every
+    # family, peak at about W/2 + 1.6 D x D complex arrays, and each of the K families adds
+    # one (two real arrays, in its build and in eigh): count W/2 + 3 + K, and 256 KiB of
+    # einsum buffers and eigh work (239 kB at D <= 1001)
+    needed = 8 * dim**2 * (basis.ladder_rows.shape[1] + 6 + 2 * len(families)) + 2**18
+    build = f"the generators of {len(fields)} off-axis field(s), {len(families)} up to azimuth"
+    _check_bytes(needed, build, "occupation-basis", dim)
+    b = np.array([(h / 2.0 * math.sin(tp), 0.0, h / 2.0 * math.cos(tp)) for h, tp in families])
+    # row o of G_k is G_k applied to basis vector o; with b_y = 0 it is real
+    g = apply_generator(basis, b, np.eye(dim))
     try:
-        return np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on Hermitian
+        evals, evecs = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on a symmetric matrix
         raise RuntimeError("eigensolver failed on the field generator") from exc
+    return evals, evecs, np.array(family)
 
 
-def _propagate(basis: OccupationBasis, rows: np.ndarray, chi: np.ndarray, b: np.ndarray):
-    """(F, n_theta, n_phi, 4, D) rows at chi = 0 moved to every chi by each field's
-    U(chi): shape (F, n_theta, n_phi, n_chi, 4, D).  Every G_f is diagonal, or none is."""
-    evals, evecs = _generator_spectrum(basis, b)
-    phases = np.moveaxis(np.exp(np.multiply.outer(chi, -2j * evals)), 0, 1)
-    phases = phases[:, None, None, :, None, :]
-    if evecs is None:
-        return rows[:, :, :, None] * phases
-    coeffs = rows @ evecs.conj()[:, None, None]
-    return (coeffs[:, :, :, None] * phases) @ evecs.swapaxes(-1, -2)[:, None, None, None]
+def _propagate(
+    basis: OccupationBasis,
+    rows: np.ndarray,
+    chi: np.ndarray,
+    fields: Sequence[Optional[FieldConfig]],
+    out: np.ndarray,
+    at: np.ndarray,
+):
+    """Move each field's (n_theta, n_phi, 4, D) rows at chi = 0, of an (F, ...) stack, to
+    every chi by its U(chi), and write them to ``out[at[f]]``, (n_theta, n_phi, n_chi,
+    4, D).
+
+    The fields with a diagonal G go by phases.  Off the z axis,
+    U_f(chi) = R_f V_k exp(-2i chi E_k) V_k^T R_f^dag for field f of family
+    k (:func:`_generator_spectrum`): the phases R_f^dag and R_f go on the
+    rows, and the rows of the whole family pass through V_k in one matrix
+    product, and back in one per chi; at chi = 0 they are copied, as U(0)
+    is the identity.
+    """
+    diagonal = np.array([_family_of(f) is None for f in fields])
+    if diagonal.any():
+        members = np.flatnonzero(diagonal)
+        evals = _generator_spectrum(basis, [fields[i] for i in members])[0]
+        phases = np.moveaxis(np.exp(np.multiply.outer(chi, -2j * evals)), 0, 1)
+        phases = phases[:, None, None, :, None, :]
+        if members.size == len(out):  # every field, each once: straight into out
+            np.multiply(rows[:, :, :, None], phases, out=out)
+        else:
+            out[at[members]] = rows[members][:, :, :, None] * phases
+    if diagonal.all():
+        return
+    off_axis = np.flatnonzero(~diagonal)
+    evals, evecs, family = _generator_spectrum(basis, [fields[i] for i in off_axis])
+    azimuths = np.array([fields[i].direction.azimuth for i in off_axis])
+    unturns = np.exp(np.multiply.outer(azimuths, 1j * basis.total_z))[:, None]  # each R_f^dag
+    for k, (v, energies) in enumerate(zip(evecs, evals)):
+        members = off_axis[family == k]
+        own = rows[members]
+        flat = own.reshape(len(members), -1, own.shape[-1])  # theta, phi and the 4 rows
+        unturn = unturns[family == k]
+        coeffs = np.multiply(flat, unturn).reshape(-1, flat.shape[-1]) @ v
+        for c, chi_c in enumerate(chi):
+            if chi_c == 0.0:
+                out[at[members], :, :, c] = own
+                continue
+            evolved = ((coeffs * np.exp(chi_c * (-2j * energies))) @ v.T).reshape(flat.shape)
+            evolved *= unturn.conj()
+            out[at[members], :, :, c] = evolved.reshape(own.shape)
 
 
 def _family_block(
@@ -176,9 +239,17 @@ def _family_block(
     chi: np.ndarray,
     fields: Sequence[Optional[FieldConfig]],
 ) -> np.ndarray:
-    """psi, d_theta, d_phi, d_chi stacked on axis 4: shape (n_fields, n_theta, n_phi, n_chi, 4, D)."""
+    """psi, d_theta, d_phi, d_chi stacked on axis 4: shape (n_fields, n_theta, n_phi, n_chi, 4, D).
+
+    Each distinct field is built and propagated once (the same b, and off
+    the z axis the same h/J, theta' and phi'); its repeats get a copy of
+    its block.
+    """
     basis = occupation_basis(sys)
-    b = field_vectors(fields)
+    n_fields, b = len(fields), field_vectors(fields)
+    firsts, inverse = _distinct_fields(fields, b)
+    if firsts is not None:
+        fields, b = [fields[i] for i in firsts], b[firsts]
     psi0 = _symmetric_product(basis, theta)
     minus_i_z = -1j * basis.total_z
     phi_phases = np.exp(np.multiply.outer(phi, minus_i_z))
@@ -192,14 +263,38 @@ def _family_block(
         rows[1:, :, :, :3] = rows[0, :, :, :3]
     np.multiply(apply_generator(basis, b, psi), -2j, out=rows[:, :, :, 3])
     if not np.count_nonzero(chi):
-        return rows[:, :, :, None] if chi.size == 1 else rows[:, :, :, None].repeat(chi.size, axis=3)
-    diagonal = ~b[:, :2].any(axis=1)
-    if diagonal.all() or not diagonal.any():
-        return _propagate(basis, rows, chi, b)
-    out = np.empty(rows.shape[:3] + (chi.size,) + rows.shape[3:], dtype=complex)
-    for group in (diagonal, ~diagonal):
-        out[group] = _propagate(basis, rows[group], chi, b[group])
-    return out
+        block = rows[:, :, :, None] if chi.size == 1 else rows[:, :, :, None].repeat(chi.size, axis=3)
+        return block if firsts is None else block[inverse]
+    block = np.empty((n_fields,) + rows.shape[1:3] + (chi.size,) + rows.shape[3:], dtype=complex)
+    _propagate(basis, rows, chi, fields, block, np.arange(len(b)) if firsts is None else firsts)
+    if firsts is not None:  # each repeat copies the block of its first
+        again = np.ones(n_fields, dtype=bool)
+        again[firsts] = False
+        block[again] = block[firsts[inverse[again]]]
+    return block
+
+
+def _distinct_fields(fields: Sequence[Optional[FieldConfig]], b: np.ndarray):
+    """``(firsts, inverse)``: the positions in ``fields`` of the first of each distinct
+    field and the index into ``firsts`` of each field, or ``(None, None)`` when every
+    field is distinct; ``b`` is their :func:`~spinmanifold.spin_ops.field_vectors`.
+
+    Two fields are the same when they build the same block: off the z axis
+    the same h/J, theta' and phi', otherwise the same b (exact comparisons).
+    """
+    if len(fields) == 1:
+        return None, None
+    index, firsts, inverse = {}, [], []
+    for i, (f, row) in enumerate(zip(fields, b.tolist())):
+        direction = f.direction if _family_of(f) else None
+        key = (f.ratio_h_over_j, direction.polar, direction.azimuth) if direction else tuple(row)
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(i)
+        inverse.append(index[key])
+    if len(firsts) == len(fields):
+        return None, None
+    return np.array(firsts), np.array(inverse)
 
 
 def family_grids(
@@ -221,11 +316,12 @@ def family_grids(
     applications (:func:`~spinmanifold.spin_ops.apply_total_spin` and
     :func:`~spinmanifold.spin_ops.apply_generator`); at chi they are
     U(chi) times those, since G commutes with U(chi).  psi, d_theta,
-    d_phi and the ladder-table gather of psi are built once and shared by
-    every field, and every field's d_chi is one contraction.  An all-zero
-    chi grid propagates nothing; otherwise the fields with a diagonal G
-    (none, h/J = 0 or along z) propagate by phases, and all fields off
-    the z axis go through one stacked eigh of their dense generators.
+    d_phi and Sum S^x psi and Sum S^y psi are built once and shared by
+    every field, and a repeated field is built once.  An all-zero chi
+    grid propagates nothing; otherwise the fields with a diagonal G (none,
+    h/J = 0 or along z) propagate by phases, and the fields off the z axis
+    by family, one dense generator per h/J and theta', all diagonalized by
+    one stacked eigh.
     """
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
     for name, grid in (("theta", theta), ("phi", phi), ("chi", chi)):

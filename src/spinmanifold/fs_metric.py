@@ -15,6 +15,7 @@ energy uncertainty from one such covariance, not from the metric assembly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -62,14 +63,16 @@ def _validated_metrics(g: np.ndarray) -> np.ndarray:
         return _validated_metric(g)
     if g.size == 0:
         return g
-    scale = np.abs(g).max(axis=(-2, -1), initial=1.0)
+    # the nine entries, each over the whole stack; maxima over them go entry by entry
+    entries = np.moveaxis(g.reshape(g.shape[:-2] + (9,)), -1, 0)
+    scale = functools.reduce(np.maximum, np.abs(entries), 1.0)
     if not math.isfinite(scale.max()):  # the max of a NaN or an inf is not finite
         raise ValueError("metric components are not finite")
-    g_t = g.swapaxes(-1, -2)
-    asymmetry = (np.abs(g - g_t).max(axis=(-2, -1)) / scale).max()
-    if asymmetry > 1e-10:
+    # the largest |g - g^T| of a metric is that of one of its three pairs across the diagonal
+    asymmetry = functools.reduce(np.maximum, np.abs(entries[[1, 2, 5]] - entries[[3, 6, 7]]))
+    if (asymmetry / scale).max() > 1e-10:
         raise ValueError("metric components are not symmetric")
-    g = (g + g_t) / 2.0
+    g = (g + g.swapaxes(-1, -2)) / 2.0
     shift = 1e-10 * scale
     entries = (g[..., 0, 0] + shift, g[..., 0, 1], g[..., 0, 2])
     entries += (g[..., 1, 1] + shift, g[..., 1, 2], g[..., 2, 2] + shift)

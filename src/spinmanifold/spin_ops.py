@@ -136,12 +136,16 @@ class Direction:
             raise ValueError(f"azimuth must be finite, got {self.azimuth}")
         object.__setattr__(self, "azimuth", self.azimuth % TWO_PI)
 
-    def unit_vector(self) -> np.ndarray:
+    def components(self) -> Tuple[float, float, float]:
         """(x, y, z); exactly (0, 0, +-1) at polar 0 and pi, where sin(pi) would leave ~1.2e-16."""
         if self.polar in (0.0, math.pi):
-            return np.array([0.0, 0.0, math.cos(self.polar)])
+            return 0.0, 0.0, math.cos(self.polar)
         st, ct = math.sin(self.polar), math.cos(self.polar)
-        return np.array([st * math.cos(self.azimuth), st * math.sin(self.azimuth), ct])
+        return st * math.cos(self.azimuth), st * math.sin(self.azimuth), ct
+
+    def unit_vector(self) -> np.ndarray:
+        """:meth:`components` as an array."""
+        return np.array(self.components())
 
 
 @dataclass(frozen=True)
@@ -238,11 +242,14 @@ def ising_pair_sums(sys: SpinSystem) -> np.ndarray:
 def field_vectors(fields: Sequence[Optional[FieldConfig]]) -> np.ndarray:
     """b = (h/2J) n' of each field as one row of an (F, 3) array; a zero row for
     ``None`` and for h/J = 0.  G = Sum_{i<j} S_i^z S_j^z + b . Sum_j S_j."""
-    b = np.zeros((len(fields), 3))
-    for k, field in enumerate(fields):
-        if field is not None and field.ratio_h_over_j != 0.0:
-            b[k] = field.ratio_h_over_j / 2.0 * field.direction.unit_vector()
-    return b
+    b = []
+    for field in fields:
+        if field is None or field.ratio_h_over_j == 0.0:
+            b.append((0.0, 0.0, 0.0))
+        else:
+            half, (x, y, z) = field.ratio_h_over_j / 2.0, field.direction.components()
+            b.append((half * x, half * y, half * z))
+    return np.array(b).reshape(len(fields), 3)
 
 
 def build_field_hamiltonian(sys: SpinSystem, field: Optional[FieldConfig]) -> ManyBodyOperator:
@@ -318,24 +325,24 @@ def _occupation_rows(occupations: np.ndarray) -> np.ndarray:
 def _basis_bytes(n_sites: int, two_s: int) -> int:
     """The estimated peak bytes of building the occupation-basis tables of (N, 2s)."""
     dim = math.comb(n_sites + two_s, two_s)
-    # per row: the occupations and a float copy of them, the ladder table at its widest,
-    # the coherent-state tables and a few working columns; per site: the rank's terms
-    # and log factorials
-    per_row = 16 * two_s + 64 * min(n_sites, two_s) + 168
+    # per row: the occupations and a float copy of them, the ladder table at its widest
+    # and, per occupied level, the positions and counts that fill it, the coherent-state
+    # tables and a few working columns; per site: the rank's terms and log factorials
+    per_row = 16 * two_s + 176 * min(n_sites, two_s) + 168
     return dim * per_row + 8 * (two_s + 5) * (n_sites + 1) + 16384
 
 
 def _byte_bounded_cache(entry_bytes):
     """Cache a function of hashable arguments, evicting the least recently used entries
-    while the summed ``entry_bytes(*args)`` of those kept would exceed a quarter of the
+    while the summed ``entry_bytes(result)`` of those kept would exceed a quarter of the
     host's physical memory; a result larger than that alone is returned uncached.
 
     The cached function keeps ``__wrapped__``, the uncached one, and gains
-    ``cache_clear()`` and ``cache_bytes()``, the summed estimate of the entries kept.
+    ``cache_clear()`` and ``cache_bytes()``, the summed bytes of the entries kept.
     """
 
     def decorate(build):
-        entries = OrderedDict()  # args -> (result, estimated bytes), oldest first
+        entries = OrderedDict()  # args -> (result, bytes), oldest first
         held = 0
 
         @wraps(build)
@@ -344,8 +351,8 @@ def _byte_bounded_cache(entry_bytes):
             if args in entries:
                 entries.move_to_end(args)
                 return entries[args][0]
-            result, size = build(*args), entry_bytes(*args)
-            budget = _physical_memory_bytes() // 4
+            result = build(*args)
+            size, budget = entry_bytes(result), _physical_memory_bytes() // 4
             if size <= budget:
                 while held + size > budget:
                     held -= entries.popitem(last=False)[1][1]
@@ -364,7 +371,12 @@ def _byte_bounded_cache(entry_bytes):
     return decorate
 
 
-@_byte_bounded_cache(_basis_bytes)
+def _table_bytes(basis: OccupationBasis) -> int:
+    """The bytes that the tables of a basis hold."""
+    return sum(a.nbytes for a in (*basis[:-1], *basis.ladder_coefficients.values()))
+
+
+@_byte_bounded_cache(_table_bytes)
 def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
     dim = math.comb(n_sites + two_s, two_s)
     _check_bytes(_basis_bytes(n_sites, two_s), "the tables", "occupation-basis", dim)
@@ -388,26 +400,29 @@ def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
     m = s - np.arange(two_s + 1)
     total_z = occ @ m
     ising = (total_z**2 - occ @ m**2) / 2.0
-    # a row's moves: S^+ into each occupied level but the last, S^- into each but the first
-    width = int(((occ[:, :-1] > 0).sum(axis=1) + (occ[:, 1:] > 0).sum(axis=1)).max())
+    # a row's moves, in level order: S^+ into each occupied level but the last, then S^-
+    # into each but the first; each is found from one occupied level l of the row
+    at, level = np.nonzero(occ)
+    filled = occ[at, level]
+    past = n_sites * (at + 1) - np.cumsum(filled)  # sites past l: every row sums to N
+    occupied = np.bincount(at, minlength=dim)
+    rank = np.arange(at.size) - (np.cumsum(occupied) - occupied)[at]  # of l in its row
+    top, bottom = occ[:, 0] > 0, occ[:, -1] > 0
+    width = int((2 * occupied - top - bottom).max())
     rows = np.repeat(np.arange(dim)[:, None], width, axis=1)
     # S^x = (S^+ + S^-) / 2, S^y = (S^+ - S^-) / 2i
     coefficients = {"x": np.zeros((dim, width)), "y": np.zeros((dim, width), dtype=complex)}
     ladder = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] - 1.0)) / 2.0
-    used = np.zeros(dim, dtype=np.int64)  # entries filled per row
-    for down in (0, 1):  # Sum S^+, then Sum S^-
-        past = np.full(dim, n_sites)
-        for k in range(two_s):
-            # a move between levels k and k + 1 changes only the sites past k, by
-            # 1, and so only the term of level k in the rank
-            past -= occ[:, k]
-            into = np.flatnonzero(occ[:, k + down])
-            c, at = past[into], used[into]
-            rows[into, at] = into + terms[k, c + 1 - 2 * down] - terms[k, c]
-            half = ladder[k] * np.sqrt((occ[into, k] + down) * (occ[into, k + 1] + 1.0 - down))
-            coefficients["x"][into, at] = half
-            coefficients["y"][into, at] = half * (1j if down else -1j)
-            used[into] += 1
+    for down, moves in ((0, level < two_s), (1, level > 0)):  # Sum S^+, then Sum S^-
+        # a move between levels k and k + 1 changes only the c sites past k, by 1, and
+        # so only the term of level k in the rank
+        o, k = at[moves], level[moves] - down
+        c = past[moves] + down * filled[moves]
+        col = rank[moves] + down * (occupied - bottom - top)[o]
+        rows[o, col] = o + terms[k, c + 1 - 2 * down] - terms[k, c]
+        half = ladder[k] * np.sqrt((occ[o, k] + down) * (occ[o, k + 1] + 1.0 - down))
+        coefficients["x"][o, col] = half
+        coefficients["y"][o, col] = half * (1j if down else -1j)
     tables = (occ, log_sqrt_m, total_z, ising, log_prefactor, ups, downs, rows)
     for arr in (*tables, *coefficients.values()):
         arr.setflags(write=False)
@@ -415,7 +430,8 @@ def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
 
 
 def occupation_basis(sys: SpinSystem) -> OccupationBasis:
-    """Occupation-basis tables of ``sys``, cached per (N, 2s) in a byte-bounded LRU cache."""
+    """Occupation-basis tables of ``sys``, cached per (N, 2s) in an LRU cache bounded by
+    the bytes its tables hold."""
     return _occupation_basis(sys.n_sites, sys.two_s)
 
 
@@ -434,19 +450,19 @@ def apply_generator(basis: OccupationBasis, b: np.ndarray, vectors: np.ndarray) 
     :func:`field_vectors`): shape (F, ..., D), with no D x D matrix of G.
 
     This is the oracle's only G: d_chi and the dense off-axis generators
-    both come from it.  The vectors are gathered from the ladder table
-    once, for Sum S^x and Sum S^y of every field together, and only when
-    some b_f leaves the z axis; a zero b_f adds exact zeros.
+    both come from it.  Only when some b_f leaves the z axis are the
+    vectors gathered from the ladder table, once, to apply Sum S^x and
+    Sum S^y (each only when some b_f has that component), which each field
+    then weights by its b_x and b_y; a zero b_f adds exact zeros.
     """
-    # b_z Sum S^z, its (F, 1, ..., 1) column of b_z broadcast over the stack
-    spin_along = b[(slice(None), 2) + (None,) * vectors.ndim] * basis.total_z * vectors
+    column = (slice(None),) + (None,) * vectors.ndim  # an (F, 1, ..., 1) column of b
+    spin_along = b[:, 2][column] * basis.total_z * vectors
     if np.count_nonzero(b[:, :2]):
-        ladders = (
-            b[:, 0, None, None] * basis.ladder_coefficients["x"]
-            + b[:, 1, None, None] * basis.ladder_coefficients["y"]
-        )
-        ladder_term = np.einsum("...dj,fdj->f...d", vectors[..., basis.ladder_rows], ladders)
-        spin_along = spin_along + ladder_term  # the (..., D, W) gather is freed by now
+        gathered = vectors[..., basis.ladder_rows]
+        for k, kind in enumerate("xy"):
+            if np.count_nonzero(b[:, k]):
+                spin = np.einsum("...dj,dj->...d", gathered, basis.ladder_coefficients[kind])
+                spin_along = spin_along + b[:, k][column] * spin
     return basis.ising_pair_sums * vectors + spin_along
 
 

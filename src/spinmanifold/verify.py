@@ -126,9 +126,11 @@ class _Deviation:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, overflow
             dev = np.abs(a - b)
         finite = np.isfinite(dev)  # a finite dev has a finite relative deviation
-        picks = set(np.flatnonzero(~finite).tolist())
-        if finite.any():
+        picks = set()
+        if not finite.all():
+            picks.update(np.flatnonzero(~finite).tolist())
             dev = np.where(finite, dev, 0.0)
+        if finite.any():
             picks.add(int(np.argmax(dev)))
             counted = dev > ABS_FLOOR
             if counted.any():
@@ -166,10 +168,11 @@ def _closed_form_grid(sys: SpinSystem, grid: SweepGrid) -> np.ndarray:
 
 
 def _energy_uncertainties(
-    sys: SpinSystem, fields: Sequence[Optional[FieldConfig]], theta: np.ndarray, phi: np.ndarray
+    sys: SpinSystem, fields: Sequence[Optional[FieldConfig]], psi: np.ndarray
 ) -> np.ndarray:
-    """Every field's energy uncertainty under its product-space Hamiltonian at each
-    (theta, phi): shape (n_fields, n_theta, n_phi, 1), the same at every chi.
+    """Every field's energy uncertainty under its product-space Hamiltonian in each state
+    of ``psi``, the (n_theta, n_phi, 1, D) occupation-basis states at chi = 0: shape
+    (n_fields, n_theta, n_phi, 1), the same at every chi.
 
     H_f = 2J (Z + b_f . Sum_j S_j) commutes with U(chi), so its variance is
     that of the chi = 0 state, which no field changes; H_f is linear in b_f
@@ -178,7 +181,7 @@ def _energy_uncertainties(
     The three dense total spins are applied only when some field is nonzero.
     """
     rows, weights = product_to_occupation(sys)
-    psi = family_grid(sys, theta, phi, 0.0)[0][..., rows] * weights
+    psi = np.take(psi, rows, axis=-1) * weights
     b = field_vectors(fields)
     applied = [ising_pair_sums(sys) * psi]
     if b.any():
@@ -188,18 +191,28 @@ def _energy_uncertainties(
     return uncertainties_from_covariances(cov, 2.0 * sys.coupling_j * v[:, None, None, None])
 
 
+def _states_at_chi_zero(sys: SpinSystem, grid: SweepGrid, psi: np.ndarray) -> np.ndarray:
+    """The (n_theta, n_phi, 1, D) states of ``grid`` at chi = 0, which no field changes:
+    read from the grid's ``psi`` (:func:`~spinmanifold.evolution.family_grids` output)
+    when its chi grid holds 0, built otherwise."""
+    still = np.flatnonzero(grid.chi == 0.0)
+    if still.size:
+        return psi[0, :, :, still[0] : still[0] + 1]
+    return family_grid(sys, grid.theta, grid.phi, 0.0)[0]
+
+
 def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> List[CheckResult]:
     """Both oracle identities at every grid point, in one pass over all fields.
 
     ``metric_equivalence``: the numeric metric against the closed form.
     ``speed_uncertainty``: |J| sqrt(g_chichi) at every chi against gamma *
     (the energy uncertainty of :func:`_energy_uncertainties`, at chi = 0
-    with no Hamiltonian built), so U(chi) shows here only through the
-    metric.  Speeds are compared squared: at stationary points both sides
-    are the square root of ~eps round-off, so the raw values carry
-    O(sqrt(eps)) noise that is not a real deviation.  Squared agreement
-    within tol implies the speeds themselves agree to better than tol
-    where nonzero.
+    with no Hamiltonian built, in the states of the same pass), so U(chi)
+    shows here only through the metric.  Speeds are compared squared: at
+    stationary points both sides are the square root of ~eps round-off, so
+    the raw values carry O(sqrt(eps)) noise that is not a real deviation.
+    Squared agreement within tol implies the speeds themselves agree to
+    better than tol where nonzero.
 
     One :func:`~spinmanifold.evolution.family_grids` call builds the
     states and tangents of every field; their metrics are then assembled
@@ -208,7 +221,7 @@ def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> Li
     """
     fields = grid.fields or [None]
     psi, tangents = family_grids(sys, grid.theta, grid.phi, grid.chi, fields)
-    de = _energy_uncertainties(sys, fields, grid.theta, grid.phi)
+    de = _energy_uncertainties(sys, fields, _states_at_chi_zero(sys, grid, psi))
     g = metric_from_vectors(sys.gamma, psi, tangents)
     metric, speed = _Deviation(), _Deviation()
     metric.add_arrays(g, _closed_form_grid(sys, grid))

@@ -177,6 +177,40 @@ def test_ladder_table_holds_only_real_moves(n, two_s):
     assert np.all(basis.ladder_coefficients["y"][spare] == 0)
 
 
+def looped_ladder_table(n_sites, two_s, occ):
+    """The ladder table filled one (direction, level) pair at a time, 2 * 2s passes."""
+    dim, s = len(occ), two_s / 2.0
+    m = s - np.arange(two_s + 1)
+    terms = spin_ops._rank_terms(n_sites, two_s)
+    width = int(((occ[:, :-1] > 0).sum(axis=1) + (occ[:, 1:] > 0).sum(axis=1)).max())
+    rows = np.repeat(np.arange(dim)[:, None], width, axis=1)
+    coefficients = {"x": np.zeros((dim, width)), "y": np.zeros((dim, width), dtype=complex)}
+    ladder = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] - 1.0)) / 2.0
+    used = np.zeros(dim, dtype=np.int64)
+    for down in (0, 1):
+        past = np.full(dim, n_sites)
+        for k in range(two_s):
+            past -= occ[:, k]
+            into = np.flatnonzero(occ[:, k + down])
+            c, at = past[into], used[into]
+            rows[into, at] = into + terms[k, c + 1 - 2 * down] - terms[k, c]
+            half = ladder[k] * np.sqrt((occ[into, k] + down) * (occ[into, k + 1] + 1.0 - down))
+            coefficients["x"][into, at] = half
+            coefficients["y"][into, at] = half * (1j if down else -1j)
+            used[into] += 1
+    return rows, coefficients
+
+
+@pytest.mark.parametrize("n,two_s", SYSTEMS + [(2, 150), (19999, 1)])
+def test_ladder_table_in_one_pass_is_the_looped_table(n, two_s):
+    basis = spin_ops._occupation_basis.__wrapped__(n, two_s)
+    rows, coefficients = looped_ladder_table(n, two_s, basis.occupations)
+    assert np.array_equal(basis.ladder_rows, rows)
+    for kind in "xy":
+        assert np.array_equal(basis.ladder_coefficients[kind], coefficients[kind])
+        assert basis.ladder_coefficients[kind].tobytes() == coefficients[kind].tobytes()
+
+
 def test_tables_at_two_spins_of_spin_seventy_five_fit_in_twenty_megabytes():
     # D = 11476 rows of 151 levels: the ladder table is 4 wide, not 4s = 300
     basis = spin_ops._occupation_basis.__wrapped__(2, 150)
@@ -185,18 +219,24 @@ def test_tables_at_two_spins_of_spin_seventy_five_fit_in_twenty_megabytes():
     assert sum(a.nbytes for a in arrays) < 20e6
 
 
+def table_bytes(basis):
+    """The bytes held by every table of a basis, its ladder coefficients included."""
+    return sum(a.nbytes for a in (*basis[:-1], *basis.ladder_coefficients.values()))
+
+
 def test_cached_tables_stay_under_a_quarter_of_the_host_memory(monkeypatch):
-    # a 24 MB host: the cache keeps at most 6 MB of estimated tables, evicting the
-    # least recently used first, and does not keep a basis estimated past that alone
+    # a 24 MB host: the cache keeps at most 6 MB of tables, evicting the least
+    # recently used first, and does not keep a basis whose tables are past that alone
     cache, budget = spin_ops._occupation_basis, 6_000_000
     monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 4 * budget)
-    sizes = {args: spin_ops._basis_bytes(*args) for args in [(9000, 1), (40, 3), (8000, 1), (100, 2)]}
+    build = cache.__wrapped__
+    sizes = {args: table_bytes(build(*args)) for args in [(20000, 1), (45, 3), (18000, 1), (150, 2)]}
     assert all(1_000_000 < size < budget for size in sizes.values())
     cache.cache_clear()
     try:
         kept = []  # least recently used first
-        # the last (9000, 1) is a hit, so (8000, 1) then evicts (100, 2), not (9000, 1)
-        for args in [*sizes, (40, 3), (9000, 1), (100, 2), (9000, 1), (8000, 1)]:
+        # the last (20000, 1) is a hit, so (18000, 1) then evicts (150, 2), not (20000, 1)
+        for args in [*sizes, (45, 3), (20000, 1), (150, 2), (20000, 1), (18000, 1)]:
             basis = cache(*args)
             assert cache(*args) is basis
             kept = [a for a in kept if a != args] + [args]
@@ -204,9 +244,24 @@ def test_cached_tables_stay_under_a_quarter_of_the_host_memory(monkeypatch):
                 kept.pop(0)
             assert cache.cache_bytes() == sum(sizes[a] for a in kept) <= budget
         assert len(kept) < len(sizes)
-        assert spin_ops._basis_bytes(50, 3) > budget
+        assert table_bytes(build(50, 3)) > budget
         assert cache(50, 3) is not cache(50, 3)
         assert cache.cache_bytes() == sum(sizes[a] for a in kept)
+    finally:
+        cache.cache_clear()
+
+
+def test_cache_counts_the_bytes_its_tables_hold():
+    # the cache charges each basis what its tables keep, not the larger peak of the
+    # build that the guard estimates beforehand
+    cache = spin_ops._occupation_basis
+    cache.cache_clear()
+    try:
+        systems = [(200, 1), (20, 4), (3, 3), (2, 40)]
+        bases = [cache(*args) for args in systems]
+        assert cache.cache_bytes() == sum(map(table_bytes, bases))
+        for args, basis in zip(systems, bases):
+            assert table_bytes(basis) < spin_ops._basis_bytes(*args)
     finally:
         cache.cache_clear()
 
@@ -217,8 +272,15 @@ def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
     # the occupation-basis G, rebuilt from the spectrum the oracle
     # propagates with, against V^dag H V / 2J from the dense product-space H
     sys = SpinSystem(n, two_s, coupling_j=-1.7)
-    evals, evecs = _generator_spectrum(occupation_basis(sys), field_vectors([field]))
-    rebuilt = np.diag(evals[0]) if evecs is None else (evecs[0] * evals[0]) @ evecs[0].conj().T
+    basis = occupation_basis(sys)
+    evals, evecs, family = _generator_spectrum(basis, [field])
+    if evecs is None:
+        rebuilt = np.diag(evals[0])
+    else:
+        # the field's G is R G_0 R^dag, R = exp(-i phi' Sum S^z), G_0 its family's at phi' = 0
+        turn = np.exp(-1j * field.direction.azimuth * basis.total_z)
+        g_0 = (evecs[family[0]] * evals[family[0]]) @ evecs[family[0]].T
+        rebuilt = turn[:, None] * g_0 * turn.conj()
     rows, weights = product_to_occupation(sys)
     v = np.zeros((sys.dim, sys.occupation_dim))
     v[np.arange(sys.dim), rows] = weights
@@ -318,7 +380,7 @@ GUARDED_BUILDS = {
         lambda sys: 8 * sys.occupation_dim * sys.site_dim,
     ),
     "_generator_spectrum": (
-        lambda sys: _generator_spectrum(occupation_basis(sys), field_vectors(OFF_AXIS_STACK[:1])),
+        lambda sys: _generator_spectrum(occupation_basis(sys), OFF_AXIS_STACK[:1]),
         lambda sys: 16 * sys.occupation_dim**2,
     ),
 }
@@ -363,12 +425,13 @@ def assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s):
 
 
 def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
-    # D = 201, W = 2: one off-axis field counts W/2 + 1 + 3 = 5 D x D complex
-    # arrays, three fields W/2 + 1 + 9 = 11; a host between the two builds one
-    # field and refuses the stack of three, before any D x D array exists
+    # D = 201, W = 2: one off-axis field counts W/2 + 3 + 1 = 5 D x D complex
+    # arrays, three fields of three families W/2 + 3 + 3 = 7, and both 0.4 more
+    # of buffers; a host between the two builds one field and refuses the stack
+    # of three, before any D x D array exists
     sys = SpinSystem(200, 1)
     square = 16 * sys.occupation_dim**2
-    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 8 * square)
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 6 * square)
     grid = ([1.1], [0.4], [0.9])
     family_grids(sys, *grid, OFF_AXIS_STACK[:1])
     assert refused(lambda: family_grids(sys, *grid, OFF_AXIS_STACK), "3 off-axis field")[1] < square
@@ -378,6 +441,8 @@ def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
 
 #: verify's field directions off the z axis: 48 of its 64
 VERIFY_OFF_AXIS = [FieldConfig(1.0, d) for d in verify._direction_grid() if 0.0 < d.polar < math.pi]
+#: 8 azimuths at one h/J and theta': one dense generator
+ONE_FAMILY = [FieldConfig(0.8, Direction(1.1, 0.3 * k)) for k in range(8)]
 
 
 @pytest.mark.parametrize(
@@ -386,16 +451,17 @@ VERIFY_OFF_AXIS = [FieldConfig(1.0, d) for d in verify._direction_grid() if 0.0 
         pytest.param(200, 1, OFF_AXIS_STACK, id="200-1"),
         pytest.param(6, 4, OFF_AXIS_STACK, id="6-4"),
         pytest.param(4, 2, VERIFY_OFF_AXIS, id="4-2-verify"),
+        pytest.param(200, 1, ONE_FAMILY, id="200-1-family"),
     ],
 )
 def test_off_axis_stack_estimate_covers_its_traced_peak(monkeypatch, n, two_s, fields):
-    # D = 201 and 210 with three fields, and verify's D = 15 with 48: the
-    # traced peak of the stacked build and eigh stays within the estimate
+    # D = 201 and 210 with three fields of three families, verify's D = 15 with 48
+    # of 6 and D = 201 with 8 of one: the traced peak of the stacked build and eigh
+    # stays within the estimate
     basis = occupation_basis(SpinSystem(n, two_s))
-    b = field_vectors(fields)
-    peak = traced_peak(lambda: _generator_spectrum(basis, b))
+    peak = traced_peak(lambda: _generator_spectrum(basis, fields))
     monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: peak - 1)
-    assert refused(lambda: _generator_spectrum(basis, b), f"{len(fields)} off-axis field")[0] >= peak
+    assert refused(lambda: _generator_spectrum(basis, fields), f"{len(fields)} off-axis field")[0] >= peak
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])

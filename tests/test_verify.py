@@ -81,11 +81,10 @@ class TestFullSuite:
         report = run_full_suite()
         assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
         assert report.overall
-        # two blocks per oracle check, 5 zero-field grids and one stacked
-        # grid for all 64 field directions: the grid itself and its chi = 0
-        # states for the energy uncertainties; section7 adds its 7
-        # single-point speeds
-        assert len(calls) == 2 * (5 + 1) + 7
+        # one block per oracle check, 5 zero-field grids and one stacked grid
+        # for all 64 field directions, whose chi = 0 states also give the
+        # energy uncertainties; section7 adds its 7 single-point speeds
+        assert len(calls) == 5 + 1 + 7
 
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
         validated, spins = [], []
@@ -304,6 +303,11 @@ def _dressed_grid():
     )
 
 
+def chi_zero_states(sys, grid):
+    """The (n_theta, n_phi, 1, D) states of ``grid`` at chi = 0, built on their own."""
+    return evolution.family_grid(sys, grid.theta, grid.phi, 0.0)[0]
+
+
 def looped_uncertainties(sys, grid, fields):
     """Every field's energy uncertainty on ``grid`` from its dense product-space
     Hamiltonian, applied field by field to the states propagated to every chi."""
@@ -342,7 +346,7 @@ def test_batched_checks_equal_the_per_field_loop(sys, grid):
     # the batched uncertainties come from one covariance at chi = 0, so they
     # agree with the loop's to round-off, not bit for bit
     looped = looped_uncertainties(sys, grid, fields)
-    batched = verify._energy_uncertainties(sys, fields, grid.theta, grid.phi)
+    batched = verify._energy_uncertainties(sys, fields, chi_zero_states(sys, grid))
     assert np.abs(batched - looped).max() <= 1e-13
     assert got_speed.passed and got_speed.max_abs > 0.0
 
@@ -366,6 +370,6 @@ def test_energy_uncertainties_equal_the_per_field_loop(fields):
     sys = SpinSystem(4, 2, coupling_j=-1.3)
     grid = SweepGrid.default(sys, n_theta=5, n_phi=3, n_chi=3)
     looped = looped_uncertainties(sys, grid, fields)
-    batched = verify._energy_uncertainties(sys, fields, grid.theta, grid.phi)
+    batched = verify._energy_uncertainties(sys, fields, chi_zero_states(sys, grid))
     assert batched.shape == looped.shape[:3] + (1,)
     assert np.abs(batched - looped).max() <= 1e-13
