@@ -29,7 +29,6 @@ from .fs_metric import (
     MetricTensor,
     metric_numeric,
     speed_numeric,
-    distance_along_evolution,
 )
 from .analytic import (
     ManifoldSpec,
@@ -74,7 +73,6 @@ __all__ = [
     "MetricTensor",
     "metric_numeric",
     "speed_numeric",
-    "distance_along_evolution",
     "ManifoldSpec",
     "SpeedExtrema",
     "SingularPoint",

@@ -16,8 +16,7 @@ theta' share that generator up to a diagonal phase, the rotation by
 their azimuth, so one eigendecomposition serves each such family.
 :func:`family_grids` builds them on a whole (theta, phi, chi) grid for
 a whole list of fields in a few array operations, sharing everything
-but d_chi and U(chi) between the fields and building each distinct
-field once; :func:`family_grid` is its
+but d_chi and U(chi) between the fields; :func:`family_grid` is its
 one-field case, and :func:`state_at` and :func:`tangent_states` its
 size-1 case.  A product-basis vector, where one is needed, is
 gathered with :func:`spinmanifold.spin_ops.product_to_occupation`.
@@ -188,11 +187,9 @@ def _propagate(
     chi: np.ndarray,
     fields: Sequence[Optional[FieldConfig]],
     out: np.ndarray,
-    at: np.ndarray,
 ):
     """Move each field's (n_theta, n_phi, 4, D) rows at chi = 0, of an (F, ...) stack, to
-    every chi by its U(chi), and write them to ``out[at[f]]``, (n_theta, n_phi, n_chi,
-    4, D).
+    every chi by its U(chi), and write them to ``out``, (F, n_theta, n_phi, n_chi, 4, D).
 
     The fields with a diagonal G go by phases.  Off the z axis,
     U_f(chi) = R_f V_k exp(-2i chi E_k) V_k^T R_f^dag for field f of family
@@ -207,10 +204,8 @@ def _propagate(
         evals = _generator_spectrum(basis, [fields[i] for i in members])[0]
         phases = np.moveaxis(np.exp(np.multiply.outer(chi, -2j * evals)), 0, 1)
         phases = phases[:, None, None, :, None, :]
-        if members.size == len(out):  # every field, each once: straight into out
-            np.multiply(rows[:, :, :, None], phases, out=out)
-        else:
-            out[at[members]] = rows[members][:, :, :, None] * phases
+        for f, phase in zip(members, phases):  # straight into out: no gathered copy
+            np.multiply(rows[f][:, :, None], phase, out=out[f])
     if diagonal.all():
         return
     off_axis = np.flatnonzero(~diagonal)
@@ -225,11 +220,11 @@ def _propagate(
         coeffs = np.multiply(flat, unturn).reshape(-1, flat.shape[-1]) @ v
         for c, chi_c in enumerate(chi):
             if chi_c == 0.0:
-                out[at[members], :, :, c] = own
+                out[members, :, :, c] = own
                 continue
             evolved = ((coeffs * np.exp(chi_c * (-2j * energies))) @ v.T).reshape(flat.shape)
             evolved *= unturn.conj()
-            out[at[members], :, :, c] = evolved.reshape(own.shape)
+            out[members, :, :, c] = evolved.reshape(own.shape)
 
 
 def _family_block(
@@ -239,17 +234,9 @@ def _family_block(
     chi: np.ndarray,
     fields: Sequence[Optional[FieldConfig]],
 ) -> np.ndarray:
-    """psi, d_theta, d_phi, d_chi stacked on axis 4: shape (n_fields, n_theta, n_phi, n_chi, 4, D).
-
-    Each distinct field is built and propagated once (the same b, and off
-    the z axis the same h/J, theta' and phi'); its repeats get a copy of
-    its block.
-    """
+    """psi, d_theta, d_phi, d_chi stacked on axis 4: (n_fields, n_theta, n_phi, n_chi, 4, D)."""
     basis = occupation_basis(sys)
-    n_fields, b = len(fields), field_vectors(fields)
-    firsts, inverse = _distinct_fields(fields, b)
-    if firsts is not None:
-        fields, b = [fields[i] for i in firsts], b[firsts]
+    b = field_vectors(fields)
     psi0 = _symmetric_product(basis, theta)
     minus_i_z = -1j * basis.total_z
     phi_phases = np.exp(np.multiply.outer(phi, minus_i_z))
@@ -263,38 +250,11 @@ def _family_block(
         rows[1:, :, :, :3] = rows[0, :, :, :3]
     np.multiply(apply_generator(basis, b, psi), -2j, out=rows[:, :, :, 3])
     if not np.count_nonzero(chi):
-        block = rows[:, :, :, None] if chi.size == 1 else rows[:, :, :, None].repeat(chi.size, axis=3)
-        return block if firsts is None else block[inverse]
-    block = np.empty((n_fields,) + rows.shape[1:3] + (chi.size,) + rows.shape[3:], dtype=complex)
-    _propagate(basis, rows, chi, fields, block, np.arange(len(b)) if firsts is None else firsts)
-    if firsts is not None:  # each repeat copies the block of its first
-        again = np.ones(n_fields, dtype=bool)
-        again[firsts] = False
-        block[again] = block[firsts[inverse[again]]]
+        block = rows[:, :, :, None]
+        return block if chi.size == 1 else block.repeat(chi.size, axis=3)
+    block = np.empty(rows.shape[:3] + (chi.size,) + rows.shape[3:], dtype=complex)
+    _propagate(basis, rows, chi, fields, block)
     return block
-
-
-def _distinct_fields(fields: Sequence[Optional[FieldConfig]], b: np.ndarray):
-    """``(firsts, inverse)``: the positions in ``fields`` of the first of each distinct
-    field and the index into ``firsts`` of each field, or ``(None, None)`` when every
-    field is distinct; ``b`` is their :func:`~spinmanifold.spin_ops.field_vectors`.
-
-    Two fields are the same when they build the same block: off the z axis
-    the same h/J, theta' and phi', otherwise the same b (exact comparisons).
-    """
-    if len(fields) == 1:
-        return None, None
-    index, firsts, inverse = {}, [], []
-    for i, (f, row) in enumerate(zip(fields, b.tolist())):
-        direction = f.direction if _family_of(f) else None
-        key = (f.ratio_h_over_j, direction.polar, direction.azimuth) if direction else tuple(row)
-        if key not in index:
-            index[key] = len(firsts)
-            firsts.append(i)
-        inverse.append(index[key])
-    if len(firsts) == len(fields):
-        return None, None
-    return np.array(firsts), np.array(inverse)
 
 
 def family_grids(
@@ -317,11 +277,10 @@ def family_grids(
     :func:`~spinmanifold.spin_ops.apply_generator`); at chi they are
     U(chi) times those, since G commutes with U(chi).  psi, d_theta,
     d_phi and Sum S^x psi and Sum S^y psi are built once and shared by
-    every field, and a repeated field is built once.  An all-zero chi
-    grid propagates nothing; otherwise the fields with a diagonal G (none,
-    h/J = 0 or along z) propagate by phases, and the fields off the z axis
-    by family, one dense generator per h/J and theta', all diagonalized by
-    one stacked eigh.
+    every field.  An all-zero chi grid propagates nothing; otherwise the
+    fields with a diagonal G (none, h/J = 0 or along z) propagate by
+    phases, and the fields off the z axis by family, one dense generator
+    per h/J and theta', all diagonalized by one stacked eigh.
     """
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
     for name, grid in (("theta", theta), ("phi", phi), ("chi", chi)):

@@ -213,26 +213,3 @@ def speed_numeric(
     """
     return float(speed_from_g_chi_chi(sys.coupling_j, metric_numeric(sys, point, field).g_chi_chi))
 
-
-def distance_along_evolution(
-    sys: SpinSystem,
-    theta: float,
-    phi: float,
-    chi: float,
-    field: Optional[FieldConfig] = None,
-) -> float:
-    """State-space distance accumulated from chi' = 0 to chi: sqrt(g_chichi) * chi.
-
-    The family evolves as exp(-i chi H/J) with H independent of chi, so
-    g_chichi = gamma^2 Var(H/J) is conserved along the trajectory for
-    every field direction, and one metric at chi' = 0 gives the whole
-    line integral.  Raises ValueError for a negative, NaN or infinite chi,
-    and for a theta or phi that :class:`CoordinatePoint` refuses.
-    """
-    if not (math.isfinite(chi) and chi >= 0.0):
-        raise ValueError(f"chi must be finite and >= 0, got {chi}")
-    point = CoordinatePoint(theta, phi)  # validates theta and phi, also at chi = 0
-    if chi == 0.0:
-        return 0.0
-    g = metric_numeric(sys, point, field)
-    return math.sqrt(max(g.g_chi_chi, 0.0)) * chi

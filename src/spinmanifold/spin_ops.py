@@ -143,10 +143,6 @@ class Direction:
         st, ct = math.sin(self.polar), math.cos(self.polar)
         return st * math.cos(self.azimuth), st * math.sin(self.azimuth), ct
 
-    def unit_vector(self) -> np.ndarray:
-        """:meth:`components` as an array."""
-        return np.array(self.components())
-
 
 @dataclass(frozen=True)
 class FieldConfig:

@@ -6,6 +6,11 @@ its g_chichi against every field's energy uncertainty from one covariance;
 each records its worst deviation in one reduction.  A component passes when
 its absolute deviation is below the 1e-12 floor or its relative deviation
 (denominator max(|a|, |b|, 1e-12)) is below the check tolerance.
+
+The suite is one table, ``_SUITE``, with one row per runner call in report
+order: the names of the checks it reports, their default tolerance and the
+call.  :func:`select_checks` and :func:`run_full_suite` read only that
+table, and a row runs only when one of its names is selected.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -312,6 +317,52 @@ TOPOLOGY_SYSTEMS = (
 )
 
 
+def _direction_grid(n_polar: int = 8, n_azimuth: int = 8):
+    for tp in np.linspace(0.0, math.pi, n_polar):
+        for pp in np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False):
+            yield Direction(float(tp), float(pp))
+
+
+def _field_grid() -> SweepGrid:
+    """:data:`FIELD_SYSTEM`'s grid: h/J = 1 over the 64 directions of :func:`_direction_grid`."""
+    return SweepGrid(
+        theta=np.array([0.4, 1.1, 2.3]),
+        phi=np.array([0.7, 2.9, 5.1]),
+        chi=np.array([0.0, 0.9]),
+        fields=[FieldConfig(1.0, d) for d in _direction_grid()],
+    )
+
+
+#: relative; oracle and closed forms agree to round-off, every deviation under ABS_FLOOR (7.1e-14)
+_ORACLE_TOL = 1e-9
+#: relative; the curvature integral's 1e-4 pole cut leaves deviations of 2.5e-8 to 5.9e-7
+_TOPOLOGY_TOL = 1e-3
+
+
+def _oracle_names(tag: str) -> Tuple[str, str]:
+    return f"metric_equivalence[{tag}]", f"speed_uncertainty[{tag}]"
+
+
+#: the suite in report order, one row per runner call: (the names of the checks it reports,
+#: their default tolerance, run(tol)).  Each run looks its runner up when it is called, so a
+#: runner replaced on this module after import (a tracing wrapper) is the one that runs.
+_SUITE = (
+    *(
+        (_oracle_names(_sys_tag(s)), _ORACLE_TOL,
+         lambda tol, s=s: run_oracle_checks(s, SweepGrid.default(s), tol))
+        for s in DEFAULT_SYSTEMS
+    ),
+    (_oracle_names(f"{_sys_tag(FIELD_SYSTEM)}_field"), _ORACLE_TOL,
+     lambda tol: run_oracle_checks(FIELD_SYSTEM, _field_grid(), tol)),
+    *(
+        ((f"topology[{_sys_tag(s)}]",), _TOPOLOGY_TOL,
+         lambda tol, s=s: run_topology_suite([analytic.ManifoldSpec.for_system(s)], tol))
+        for s in TOPOLOGY_SYSTEMS
+    ),
+    (("section7_vectors",), _ORACLE_TOL, lambda tol: [run_section7_vectors(tol)]),
+)
+
+
 def select_checks(only: Optional[str], tolerance: Optional[float]) -> List[str]:
     """The names of the suite's checks that ``only`` selects, in report order.
 
@@ -320,53 +371,25 @@ def select_checks(only: Optional[str], tolerance: Optional[float]) -> List[str]:
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    tags = [_sys_tag(s) for s in DEFAULT_SYSTEMS] + [f"{_sys_tag(FIELD_SYSTEM)}_field"]
-    names = [f"{check}[{t}]" for t in tags for check in ("metric_equivalence", "speed_uncertainty")]
-    names += [f"topology[{_sys_tag(s)}]" for s in TOPOLOGY_SYSTEMS] + ["section7_vectors"]
-    selected = [name for name in names if only is None or name.startswith(only)]
+    selected = [n for names, _, _ in _SUITE for n in names if only is None or n.startswith(only)]
     if not selected:
         raise ValueError(f"no verify check name starts with {only!r}")
     return selected
 
 
-def _direction_grid(n_polar: int = 8, n_azimuth: int = 8):
-    for tp in np.linspace(0.0, math.pi, n_polar):
-        for pp in np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False):
-            yield Direction(float(tp), float(pp))
-
-
 def run_full_suite(
     only: Optional[str] = None, tolerance: Optional[float] = None
 ) -> VerificationReport:
-    """Run every enabled check and assemble the report.
+    """Run the selected checks and assemble the report.
 
     ``only`` keeps the checks whose name starts with it ("metric",
-    "speed_uncertainty[N3", "topology[N2_2s1]", ...); a group of checks
+    "speed_uncertainty[N3", "topology[N2_2s1]", ...); a row of the suite
     runs only when it has a kept check.  ``tolerance`` overrides each
-    check's pass tolerance.  Both are checked first, by :func:`select_checks`.
+    row's default tolerance.  Both are checked first, by :func:`select_checks`.
     """
     selected = select_checks(only, tolerance)
-
-    def want(*families: str) -> bool:
-        return any(name.startswith(families) for name in selected)
-
-    def tol(default: float) -> float:
-        return default if tolerance is None else tolerance
-
     entries: List[CheckResult] = []
-    if want("metric_equivalence", "speed_uncertainty"):
-        for sys in DEFAULT_SYSTEMS:
-            entries += run_oracle_checks(sys, SweepGrid.default(sys), tol=tol(1e-9))
-        field_grid = SweepGrid(
-            theta=np.array([0.4, 1.1, 2.3]),
-            phi=np.array([0.7, 2.9, 5.1]),
-            chi=np.array([0.0, 0.9]),
-            fields=[FieldConfig(1.0, d) for d in _direction_grid()],
-        )
-        entries += run_oracle_checks(FIELD_SYSTEM, field_grid, tol=tol(1e-9))
-    if want("topology"):
-        specs = [analytic.ManifoldSpec.for_system(s) for s in TOPOLOGY_SYSTEMS]
-        entries += run_topology_suite(specs, tol=tol(1e-3))
-    if want("section7_vectors"):
-        entries.append(run_section7_vectors(tol=tol(1e-9)))
+    for names, default, run in _SUITE:
+        if any(name in selected for name in names):
+            entries += run(default if tolerance is None else tolerance)
     return VerificationReport([e for e in entries if e.name in selected])

@@ -57,7 +57,7 @@ def occupation_generator(sys, field=None):
     # Sum_{i<j} S_i^z S_j^z = ((Sum S^z)^2 - Sum (S^z)^2) / 2, the last term diagonal
     g = (sz @ sz - np.diag(occupation_basis(sys).occupations @ m**2)) / 2.0
     if field is not None:
-        n = field.direction.unit_vector()
+        n = np.array(field.direction.components())
         g = g + field.ratio_h_over_j / 2.0 * sum(
             n[i] * occupation_spin(sys, k) for i, k in enumerate("xyz")
         )
@@ -93,7 +93,7 @@ class TestInitialState:
         sys = SpinSystem(2, 3)
         theta, phi = 1.1, 2.7
         psi = state_at(sys, CoordinatePoint(theta, phi)).amplitudes
-        n = Direction(theta, phi).unit_vector()
+        n = np.array(Direction(theta, phi).components())
         op = sum(n[i] * occupation_spin(sys, k) for i, k in enumerate("xyz"))
         assert np.vdot(psi, op @ psi).real / sys.n_sites == pytest.approx(sys.s, abs=1e-10)
 

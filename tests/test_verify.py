@@ -67,17 +67,22 @@ class TestIndividualChecks:
         assert grid.theta.size == 27
 
 
+def counted_calls(monkeypatch, module, name) -> list:
+    """The arguments of every later call of ``module.name``, which still runs."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestFullSuite:
     def test_suite_shape_and_oracle_passes(self, monkeypatch):
-        calls = []
-        family_block = evolution._family_block
-
-        def counted(*args):
-            calls.append(args[0])
-            return family_block(*args)
-
         evolution._family_vectors.cache_clear()
-        monkeypatch.setattr(evolution, "_family_block", counted)
+        calls = counted_calls(monkeypatch, evolution, "_family_block")
         report = run_full_suite()
         assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
         assert report.overall
@@ -133,7 +138,28 @@ class TestFullSuite:
         assert report.overall
 
     def test_select_checks_lists_the_report_names(self):
-        assert select_checks(None, None) == [name for name, _ in SUITE_SHAPE]
+        names = select_checks(None, None)
+        assert names == [name for name, _ in SUITE_SHAPE]
+        assert len(set(names)) == len(names)
+
+    def test_only_one_oracle_check_builds_one_grid(self, monkeypatch):
+        calls = counted_calls(monkeypatch, evolution, "_family_block")
+        report = run_full_suite(only="metric_equivalence[N2_2s1]")
+        assert [e.name for e in report.entries] == ["metric_equivalence[N2_2s1]"]
+        assert [args[0] for args in calls] == [SpinSystem(2, 1)]
+
+    def test_only_one_topology_check_integrates_one_manifold(self, monkeypatch):
+        calls = counted_calls(monkeypatch, analytic, "curvature_integral")
+        report = run_full_suite(only="topology[N2_2s1]")
+        assert [e.name for e in report.entries] == ["topology[N2_2s1]"]
+        assert [spec.sys for spec, in calls] == [SpinSystem(2, 1)]
+
+    def test_runners_are_looked_up_when_their_row_runs(self, monkeypatch):
+        # perfbench's tracer replaces module functions after import
+        calls = counted_calls(monkeypatch, verify, "run_topology_suite")
+        report = run_full_suite(only="topology")
+        assert [spec.sys for args in calls for spec in args[0]] == list(verify.TOPOLOGY_SYSTEMS)
+        assert len(report.entries) == 4
 
     def test_only_selecting_nothing_raises(self):
         with pytest.raises(ValueError, match="'bogus'"):
@@ -293,16 +319,6 @@ class TestDeviationArrays:
         assert vectorised(a[:2], b[:2]) == looped(a[:2], b[:2]) == (0.0, 0.0)
 
 
-def _dressed_grid():
-    """run_full_suite's dressed grid: N = 4, 2s = 2, h/J = 1 over 64 directions."""
-    return SweepGrid(
-        theta=np.array([0.4, 1.1, 2.3]),
-        phi=np.array([0.7, 2.9, 5.1]),
-        chi=np.array([0.0, 0.9]),
-        fields=[FieldConfig(1.0, d) for d in verify._direction_grid()],
-    )
-
-
 def chi_zero_states(sys, grid):
     """The (n_theta, n_phi, 1, D) states of ``grid`` at chi = 0, built on their own."""
     return evolution.family_grid(sys, grid.theta, grid.phi, 0.0)[0]
@@ -322,7 +338,10 @@ def looped_uncertainties(sys, grid, fields):
 
 @pytest.mark.parametrize(
     "sys,grid",
-    [(SpinSystem(4, 2), _dressed_grid()), (SpinSystem(3, 3), SweepGrid.default(SpinSystem(3, 3)))],
+    [
+        (verify.FIELD_SYSTEM, verify._field_grid()),
+        (SpinSystem(3, 3), SweepGrid.default(SpinSystem(3, 3))),
+    ],
     ids=["N4_2s2_field", "N3_2s3"],
 )
 def test_batched_checks_equal_the_per_field_loop(sys, grid):
