@@ -234,6 +234,10 @@ def curvature_numeric_from_profile(g_thth: float, g_chichi: Callable, theta):
 def chi_max_for(two_s: int, field: Optional[FieldConfig] = None) -> float:
     """Evolution period: 2*pi (half-integer s) or pi (integer s).
 
+    At zero field the states' minimal period is pi / g, g the gcd of the
+    differences of G's diagonal: this is that period for even N or integer
+    s, and twice it (a two-fold cover) for odd N at half-integer s.
+
     A field along z with declared rational ratio p/q makes it 2*pi*q, or pi*q for
     integer s and even p.  An undeclared (irrational) nonzero ratio leaves chi
     unbounded, and a generic field direction has no known period; both are rejected.

@@ -158,17 +158,17 @@ def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldC
     and ``family`` (F,) the family of each field, in order of first
     appearance.
     """
-    dim = basis.occupations.shape[0]
+    dim = basis.total_z.size
     families = {}
     family = [families.setdefault(_family_of(f), len(families)) for f in fields]
     if None in families:
         # every G_f is diagonal, so G_f applied to the all-ones vector is its diagonal
         return apply_generator(basis, field_vectors(fields), np.ones(dim)).real, None, None
-    # all real: the identity, its (D, D, W) ladder gather and Sum S^x of it, shared by every
-    # family, peak at about W/2 + 1.6 D x D complex arrays, and each of the K families adds
-    # one (two real arrays, in its build and in eigh): count W/2 + 3 + K, and 256 KiB of
-    # einsum buffers and eigh work (239 kB at D <= 1001)
-    needed = 8 * dim**2 * (basis.ladder_rows.shape[1] + 6 + 2 * len(families)) + 2**18
+    # all real, in D x D complex arrays: the identity and its (D, D, W) ladder gather, W/2 + 1
+    # until Sum S^x of it is taken, and each of the K families one (two real arrays: its G
+    # and, in eigh, its eigenvectors): count W/2 + 1 + K, and 256 KiB of einsum buffers and
+    # eigh work (239 kB at D <= 1001)
+    needed = 8 * dim**2 * (basis.ladder_rows.shape[1] + 2 + 2 * len(families)) + 2**18
     build = f"the generators of {len(fields)} off-axis field(s), {len(families)} up to azimuth"
     _check_bytes(needed, build, "occupation-basis", dim)
     b = np.array([(h / 2.0 * math.sin(tp), 0.0, h / 2.0 * math.cos(tp)) for h, tp in families])

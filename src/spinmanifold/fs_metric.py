@@ -195,9 +195,11 @@ def uncertainties_from_covariances(cov: np.ndarray, weights: np.ndarray) -> np.n
     broadcast against them.
 
     Tiny negative variances (round-off on eigenstates, or in w^T C w) are
-    clamped to zero; anything below -1e-12 is an internal error.
+    clamped to zero; anything below -1e-12, NaN or infinite is an internal error.
     """
     var = np.einsum("...k,...kl,...l->...", weights, cov, weights)
+    if not np.isfinite(var).all():
+        raise ArithmeticError(f"variance {var[~np.isfinite(var)].flat[0]} is not finite")
     if (var < -1e-12).any():
         raise ArithmeticError(f"variance {var.min():.3e} is negative beyond round-off")
     return np.sqrt(np.maximum(var, 0.0))

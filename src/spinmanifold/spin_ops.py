@@ -29,7 +29,6 @@ import numbers
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import wraps
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,7 +271,8 @@ class OccupationBasis(NamedTuple):
     Rows run over every n with sum n = N in descending lexicographic order,
     first (N, 0, ..., 0): all sites at m = s; row o is the stars-and-bars
     rank of n (:func:`_occupation_rows`).  |n> is the normalized sum of the
-    M(n) = N! / prod_k n_k! product states with that occupation.
+    M(n) = N! / prod_k n_k! product states with that occupation.  Only the
+    tables the oracle reads are kept, not n itself (:func:`_occupations`).
 
     The ladder table holds Sum_j S_j^x and Sum_j S_j^y: row o lists the rows
     that Sum S^+ brings into o by moving a site from level k + 1 up to k,
@@ -288,8 +288,6 @@ class OccupationBasis(NamedTuple):
     2sN - K of cos(theta/2), as floats (exact integers below 2^53).
     """
 
-    occupations: np.ndarray  # (D, 2s+1) integer n
-    log_sqrt_multinomial: np.ndarray  # log sqrt(M(n)), from lgamma
     total_z: np.ndarray  # Sum_j S_j^z: (Sum_k m_k n_k)
     ising_pair_sums: np.ndarray  # Sum_{i<j} S_i^z S_j^z: ((m.n)^2 - (m^2).n) / 2
     log_coherent_prefactor: np.ndarray  # log sqrt(M(n)) + 1/2 Sum_k n_k log C(2s, k)
@@ -328,63 +326,32 @@ def _basis_bytes(n_sites: int, two_s: int) -> int:
     return dim * per_row + 8 * (two_s + 5) * (n_sites + 1) + 16384
 
 
-def _byte_bounded_cache(entry_bytes):
-    """Cache a function of hashable arguments, evicting the least recently used entries
-    while the summed ``entry_bytes(result)`` of those kept would exceed a quarter of the
-    host's physical memory; a result larger than that alone is returned uncached.
-
-    The cached function keeps ``__wrapped__``, the uncached one, and gains
-    ``cache_clear()`` and ``cache_bytes()``, the summed bytes of the entries kept.
-    """
-
-    def decorate(build):
-        entries = OrderedDict()  # args -> (result, bytes), oldest first
-        held = 0
-
-        @wraps(build)
-        def cached(*args):
-            nonlocal held
-            if args in entries:
-                entries.move_to_end(args)
-                return entries[args][0]
-            result = build(*args)
-            size, budget = entry_bytes(result), _physical_memory_bytes() // 4
-            if size <= budget:
-                while held + size > budget:
-                    held -= entries.popitem(last=False)[1][1]
-                entries[args] = (result, size)
-                held += size
-            return result
-
-        def cache_clear():
-            nonlocal held
-            entries.clear()
-            held = 0
-
-        cached.cache_clear, cached.cache_bytes = cache_clear, lambda: held
-        return cached
-
-    return decorate
-
-
 def _table_bytes(basis: OccupationBasis) -> int:
     """The bytes that the tables of a basis hold."""
     return sum(a.nbytes for a in (*basis[:-1], *basis.ladder_coefficients.values()))
 
 
-@_byte_bounded_cache(_table_bytes)
-def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
+def _occupations(n_sites: int, two_s: int) -> np.ndarray:
+    """The (D, 2s+1) integer occupation vectors in row order, the inverse of
+    :func:`_occupation_rows`: the rank inverted greedily, at each level the most sites
+    past it whose term fits."""
     dim = math.comb(n_sites + two_s, two_s)
-    _check_bytes(_basis_bytes(n_sites, two_s), "the tables", "occupation-basis", dim)
-    # invert the rank greedily: at each level, the most sites past it whose term fits
-    terms = _rank_terms(n_sites, two_s)
     occ = np.empty((dim, two_s + 1), dtype=np.int64)
     left, past = np.arange(dim), np.full(dim, n_sites)
-    for i, level_terms in enumerate(terms):
+    for i, level_terms in enumerate(_rank_terms(n_sites, two_s)):
         past_i = np.searchsorted(level_terms, left, side="right") - 1
         occ[:, i], past = past - past_i, past_i
         left -= level_terms[past_i]
     occ[:, -1] = past
+    return occ
+
+
+def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
+    """The tables of (N, 2s), built afresh; the occupations they come from are dropped."""
+    dim = math.comb(n_sites + two_s, two_s)
+    _check_bytes(_basis_bytes(n_sites, two_s), "the tables", "occupation-basis", dim)
+    terms = _rank_terms(n_sites, two_s)
+    occ = _occupations(n_sites, two_s)
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_sites + 1)])
     log_sqrt_m = 0.5 * (log_fact[n_sites] - log_fact[occ].sum(axis=1))
     # the coherent-state tables: every power and prefactor of the polarized state
@@ -419,16 +386,33 @@ def _occupation_basis(n_sites: int, two_s: int) -> OccupationBasis:
         half = ladder[k] * np.sqrt((occ[o, k] + down) * (occ[o, k + 1] + 1.0 - down))
         coefficients["x"][o, col] = half
         coefficients["y"][o, col] = half * (1j if down else -1j)
-    tables = (occ, log_sqrt_m, total_z, ising, log_prefactor, ups, downs, rows)
+    tables = (total_z, ising, log_prefactor, ups, downs, rows)
     for arr in (*tables, *coefficients.values()):
         arr.setflags(write=False)
     return OccupationBasis(*tables, coefficients)
 
 
+_BASES = OrderedDict()  # (N, 2s) -> its basis, least recently used first
+
+
 def occupation_basis(sys: SpinSystem) -> OccupationBasis:
-    """Occupation-basis tables of ``sys``, cached per (N, 2s) in an LRU cache bounded by
-    the bytes its tables hold."""
-    return _occupation_basis(sys.n_sites, sys.two_s)
+    """Occupation-basis tables of ``sys``, cached per (N, 2s).
+
+    The least recently used bases are evicted while the tables kept
+    (:func:`_table_bytes`) exceed a quarter of the host's physical memory;
+    a basis larger than that alone is returned without being kept.
+    """
+    key = (sys.n_sites, sys.two_s)
+    if key in _BASES:
+        _BASES.move_to_end(key)
+        return _BASES[key]
+    basis = _occupation_basis(*key)
+    budget = _physical_memory_bytes() // 4
+    if _table_bytes(basis) <= budget:
+        _BASES[key] = basis
+        while sum(map(_table_bytes, _BASES.values())) > budget:
+            _BASES.popitem(last=False)
+    return basis
 
 
 def apply_total_spin(basis: OccupationBasis, kind: str, vectors: np.ndarray) -> np.ndarray:
@@ -446,19 +430,16 @@ def apply_generator(basis: OccupationBasis, b: np.ndarray, vectors: np.ndarray) 
     :func:`field_vectors`): shape (F, ..., D), with no D x D matrix of G.
 
     This is the oracle's only G: d_chi and the dense off-axis generators
-    both come from it.  Only when some b_f leaves the z axis are the
-    vectors gathered from the ladder table, once, to apply Sum S^x and
-    Sum S^y (each only when some b_f has that component), which each field
-    then weights by its b_x and b_y; a zero b_f adds exact zeros.
+    both come from it.  Sum S^x and Sum S^y are applied by
+    :func:`apply_total_spin`, each only when some b_f has that component,
+    and each field weights them by its b_x and b_y; a zero b_f adds exact
+    zeros.
     """
     column = (slice(None),) + (None,) * vectors.ndim  # an (F, 1, ..., 1) column of b
     spin_along = b[:, 2][column] * basis.total_z * vectors
-    if np.count_nonzero(b[:, :2]):
-        gathered = vectors[..., basis.ladder_rows]
-        for k, kind in enumerate("xy"):
-            if np.count_nonzero(b[:, k]):
-                spin = np.einsum("...dj,dj->...d", gathered, basis.ladder_coefficients[kind])
-                spin_along = spin_along + b[:, k][column] * spin
+    for k, kind in enumerate("xy"):
+        if np.count_nonzero(b[:, k]):
+            spin_along = spin_along + b[:, k][column] * apply_total_spin(basis, kind, vectors)
     return basis.ising_pair_sums * vectors + spin_along
 
 
@@ -468,11 +449,13 @@ def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(rows, weights)``: product state i lies in occupation row
     ``rows[i]`` with amplitude ``weights[i]`` = 1/sqrt(M(n)), so
     ``V @ v == v[rows] * weights`` and V^dag is the matching weighted sum.
+    The weights come from each product state's occupation, not from the
+    basis tables: only the rank is shared with the oracle.
     """
     d, d1, n = sys.dim, sys.site_dim, sys.n_sites  # the counts, and the rank's terms
     _check_bytes(8 * d * (d1 + 3 * sys.two_s + 1) + 32768, "the gather", "Hilbert", d)
     counts = np.zeros((1, d1), dtype=np.int64)  # occupation of each product state
     for _ in range(n):  # the site added last is the fastest digit
         counts = (counts[:, None] + np.eye(d1, dtype=np.int64)).reshape(-1, d1)
-    rows = _occupation_rows(counts)
-    return rows, np.exp(-_occupation_basis(n, sys.two_s).log_sqrt_multinomial[rows])
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    return _occupation_rows(counts), np.exp(-0.5 * (log_fact[n] - log_fact[counts].sum(axis=1)))

@@ -43,6 +43,10 @@ from .spin_ops import (
 )
 
 ABS_FLOOR = 1e-12
+#: relative; oracle and closed forms agree to round-off, every deviation under ABS_FLOOR (7.1e-14)
+_ORACLE_TOL = 1e-9
+#: relative; the curvature integral's 1e-4 pole cut leaves deviations of 2.5e-8 to 5.9e-7
+_TOPOLOGY_TOL = 1e-3
 
 
 @dataclass
@@ -206,7 +210,9 @@ def _states_at_chi_zero(sys: SpinSystem, grid: SweepGrid, psi: np.ndarray) -> np
     return family_grid(sys, grid.theta, grid.phi, 0.0)[0]
 
 
-def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> List[CheckResult]:
+def run_oracle_checks(
+    sys: SpinSystem, grid: SweepGrid, tol: float = _ORACLE_TOL
+) -> List[CheckResult]:
     """Both oracle identities at every grid point, in one pass over all fields.
 
     ``metric_equivalence``: the numeric metric against the closed form.
@@ -241,7 +247,7 @@ def run_oracle_checks(sys: SpinSystem, grid: SweepGrid, tol: float = 1e-9) -> Li
 
 
 def run_topology_suite(
-    specs: Sequence[analytic.ManifoldSpec], tol: float = 1e-3
+    specs: Sequence[analytic.ManifoldSpec], tol: float = _TOPOLOGY_TOL
 ) -> List[CheckResult]:
     """Euler characteristic and curvature-integral value per manifold."""
     results = []
@@ -257,7 +263,7 @@ def run_topology_suite(
     return results
 
 
-def run_section7_vectors(tol: float = 1e-9) -> CheckResult:
+def run_section7_vectors(tol: float = _ORACLE_TOL) -> CheckResult:
     """The worked field cases: pole and equator formulas plus the
     (h/J=1, s=1, N=4, theta=pi/4) minimal/maximal speed pair, checked
     against both the dressed closed form and the numeric oracle."""
@@ -331,12 +337,6 @@ def _field_grid() -> SweepGrid:
         chi=np.array([0.0, 0.9]),
         fields=[FieldConfig(1.0, d) for d in _direction_grid()],
     )
-
-
-#: relative; oracle and closed forms agree to round-off, every deviation under ABS_FLOOR (7.1e-14)
-_ORACLE_TOL = 1e-9
-#: relative; the curvature integral's 1e-4 pole cut leaves deviations of 2.5e-8 to 5.9e-7
-_TOPOLOGY_TOL = 1e-3
 
 
 def _oracle_names(tag: str) -> Tuple[str, str]:

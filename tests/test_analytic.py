@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from spinmanifold.analytic import (
     speed_extrema,
     thermo_limit,
 )
-from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem
+from spinmanifold.spin_ops import Direction, FieldConfig, SpinSystem, occupation_basis
 from spinmanifold.verify import TOPOLOGY_SYSTEMS
 
 METHANE = SpinSystem(4, 1, coupling_j=-6.2)
@@ -166,6 +168,24 @@ class TestTopology:
         # integer s and odd p: pi * q leaves the odd-M states with a sign of -1
         assert chi_max_for(2, FieldConfig(1.5, Direction(polar), (3, 2))) == 4 * math.pi
         assert chi_max_for(2, FieldConfig(-2.0, Direction(polar), (-2, 1))) == math.pi
+
+    def test_chi_max_against_the_oracle_period(self):
+        # at zero field U(chi) = exp(-2i chi G) with G diagonal and 4G an integer on every
+        # occupation row, each of which carries amplitude at generic theta: the states
+        # first return up to a phase at chi = pi / g, g the gcd of G's differences, that
+        # is 4 pi / gcd(4G - 4G_0), exact in integers
+        doubled = set()
+        for n, two_s in itertools.product(range(2, 10), range(1, 10)):
+            steps = 4 * occupation_basis(SpinSystem(n, two_s)).ising_pair_sums
+            steps -= steps[0]
+            assert np.array_equal(steps, np.round(steps))
+            period = Fraction(4, math.gcd(*steps.astype(np.int64).tolist()))  # in units of pi
+            cover = Fraction(chi_max_for(two_s) / math.pi) / period
+            assert cover in (1, 2), (n, two_s)
+            if cover == 2:
+                doubled.add((n, two_s))
+        # twice the minimal period for the 20 systems with odd N and half-integer s
+        assert doubled == {(n, two_s) for n in (3, 5, 7, 9) for two_s in (1, 3, 5, 7, 9)}
 
     def test_chi_max_rejects_irrational_and_generic(self):
         with pytest.raises(ValueError):

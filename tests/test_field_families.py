@@ -43,7 +43,7 @@ def per_field_reference(sys, theta, phi, chi, field):
     through the eigenvectors of its own dense complex generator, and its largest |E|."""
     basis = occupation_basis(sys)
     rows = stacked(*family_grid(sys, theta, phi, 0.0, field))[:, :, 0]
-    g = apply_generator(basis, field_vectors([field]), np.eye(basis.occupations.shape[0]))[0]
+    g = apply_generator(basis, field_vectors([field]), np.eye(basis.total_z.size))[0]
     evals, evecs = np.linalg.eigh(g.T)
     phases = np.exp(np.multiply.outer(chi, -2j * evals))
     return ((rows @ evecs.conj())[:, :, None] * phases[:, None, :]) @ evecs.T, np.abs(evals).max()

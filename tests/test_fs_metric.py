@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinmanifold import spin_ops
 from spinmanifold.analytic import metric_closed_form, metric_closed_form_field
 from spinmanifold.evolution import (
     CoordinatePoint,
@@ -18,12 +19,12 @@ from spinmanifold.fs_metric import (
     metric_from_vectors,
     metric_numeric,
     speed_numeric,
+    uncertainties_from_covariances,
 )
 from spinmanifold.spin_ops import (
     Direction,
     FieldConfig,
     SpinSystem,
-    _occupation_basis,
     build_field_hamiltonian,
     product_to_occupation,
 )
@@ -150,6 +151,18 @@ class TestEnergyUncertainty:
             2.0 * energy_uncertainty(ham, psi)
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_variance_raises(self, bad):
+        # a NaN passes both the negative-variance test and the clamp at zero, and
+        # would reach verify's speed row as its reference
+        with pytest.raises(ArithmeticError, match="not finite"):
+            uncertainties_from_covariances(np.diag([1.0, bad]), np.ones(2))
+
+    def test_nan_state_raises(self):
+        psi = np.array([math.nan, 1.0], dtype=complex)
+        with pytest.raises(ArithmeticError, match="variance nan is not finite"):
+            energy_uncertainties(np.diag([0.5, -0.5]), psi)
+
 
 class TestSpeedNumeric:
     def test_pole_speed_is_zero(self):
@@ -224,8 +237,8 @@ def cold_peaks(sys, fields=(None, FieldConfig(2.0, Direction(math.pi, 0.0)))):
     """
     peaks = []
     for field in fields:
-        for cache in (_occupation_basis, _family_vectors):
-            cache.cache_clear()
+        spin_ops._BASES.clear()
+        _family_vectors.cache_clear()
         tracemalloc.start()
         try:
             metric_numeric(sys, COLD_POINT, field)

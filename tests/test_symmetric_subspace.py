@@ -73,7 +73,7 @@ def agrees(a, b, floor=1e-12):
 
 def isometry(sys):
     """Dense V (d x D): column o is the normalized symmetrization of occupation o."""
-    occ = occupation_basis(sys).occupations
+    occ = spin_ops._occupations(sys.n_sites, sys.two_s)
     column = {tuple(row): o for o, row in enumerate(occ.tolist())}
     v = np.zeros((sys.dim, len(occ)))
     for i, levels in enumerate(itertools.product(range(sys.site_dim), repeat=sys.n_sites)):
@@ -153,7 +153,7 @@ def test_total_spin_restricts_to_occupation_operator(n, two_s):
 @pytest.mark.parametrize("n,two_s", SYSTEMS + [(2, 150), (19999, 1)])
 def test_rank_of_each_occupation_is_its_row(n, two_s):
     # the rows run in descending lexicographic order of n, and the rank finds them
-    occ = occupation_basis(SpinSystem(n, two_s)).occupations
+    occ = spin_ops._occupations(n, two_s)
     assert occ.shape == (math.comb(n + two_s, two_s), two_s + 1)
     assert np.all(occ.sum(axis=1) == n) and np.all(occ >= 0)
     assert np.all(np.diff(occ[:, 0]) <= 0)
@@ -203,8 +203,8 @@ def looped_ladder_table(n_sites, two_s, occ):
 
 @pytest.mark.parametrize("n,two_s", SYSTEMS + [(2, 150), (19999, 1)])
 def test_ladder_table_in_one_pass_is_the_looped_table(n, two_s):
-    basis = spin_ops._occupation_basis.__wrapped__(n, two_s)
-    rows, coefficients = looped_ladder_table(n, two_s, basis.occupations)
+    basis = spin_ops._occupation_basis(n, two_s)
+    rows, coefficients = looped_ladder_table(n, two_s, spin_ops._occupations(n, two_s))
     assert np.array_equal(basis.ladder_rows, rows)
     for kind in "xy":
         assert np.array_equal(basis.ladder_coefficients[kind], coefficients[kind])
@@ -213,10 +213,16 @@ def test_ladder_table_in_one_pass_is_the_looped_table(n, two_s):
 
 def test_tables_at_two_spins_of_spin_seventy_five_fit_in_twenty_megabytes():
     # D = 11476 rows of 151 levels: the ladder table is 4 wide, not 4s = 300
-    basis = spin_ops._occupation_basis.__wrapped__(2, 150)
+    basis = spin_ops._occupation_basis(2, 150)
     arrays = [*basis[:-1], *basis.ladder_coefficients.values()]
     assert basis.ladder_rows.shape == (11476, 4)
     assert sum(a.nbytes for a in arrays) < 20e6
+
+
+def test_tables_at_two_spins_of_spin_seventy_five_keep_no_occupations():
+    # the (11476, 151) int64 occupations alone would be 13.9 MB; the kept tables
+    # are five length-D columns and the 4-wide ladder table
+    assert table_bytes(spin_ops._occupation_basis(2, 150)) < 2e6
 
 
 def table_bytes(basis):
@@ -224,46 +230,71 @@ def table_bytes(basis):
     return sum(a.nbytes for a in (*basis[:-1], *basis.ladder_coefficients.values()))
 
 
+def cache_bytes():
+    """The summed table bytes of the bases the cache keeps."""
+    return sum(map(table_bytes, spin_ops._BASES.values()))
+
+
 def test_cached_tables_stay_under_a_quarter_of_the_host_memory(monkeypatch):
-    # a 24 MB host: the cache keeps at most 6 MB of tables, evicting the least
+    # a 20 MB host: the cache keeps at most 5 MB of tables, evicting the least
     # recently used first, and does not keep a basis whose tables are past that alone
-    cache, budget = spin_ops._occupation_basis, 6_000_000
+    budget = 5_000_000
     monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 4 * budget)
-    build = cache.__wrapped__
+    build, cache = spin_ops._occupation_basis, lambda args: occupation_basis(SpinSystem(*args))
     sizes = {args: table_bytes(build(*args)) for args in [(20000, 1), (45, 3), (18000, 1), (150, 2)]}
     assert all(1_000_000 < size < budget for size in sizes.values())
-    cache.cache_clear()
+    spin_ops._BASES.clear()
     try:
         kept = []  # least recently used first
         # the last (20000, 1) is a hit, so (18000, 1) then evicts (150, 2), not (20000, 1)
         for args in [*sizes, (45, 3), (20000, 1), (150, 2), (20000, 1), (18000, 1)]:
-            basis = cache(*args)
-            assert cache(*args) is basis
+            basis = cache(args)
+            assert cache(args) is basis
             kept = [a for a in kept if a != args] + [args]
             while sum(sizes[a] for a in kept) > budget:
                 kept.pop(0)
-            assert cache.cache_bytes() == sum(sizes[a] for a in kept) <= budget
-        assert len(kept) < len(sizes)
+            assert list(spin_ops._BASES) == kept
+            assert cache_bytes() == sum(sizes[a] for a in kept) <= budget
+        assert kept == [(20000, 1), (18000, 1)]
         assert table_bytes(build(50, 3)) > budget
-        assert cache(50, 3) is not cache(50, 3)
-        assert cache.cache_bytes() == sum(sizes[a] for a in kept)
+        assert cache((50, 3)) is not cache((50, 3))
+        assert cache_bytes() == sum(sizes[a] for a in kept)
     finally:
-        cache.cache_clear()
+        spin_ops._BASES.clear()
 
 
 def test_cache_counts_the_bytes_its_tables_hold():
     # the cache charges each basis what its tables keep, not the larger peak of the
     # build that the guard estimates beforehand
-    cache = spin_ops._occupation_basis
-    cache.cache_clear()
+    spin_ops._BASES.clear()
     try:
         systems = [(200, 1), (20, 4), (3, 3), (2, 40)]
-        bases = [cache(*args) for args in systems]
-        assert cache.cache_bytes() == sum(map(table_bytes, bases))
+        bases = [occupation_basis(SpinSystem(*args)) for args in systems]
+        assert cache_bytes() == sum(map(table_bytes, bases))
         for args, basis in zip(systems, bases):
             assert table_bytes(basis) < spin_ops._basis_bytes(*args)
     finally:
-        cache.cache_clear()
+        spin_ops._BASES.clear()
+
+
+@pytest.mark.parametrize("n,two_s", [(4, 2), (6, 3), (10, 1), (3, 3), (2, 9)])
+def test_gather_weights_are_the_multinomials_of_the_occupations_bit_for_bit(n, two_s):
+    # 1 / sqrt(M(n)) of each product state's occupation, from the occupations in row
+    # order; at 2s = 9 each row sums 10 levels
+    sys = SpinSystem(n, two_s)
+    rows, weights = product_to_occupation(sys)
+    occ = spin_ops._occupations(n, two_s)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    log_sqrt_m = 0.5 * (log_fact[n] - log_fact[occ].sum(axis=1))
+    assert weights.tobytes() == np.exp(-log_sqrt_m[rows]).tobytes()
+    # and they are the exact-factorial isometry's, to round-off
+    assert np.abs(weights - isometry(sys)[np.arange(sys.dim), rows]).max() < 1e-15
+
+
+def test_gather_builds_no_occupation_basis():
+    spin_ops._BASES.clear()
+    product_to_occupation(SpinSystem(6, 3))
+    assert not spin_ops._BASES
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -325,7 +356,7 @@ def test_only_a_field_off_the_z_axis_takes_eigh(monkeypatch):
 
 def test_off_axis_generator_is_refused_past_the_host_memory(monkeypatch):
     # a 250 kB host: building the (D = 15, W = 4) generator is counted as
-    # (4 + W/2) x 16 x 15^2 bytes plus 256 KiB of buffers, which do not fit,
+    # (2 + W/2) x 16 x 15^2 bytes plus 256 KiB of buffers, which do not fit,
     # and the refusal comes before anything is allocated
     sys = SpinSystem(4, 2)
     monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 250_000)
@@ -375,7 +406,7 @@ GUARDED_BUILDS = {
     "ising_pair_sums": (ising_pair_sums, lambda sys: 8 * sys.dim * sys.n_sites),
     "product_to_occupation": (product_to_occupation, lambda sys: 8 * sys.dim * sys.n_sites),
     "_occupation_basis": (
-        lambda sys: spin_ops._occupation_basis.__wrapped__(sys.n_sites, sys.two_s),
+        lambda sys: spin_ops._occupation_basis(sys.n_sites, sys.two_s),
         lambda sys: 8 * sys.occupation_dim * sys.site_dim,
     ),
     "_generator_spectrum": (
@@ -424,13 +455,13 @@ def assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s):
 
 
 def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
-    # D = 201, W = 2: one off-axis field counts W/2 + 3 + 1 = 5 D x D complex
-    # arrays, three fields of three families W/2 + 3 + 3 = 7, and both 0.4 more
+    # D = 201, W = 2: one off-axis field counts W/2 + 1 + 1 = 3 D x D complex
+    # arrays, three fields of three families W/2 + 1 + 3 = 5, and both 0.4 more
     # of buffers; a host between the two builds one field and refuses the stack
     # of three, before any D x D array exists
     sys = SpinSystem(200, 1)
     square = 16 * sys.occupation_dim**2
-    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 6 * square)
+    monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 4 * square)
     grid = ([1.1], [0.4], [0.9])
     family_grids(sys, *grid, OFF_AXIS_STACK[:1])
     assert refused(lambda: family_grids(sys, *grid, OFF_AXIS_STACK), "3 off-axis field")[1] < square
