@@ -18,7 +18,10 @@ their azimuth, so one eigendecomposition serves each such family.
 a whole list of fields in a few array operations, sharing everything
 but d_chi and U(chi) between the fields; :func:`family_grid` is its
 one-field case, and :func:`state_at` and :func:`tangent_states` its
-size-1 case.  A product-basis vector, where one is needed, is
+size-1 case.  The propagation is one step, a generator of the block's
+(field group, chi) slices: :func:`family_grids` fills its block from
+it, and a caller that reduces each slice as it comes (verify's oracle
+pass) never holds the block.  A product-basis vector, where one is needed, is
 gathered with :func:`spinmanifold.spin_ops.product_to_occupation`.
 Global phases are never stripped: all comparisons downstream are gauge
 invariant.
@@ -164,16 +167,26 @@ def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldC
     if None in families:
         # every G_f is diagonal, so G_f applied to the all-ones vector is its diagonal
         return apply_generator(basis, field_vectors(fields), np.ones(dim)).real, None, None
-    # all real, in D x D complex arrays: the identity and its (D, D, W) ladder gather, W/2 + 1
-    # until Sum S^x of it is taken, and each of the K families one (two real arrays: its G
-    # and, in eigh, its eigenvectors): count W/2 + 1 + K, and 256 KiB of einsum buffers and
-    # eigh work (239 kB at D <= 1001)
-    needed = 8 * dim**2 * (basis.ladder_rows.shape[1] + 2 + 2 * len(families)) + 2**18
+    # row o of G_k is G_k applied to basis vector o; with b_y = 0 it is real.  The rows
+    # are built from blocks of ceil(D / W) rows of the identity, so that a block's
+    # (rows, D, W) ladder gather is about one D x D array
+    width = basis.ladder_rows.shape[1]
+    step = -(-dim // width)
+    # all real: D x D arrays, two for each of the K families (its G and, in eigh, its
+    # eigenvectors) and one for a block's gather, 2K + 1; (step, D) arrays, a block of the
+    # identity, its Sum S^x and 3K terms of apply_generator, 3K + 2; and 256 KiB of einsum
+    # buffers and eigh work (239 kB at D <= 1001)
+    k = len(families)
+    needed = 8 * dim * (dim * (2 * k + 1) + step * (3 * k + 2)) + 2**18
     build = f"the generators of {len(fields)} off-axis field(s), {len(families)} up to azimuth"
     _check_bytes(needed, build, "occupation-basis", dim)
     b = np.array([(h / 2.0 * math.sin(tp), 0.0, h / 2.0 * math.cos(tp)) for h, tp in families])
-    # row o of G_k is G_k applied to basis vector o; with b_y = 0 it is real
-    g = apply_generator(basis, b, np.eye(dim))
+    g = np.empty((k, dim, dim))
+    for start in range(0, dim, step):
+        stop = min(start + step, dim)
+        block = np.zeros((stop - start, dim))
+        block[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        g[:, start:stop] = apply_generator(basis, b, block)
     try:
         evals, evecs = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on a symmetric matrix
@@ -181,50 +194,89 @@ def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldC
     return evals, evecs, np.array(family)
 
 
-def _propagate(
+def _chi_slices(
     basis: OccupationBasis,
-    rows: np.ndarray,
+    common: np.ndarray,
+    d_chi: np.ndarray,
     chi: np.ndarray,
     fields: Sequence[Optional[FieldConfig]],
-    out: np.ndarray,
 ):
-    """Move each field's (n_theta, n_phi, 4, D) rows at chi = 0, of an (F, ...) stack, to
-    every chi by its U(chi), and write them to ``out``, (F, n_theta, n_phi, n_chi, 4, D).
+    """Yield ``(members, c, vecs)``: psi, d_theta, d_phi and d_chi of the fields
+    ``members`` moved from chi = 0 (:func:`_family_rows`) to chi[c] by their U(chi),
+    stacked on axis 3 of ``vecs``, (len(members), n_theta, n_phi, 4, D).
 
-    The fields with a diagonal G go by phases.  Off the z axis,
+    A group of members is all the fields with a diagonal G together, or one
+    family of fields off the z axis (:func:`_generator_spectrum`); each
+    group yields every chi in turn.  Every slice is written to one buffer,
+    reused: it holds only until the next slice is asked for.  The diagonal
+    fields go by phases, field by field.  Off the z axis,
     U_f(chi) = R_f V_k exp(-2i chi E_k) V_k^T R_f^dag for field f of family
-    k (:func:`_generator_spectrum`): the phases R_f^dag and R_f go on the
-    rows, and the rows of the whole family pass through V_k in one matrix
-    product, and back in one per chi; at chi = 0 they are copied, as U(0)
-    is the identity.
+    k: the phases R_f^dag and R_f go on the rows, and the rows of the whole
+    family pass through V_k in one matrix product, and back in one per chi;
+    at chi = 0 they are copied, as U(0) is the identity.  All the families
+    share one stacked eigh.
     """
     diagonal = np.array([_family_of(f) is None for f in fields])
-    if diagonal.any():
-        members = np.flatnonzero(diagonal)
-        evals = _generator_spectrum(basis, [fields[i] for i in members])[0]
-        phases = np.moveaxis(np.exp(np.multiply.outer(chi, -2j * evals)), 0, 1)
-        phases = phases[:, None, None, :, None, :]
-        for f, phase in zip(members, phases):  # straight into out: no gathered copy
-            np.multiply(rows[f][:, :, None], phase, out=out[f])
-    if diagonal.all():
-        return
     off_axis = np.flatnonzero(~diagonal)
-    evals, evecs, family = _generator_spectrum(basis, [fields[i] for i in off_axis])
+    groups = [np.flatnonzero(diagonal)] if diagonal.any() else []
+    if off_axis.size:
+        evals, evecs, family = _generator_spectrum(basis, [fields[i] for i in off_axis])
+        groups += [off_axis[family == k] for k in range(len(evals))]
+    rows_shape = common.shape[:2] + (4, common.shape[-1])
+    buffer = np.empty((max(map(len, groups)),) + rows_shape, dtype=complex)
+    if diagonal.any():
+        members = groups[0]
+        energies = -2j * _generator_spectrum(basis, [fields[i] for i in members])[0]
+        out = buffer[: len(members)]
+        for c, chi_c in enumerate(chi):
+            for i, (f, phase) in enumerate(zip(members, np.exp(chi_c * energies))):
+                np.multiply(common, phase, out=out[i, :, :, :3])
+                np.multiply(d_chi[f], phase, out=out[i, :, :, 3])
+            yield members, c, out
+    if not off_axis.size:
+        return
     azimuths = np.array([fields[i].direction.azimuth for i in off_axis])
     unturns = np.exp(np.multiply.outer(azimuths, 1j * basis.total_z))[:, None]  # each R_f^dag
     for k, (v, energies) in enumerate(zip(evecs, evals)):
         members = off_axis[family == k]
-        own = rows[members]
+        own = np.empty((len(members),) + rows_shape, dtype=complex)
+        own[:, :, :, :3] = common
+        own[:, :, :, 3] = d_chi[members]
         flat = own.reshape(len(members), -1, own.shape[-1])  # theta, phi and the 4 rows
         unturn = unturns[family == k]
         coeffs = np.multiply(flat, unturn).reshape(-1, flat.shape[-1]) @ v
+        out = buffer[: len(members)]
         for c, chi_c in enumerate(chi):
             if chi_c == 0.0:
-                out[members, :, :, c] = own
-                continue
-            evolved = ((coeffs * np.exp(chi_c * (-2j * energies))) @ v.T).reshape(flat.shape)
-            evolved *= unturn.conj()
-            out[members, :, :, c] = evolved.reshape(own.shape)
+                out[...] = own
+            else:
+                evolved = ((coeffs * np.exp(chi_c * (-2j * energies))) @ v.T).reshape(flat.shape)
+                np.multiply(evolved, unturn.conj(), out=out.reshape(flat.shape))
+            yield members, c, out
+
+
+def _family_rows(
+    sys: SpinSystem,
+    theta: np.ndarray,
+    phi: np.ndarray,
+    fields: Sequence[Optional[FieldConfig]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows at chi = 0: ``(common, d_chi)``, psi, d_theta and d_phi stacked on axis 2,
+    (n_theta, n_phi, 3, D), which no field changes, and each field's d_chi,
+    (n_fields, n_theta, n_phi, D)."""
+    basis = occupation_basis(sys)
+    psi0 = _symmetric_product(basis, theta)
+    minus_i_z = -1j * basis.total_z
+    phi_phases = np.exp(np.multiply.outer(phi, minus_i_z))
+    common = np.empty((theta.size, phi.size, 3, psi0.shape[1]), dtype=complex)
+    psi = np.multiply(psi0[:, None], phi_phases, out=common[:, :, 0])
+    d_theta0 = apply_total_spin(basis, "y", psi0)
+    np.multiply(d_theta0, -1j, out=d_theta0)
+    np.multiply(d_theta0[:, None], phi_phases, out=common[:, :, 1])
+    np.multiply(psi, minus_i_z, out=common[:, :, 2])
+    d_chi = apply_generator(basis, field_vectors(fields), psi)
+    d_chi *= -2j
+    return common, d_chi
 
 
 def _family_block(
@@ -234,27 +286,53 @@ def _family_block(
     chi: np.ndarray,
     fields: Sequence[Optional[FieldConfig]],
 ) -> np.ndarray:
-    """psi, d_theta, d_phi, d_chi stacked on axis 4: (n_fields, n_theta, n_phi, n_chi, 4, D)."""
-    basis = occupation_basis(sys)
-    b = field_vectors(fields)
-    psi0 = _symmetric_product(basis, theta)
-    minus_i_z = -1j * basis.total_z
-    phi_phases = np.exp(np.multiply.outer(phi, minus_i_z))
-    rows = np.empty((len(b), theta.size, phi.size, 4, psi0.shape[1]), dtype=complex)
-    psi = np.multiply(psi0[:, None], phi_phases, out=rows[0, :, :, 0])
-    d_theta0 = apply_total_spin(basis, "y", psi0)
-    np.multiply(d_theta0, -1j, out=d_theta0)
-    np.multiply(d_theta0[:, None], phi_phases, out=rows[0, :, :, 1])
-    np.multiply(psi, minus_i_z, out=rows[0, :, :, 2])
-    if len(b) > 1:
-        rows[1:, :, :, :3] = rows[0, :, :, :3]
-    np.multiply(apply_generator(basis, b, psi), -2j, out=rows[:, :, :, 3])
+    """psi, d_theta, d_phi, d_chi stacked on axis 4: (n_fields, n_theta, n_phi, n_chi, 4, D),
+    filled slice by slice from :func:`_chi_slices`, or, on an all-zero chi grid, with the
+    rows at chi = 0."""
+    common, d_chi = _family_rows(sys, theta, phi, fields)
+    block = np.empty(d_chi.shape[:3] + (chi.size, 4, d_chi.shape[-1]), dtype=complex)
     if not np.count_nonzero(chi):
-        block = rows[:, :, :, None]
-        return block if chi.size == 1 else block.repeat(chi.size, axis=3)
-    block = np.empty(rows.shape[:3] + (chi.size,) + rows.shape[3:], dtype=complex)
-    _propagate(basis, rows, chi, fields, block)
+        block[..., :3, :] = common[:, :, None]
+        block[..., 3, :] = d_chi[:, :, :, None]
+        return block
+    for members, c, vecs in _chi_slices(occupation_basis(sys), common, d_chi, chi, fields):
+        block[members, :, :, c] = vecs
     return block
+
+
+def _grid_axes(theta, phi, chi, fields):
+    """theta, phi and chi as 1-D float arrays, after checking them and ``fields``."""
+    theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
+    for name, grid in (("theta", theta), ("phi", phi), ("chi", chi)):
+        if grid.ndim > 1:
+            raise ValueError(f"{name} must be a number or a 1-D grid, got shape {grid.shape}")
+    if not np.all((theta >= 0.0) & (theta <= math.pi)):  # NaN fails too
+        raise ValueError(f"theta must be in [0, pi], got {theta}")
+    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
+        raise ValueError(f"phi and chi must be finite, got phi={phi}, chi={chi}")
+    if not fields:
+        raise ValueError("fields must hold at least one field (None for no field)")
+    return theta, phi, chi
+
+
+def _family_stream(
+    sys: SpinSystem,
+    theta,
+    phi,
+    chi,
+    fields: Sequence[Optional[FieldConfig]],
+):
+    """:func:`family_grids` without its block: ``(common, slices)``, psi, d_theta and
+    d_phi at chi = 0, (n_theta, n_phi, 3, D), which no field changes, and the
+    :func:`_chi_slices` generator of the block, one (field group, chi) slice at a time.
+
+    The grids are checked as :func:`family_grids` checks them.  A caller
+    that reduces each slice as it comes holds the rows at chi = 0 and one
+    slice, not the n_chi-fold block.
+    """
+    theta, phi, chi = _grid_axes(theta, phi, chi, fields)
+    common, d_chi = _family_rows(sys, theta, phi, fields)
+    return common, _chi_slices(occupation_basis(sys), common, d_chi, chi, fields)
 
 
 def family_grids(
@@ -282,16 +360,7 @@ def family_grids(
     phases, and the fields off the z axis by family, one dense generator
     per h/J and theta', all diagonalized by one stacked eigh.
     """
-    theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
-    for name, grid in (("theta", theta), ("phi", phi), ("chi", chi)):
-        if grid.ndim > 1:
-            raise ValueError(f"{name} must be a number or a 1-D grid, got shape {grid.shape}")
-    if not np.all((theta >= 0.0) & (theta <= math.pi)):  # NaN fails too
-        raise ValueError(f"theta must be in [0, pi], got {theta}")
-    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
-        raise ValueError(f"phi and chi must be finite, got phi={phi}, chi={chi}")
-    if not fields:
-        raise ValueError("fields must hold at least one field (None for no field)")
+    theta, phi, chi = _grid_axes(theta, phi, chi, fields)
     vecs = _family_block(sys, theta, phi, chi, fields)
     return vecs[..., 0, :], vecs[..., 1:, :]
 

@@ -186,7 +186,8 @@ def covariances_from_applied(amplitudes: np.ndarray, applied: np.ndarray) -> np.
     """
     psi = amplitudes[..., None, :]
     # the Gram matrix of the (A_k - <A_k>) psi avoids the <A_k A_l> - <A_k><A_l> cancellation
-    shifted = applied - _real_dots(applied, psi) * psi
+    shifted = _real_dots(applied, psi) * psi
+    np.subtract(applied, shifted, out=shifted)
     return _real_dots(shifted, shifted)
 
 

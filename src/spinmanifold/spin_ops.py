@@ -456,6 +456,10 @@ def product_to_occupation(sys: SpinSystem) -> Tuple[np.ndarray, np.ndarray]:
     _check_bytes(8 * d * (d1 + 3 * sys.two_s + 1) + 32768, "the gather", "Hilbert", d)
     counts = np.zeros((1, d1), dtype=np.int64)  # occupation of each product state
     for _ in range(n):  # the site added last is the fastest digit
-        counts = (counts[:, None] + np.eye(d1, dtype=np.int64)).reshape(-1, d1)
+        # in place on strided rows: a broadcast add over the (d1, d1) inner axes would take
+        # the ufunc's buffers, up to 128 KiB, past the estimate at d ~ 4096
+        counts = np.repeat(counts, d1, axis=0)
+        for k in range(d1):
+            counts[k::d1, k] += 1
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     return _occupation_rows(counts), np.exp(-0.5 * (log_fact[n] - log_fact[counts].sum(axis=1)))

@@ -23,10 +23,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytic
-from .evolution import CoordinatePoint, family_grid, family_grids
+from .evolution import CoordinatePoint, _family_stream
 from .fs_metric import (
+    _metric_components,
+    _validated_metrics,
     covariances_from_applied,
-    metric_from_vectors,
     speed_from_g_chi_chi,
     speed_numeric,
     uncertainties_from_covariances,
@@ -190,24 +191,16 @@ def _energy_uncertainties(
     The three dense total spins are applied only when some field is nonzero.
     """
     rows, weights = product_to_occupation(sys)
-    psi = np.take(psi, rows, axis=-1) * weights
+    psi = np.take(psi, rows, axis=-1)
+    psi *= weights
     b = field_vectors(fields)
     applied = [ising_pair_sums(sys) * psi]
     if b.any():
         applied += [psi @ total_spin_operator(sys, kind).matrix.T for kind in "xyz"]
     v = np.concatenate([np.ones((len(b), 1)), b], axis=1)[:, : len(applied)]
-    cov = covariances_from_applied(psi, np.stack(applied, axis=-2))
+    applied = np.stack(applied, axis=-2) if len(applied) > 1 else applied[0][..., None, :]
+    cov = covariances_from_applied(psi, applied)
     return uncertainties_from_covariances(cov, 2.0 * sys.coupling_j * v[:, None, None, None])
-
-
-def _states_at_chi_zero(sys: SpinSystem, grid: SweepGrid, psi: np.ndarray) -> np.ndarray:
-    """The (n_theta, n_phi, 1, D) states of ``grid`` at chi = 0, which no field changes:
-    read from the grid's ``psi`` (:func:`~spinmanifold.evolution.family_grids` output)
-    when its chi grid holds 0, built otherwise."""
-    still = np.flatnonzero(grid.chi == 0.0)
-    if still.size:
-        return psi[0, :, :, still[0] : still[0] + 1]
-    return family_grid(sys, grid.theta, grid.phi, 0.0)[0]
 
 
 def run_oracle_checks(
@@ -225,15 +218,22 @@ def run_oracle_checks(
     Squared agreement within tol implies the speeds themselves agree to
     better than tol where nonzero.
 
-    One :func:`~spinmanifold.evolution.family_grids` call builds the
-    states and tangents of every field; their metrics are then assembled
-    and validated once, the closed form is evaluated once, and each row
-    is one :meth:`_Deviation.add_arrays` reduction.
+    One pass over :func:`~spinmanifold.evolution.family_grids`' block,
+    streamed one (field group, chi) slice at a time, builds the states and
+    tangents of every field: each slice's metrics are written into one
+    array, which is validated once, so the pass holds the chi = 0 rows, one
+    slice and the metrics, never the n_chi-fold block.  The energy
+    uncertainties read the chi = 0 states from those rows, and the closed
+    form is evaluated once; each row is one :meth:`_Deviation.add_arrays`
+    reduction.
     """
     fields = grid.fields or [None]
-    psi, tangents = family_grids(sys, grid.theta, grid.phi, grid.chi, fields)
-    de = _energy_uncertainties(sys, fields, _states_at_chi_zero(sys, grid, psi))
-    g = metric_from_vectors(sys.gamma, psi, tangents)
+    common, slices = _family_stream(sys, grid.theta, grid.phi, grid.chi, fields)
+    de = _energy_uncertainties(sys, fields, common[:, :, None, 0])
+    g = np.empty((len(fields),) + common.shape[:2] + (np.size(grid.chi), 3, 3))
+    for members, c, vecs in slices:
+        g[members, :, :, c] = _metric_components(sys.gamma, vecs[..., 0, :], vecs[..., 1:, :])
+    g = _validated_metrics(g)
     metric, speed = _Deviation(), _Deviation()
     metric.add_arrays(g, _closed_form_grid(sys, grid))
     v = speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])

@@ -187,6 +187,38 @@ class TestTopology:
         # twice the minimal period for the 20 systems with odd N and half-integer s
         assert doubled == {(n, two_s) for n in (3, 5, 7, 9) for two_s in (1, 3, 5, 7, 9)}
 
+    def test_chi_max_along_z_against_the_oracle_period(self):
+        # a field along +-z with h/J = p/q keeps G diagonal, and 4q G = 4q Sum S^z_i S^z_j
+        # + 2p cos(theta') Sum S^z is an integer on every occupation row: the states first
+        # return up to a phase at chi = pi / g, that is 4q pi / gcd(4qG - 4qG_0), exact in
+        # integers; chi_max_for is that period or twice it, compared with tolerance 0
+        ratios = [(1, 1), (3, 2), (-2, 1), (5, 3), (10, 1)]
+        doubled, cases = set(), 0
+        for n, two_s in itertools.product(range(2, 8), range(1, 6)):
+            basis = occupation_basis(SpinSystem(n, two_s))
+            for (p, q), polar in itertools.product(ratios, (0.0, math.pi)):
+                steps = 4 * q * basis.ising_pair_sums
+                steps += 2 * p * round(math.cos(polar)) * basis.total_z
+                assert np.array_equal(steps, np.round(steps))
+                steps = steps.astype(np.int64) - int(steps[0])
+                period = Fraction(4 * q, math.gcd(*steps.tolist()))  # in units of pi
+                chi_max = chi_max_for(two_s, FieldConfig(p / q, Direction(polar), (p, q)))
+                covers = [k for k in (1, 2) if chi_max == float(k * period) * math.pi]
+                assert covers, (n, two_s, p, q, polar)
+                cases += 1
+                if covers == [2]:
+                    doubled.add((n, two_s, p, q, polar))
+        assert cases == 300
+        # 72 cases at twice the period, each at half-integer s with odd q and N + p odd
+        # (h/J = 1 and 5/3 at even N, -2 and 10 at odd N), and none at h/J = 3/2
+        assert doubled == {
+            (n, two_s, p, q, polar)
+            for n, two_s in itertools.product(range(2, 8), (1, 3, 5))
+            for (p, q), polar in itertools.product(ratios, (0.0, math.pi))
+            if q % 2 == 1 and (n + p) % 2 == 1
+        }
+        assert len(doubled) == 72
+
     def test_chi_max_rejects_irrational_and_generic(self):
         with pytest.raises(ValueError):
             chi_max_for(1, FieldConfig(math.sqrt(2), Direction(0.0)))

@@ -107,15 +107,23 @@ def test_verify_grid_repeats_give_identical_blocks():
         assert np.array_equal(blocks[0], alone)
 
 
-def test_a_chi_grid_without_zero_builds_its_own_chi_zero_states():
+def test_a_chi_grid_without_zero_builds_its_own_chi_zero_states(monkeypatch):
+    # the energy uncertainties read the chi = 0 states from the rows built before any
+    # propagation, so a chi grid with or without 0 gives them the same states, bit for bit
     sys = verify.FIELD_SYSTEM
     with_zero = VERIFY_GRID
     without = verify.SweepGrid(with_zero.theta, with_zero.phi, np.array([0.9]), with_zero.fields)
-    psi = family_grids(sys, with_zero.theta, with_zero.phi, with_zero.chi, with_zero.fields)[0]
-    read = verify._states_at_chi_zero(sys, with_zero, psi)
-    built = verify._states_at_chi_zero(sys, without, None)
-    assert read.shape == built.shape == (3, 3, 1, 15)
-    assert read.tobytes() == built.tobytes()
+    read, energies = [], verify._energy_uncertainties
+
+    def recorded(sys, fields, psi):
+        read.append(psi.copy())
+        return energies(sys, fields, psi)
+
+    monkeypatch.setattr(verify, "_energy_uncertainties", recorded)
     metric, speed = verify.run_oracle_checks(sys, without)
     assert metric.passed and speed.passed
     assert (metric.grid, speed.grid) == ("576 points", "576 points")
+    verify.run_oracle_checks(sys, with_zero)
+    built = family_grid(sys, with_zero.theta, with_zero.phi, 0.0)[0]
+    assert read[0].shape == read[1].shape == built.shape == (3, 3, 1, 15)
+    assert read[0].tobytes() == read[1].tobytes() == built.tobytes()

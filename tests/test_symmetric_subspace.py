@@ -424,7 +424,7 @@ GUARDED_BUILDS = {
             ("total_spin_operator", [(6, 1), (4, 3)]),
             ("build_field_hamiltonian", [(6, 1), (5, 2)]),
             ("ising_pair_sums", [(10, 1), (6, 3)]),
-            ("product_to_occupation", [(10, 1), (6, 3)]),
+            ("product_to_occupation", [(10, 1), (12, 1), (16, 1), (6, 3)]),
             ("_occupation_basis", [(2000, 1), (20, 4), (2, 150)]),
         ]
         for n, two_s in sizes
@@ -455,10 +455,11 @@ def assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s):
 
 
 def test_off_axis_stack_is_refused_before_it_is_allocated(monkeypatch):
-    # D = 201, W = 2: one off-axis field counts W/2 + 1 + 1 = 3 D x D complex
-    # arrays, three fields of three families W/2 + 1 + 3 = 5, and both 0.4 more
-    # of buffers; a host between the two builds one field and refuses the stack
-    # of three, before any D x D array exists
+    # D = 201, W = 2, blocks of 101 rows of the identity: one off-axis field counts
+    # 2 + 1 D x D real arrays and 3 + 2 (101, D) ones, 2.8 D x D complex arrays in all,
+    # three fields of three families 2*3 + 1 and 3*3 + 2, 6.3, and both 0.4 more of
+    # buffers; a host of 4 builds one field and refuses the stack of three, before any
+    # D x D array exists
     sys = SpinSystem(200, 1)
     square = 16 * sys.occupation_dim**2
     monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: 4 * square)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,13 +83,14 @@ def counted_calls(monkeypatch, module, name) -> list:
 class TestFullSuite:
     def test_suite_shape_and_oracle_passes(self, monkeypatch):
         evolution._family_vectors.cache_clear()
-        calls = counted_calls(monkeypatch, evolution, "_family_block")
+        calls = counted_calls(monkeypatch, evolution, "_family_rows")
         report = run_full_suite()
         assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
         assert report.overall
-        # one block per oracle check, 5 zero-field grids and one stacked grid
-        # for all 64 field directions, whose chi = 0 states also give the
-        # energy uncertainties; section7 adds its 7 single-point speeds
+        # every family build starts from its rows at chi = 0: one grid per oracle
+        # check, 5 zero-field grids and one stacked grid for all 64 field
+        # directions, whose chi = 0 states also give the energy uncertainties;
+        # section7 adds its 7 single-point speeds
         assert len(calls) == 5 + 1 + 7
 
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
@@ -109,7 +111,7 @@ class TestFullSuite:
         def no_hamiltonian(*args, **kwargs):
             raise AssertionError("the energy uncertainties need no dense Hamiltonian")
 
-        for module in (fs_metric, analytic):
+        for module in (fs_metric, analytic, verify):
             monkeypatch.setattr(module, "_validated_metrics", counted_check)
         for module in (spin_ops, verify):
             monkeypatch.setattr(module, "total_spin_operator", counted_spin)
@@ -143,7 +145,7 @@ class TestFullSuite:
         assert len(set(names)) == len(names)
 
     def test_only_one_oracle_check_builds_one_grid(self, monkeypatch):
-        calls = counted_calls(monkeypatch, evolution, "_family_block")
+        calls = counted_calls(monkeypatch, evolution, "_family_rows")
         report = run_full_suite(only="metric_equivalence[N2_2s1]")
         assert [e.name for e in report.entries] == ["metric_equivalence[N2_2s1]"]
         assert [args[0] for args in calls] == [SpinSystem(2, 1)]
@@ -368,6 +370,52 @@ def test_batched_checks_equal_the_per_field_loop(sys, grid):
     batched = verify._energy_uncertainties(sys, fields, chi_zero_states(sys, grid))
     assert np.abs(batched - looped).max() <= 1e-13
     assert got_speed.passed and got_speed.max_abs > 0.0
+
+
+def block_reference(sys, grid):
+    """run_oracle_checks' two rows from the whole (F, n_theta, n_phi, n_chi, 4, D) block of
+    family_grids, its metrics from metric_from_vectors, and the block's size in bytes."""
+    fields = grid.fields or [None]
+    psi, tangents = evolution.family_grids(sys, grid.theta, grid.phi, grid.chi, fields)
+    g = fs_metric.metric_from_vectors(sys.gamma, psi, tangents)
+    de = verify._energy_uncertainties(sys, fields, chi_zero_states(sys, grid))
+    metric, speed = _Deviation(), _Deviation()
+    metric.add_arrays(g, verify._closed_form_grid(sys, grid))
+    v = fs_metric.speed_from_g_chi_chi(sys.coupling_j, g[..., 2, 2])
+    speed.add_arrays(v * v, (sys.gamma * de) ** 2)
+    tag = f"[{verify._sys_tag(sys)}{'_field' if grid.fields else ''}]"
+    rows = [
+        metric.result(f"metric_equivalence{tag}", f"{v.size} points", verify._ORACLE_TOL),
+        speed.result(f"speed_uncertainty{tag}", f"{v.size} points", verify._ORACLE_TOL),
+    ]
+    return rows, psi.nbytes + tangents.nbytes
+
+
+@pytest.mark.parametrize(
+    "sys,grid",
+    [
+        (SpinSystem(3, 3), SweepGrid.default(SpinSystem(3, 3))),
+        (verify.FIELD_SYSTEM, verify._field_grid()),
+    ],
+    ids=["N3_2s3", "N4_2s2_field"],
+)
+def test_streamed_oracle_checks_stay_below_their_block(sys, grid):
+    # the pass holds the chi = 0 rows and one (field group, chi) slice, never the
+    # n_chi-fold block: its traced peak stays below that block's own size (2.21 MB at
+    # N3_2s3 and 1.11 MB on the field grid), and its rows are the block's, bit for bit
+    want, block_bytes = block_reference(sys, grid)
+    got = run_oracle_checks(sys, grid)  # the bases are cached by now
+    tracemalloc.start()
+    try:
+        assert run_oracle_checks(sys, grid) == got
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes
+    assert got == want
+    for a, b in zip(got, want):
+        assert (a.max_abs.hex(), a.max_rel.hex()) == (b.max_abs.hex(), b.max_rel.hex())
+    assert got[0].max_abs > 0.0 and all(r.passed for r in got)
 
 
 #: fields past verify's h/J = 1: none, a zero ratio, off axis, along -z, strong and off axis
