@@ -17,12 +17,16 @@ their azimuth, so one eigendecomposition serves each such family.
 :func:`family_grids` builds them on a whole (theta, phi, chi) grid for
 a whole list of fields in a few array operations, sharing everything
 but d_chi and U(chi) between the fields; :func:`family_grid` is its
-one-field case, and :func:`state_at` and :func:`tangent_states` its
-size-1 case.  The propagation is one step, a generator of the block's
+one-field case.  The propagation is one step, a generator of the block's
 (field group, chi) slices: :func:`family_grids` fills its block from
 it, and a caller that reduces each slice as it comes (verify's oracle
-pass) never holds the block.  A product-basis vector, where one is needed, is
-gathered with :func:`spinmanifold.spin_ops.product_to_occupation`.
+pass) never holds the block.  :func:`state_at` and :func:`tangent_states`
+read one point: at chi = 0, where the metric and the speed are taken,
+its four rows are built straight into one (4, D) array by the grid's
+operations in the grid's order, so they equal the size-1 grid's; at
+chi != 0 they are the size-1 grid's.  A product-basis vector, where one
+is needed, is gathered with
+:func:`spinmanifold.spin_ops.product_to_occupation`.
 Global phases are never stripped: all comparisons downstream are gauge
 invariant.
 """
@@ -378,17 +382,49 @@ def family_grid(
     return psi[0], tangents[0]
 
 
+def _point_rows(
+    sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig]
+) -> np.ndarray:
+    """psi, d_theta, d_phi, d_chi at (theta, phi) and chi = 0, (4, D): :func:`_family_rows`
+    for one theta, one phi and one field, built straight into one array.
+
+    The same operations run in the same order as on a grid, so every row
+    equals the grid's.  With no field, or h/J = 0, G is the Ising diagonal,
+    and d_chi = -2i Sum_{i<j} S_i^z S_j^z psi.
+    """
+    basis = occupation_basis(sys)
+    psi0 = _symmetric_product(basis, np.array([point.theta]))[0]
+    minus_i_z = -1j * basis.total_z
+    phase = np.exp(np.multiply(point.phi, minus_i_z))
+    rows = np.empty((4, psi0.size), dtype=complex)
+    psi = np.multiply(psi0, phase, out=rows[0])
+    d_theta0 = apply_total_spin(basis, "y", psi0)
+    np.multiply(d_theta0, -1j, out=d_theta0)
+    np.multiply(d_theta0, phase, out=rows[1])
+    np.multiply(psi, minus_i_z, out=rows[2])
+    if field is None or field.ratio_h_over_j == 0.0:
+        np.multiply(basis.ising_pair_sums, psi, out=rows[3])
+    else:
+        rows[3] = apply_generator(basis, field_vectors([field]), psi)[0]
+    rows[3] *= -2j
+    return rows
+
+
 @lru_cache(maxsize=1)
 def _family_vectors(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig]
 ) -> np.ndarray:
-    """Read-only rows psi, d_theta, d_phi, d_chi at one point: the size-1 :func:`family_grid`.
+    """Read-only rows psi, d_theta, d_phi, d_chi at one point: the size-1 :func:`family_grid`,
+    from :func:`_point_rows` at chi = 0, where nothing is propagated.
 
     The last point is cached: the metric, the speed and verify ask for the
     state and the tangents of one point back to back.
     """
-    coords = (np.array([x]) for x in (point.theta, point.phi, point.chi))
-    vecs = _family_block(sys, *coords, [field])[0, 0, 0, 0]
+    if point.chi == 0.0:
+        vecs = _point_rows(sys, point, field)
+    else:
+        coords = (np.array([x]) for x in (point.theta, point.phi, point.chi))
+        vecs = _family_block(sys, *coords, [field])[0, 0, 0, 0]
     vecs.setflags(write=False)
     return vecs
 

@@ -429,8 +429,8 @@ def apply_generator(basis: OccupationBasis, b: np.ndarray, vectors: np.ndarray) 
     occupation-basis stack, for every row b_f of an (F, 3) array ``b`` (see
     :func:`field_vectors`): shape (F, ..., D), with no D x D matrix of G.
 
-    This is the oracle's only G: d_chi and the dense off-axis generators
-    both come from it.  Sum S^x and Sum S^y are applied by
+    This is the oracle's only G: d_chi with a field and the dense
+    off-axis generators both come from it.  Sum S^x and Sum S^y are applied by
     :func:`apply_total_spin`, each only when some b_f has that component,
     and each field weights them by its b_x and b_y; a zero b_f adds exact
     zeros.

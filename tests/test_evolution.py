@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinmanifold import evolution
 from spinmanifold.analytic import chi_max_for
 from spinmanifold.evolution import (
     CoordinatePoint,
@@ -14,6 +15,7 @@ from spinmanifold.evolution import (
     state_at,
     tangent_states,
 )
+from spinmanifold.fs_metric import metric_numeric, speed_numeric
 from spinmanifold.spin_ops import (
     Direction,
     FieldConfig,
@@ -347,3 +349,51 @@ class TestStateVector:
             StateVector(np.array([bad, 0.0]))
         with pytest.raises(ValueError, match="state norm deviates"):
             StateVector(np.array([0.6, 0.8j, bad * 1j]))
+
+
+#: no field, h/J = 0 off the z axis, +z, -z and two directions off the z axis
+ONE_POINT_FIELDS = [
+    None,
+    FieldConfig(0.0, Direction(0.7, 2.1)),
+    FieldConfig(2.5, Direction(0.0, 1.2)),
+    FieldConfig(-1.3, Direction(math.pi, 0.4)),
+    FieldConfig(1.1, Direction(0.9, 0.4)),
+    FieldConfig(2.5, Direction(2.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "n,two_s", [(2, 1), (4, 1), (3, 3), (10, 1), (12, 1), (2000, 1), (20000, 1)]
+)
+def test_one_point_at_chi_zero_equals_the_size_one_block(n, two_s):
+    # a point at chi = 0 is built without the grid builder, in the grid's operations and
+    # order: its rows equal the size-1 block's (signed zeros aside: with no field, d_chi
+    # adds no zero field term to the Ising part)
+    sys = SpinSystem(n, two_s)
+    for theta in (0.0, math.pi, 1.234):
+        for field in ONE_POINT_FIELDS:
+            point = CoordinatePoint(theta, 0.7)
+            grids = (np.array([x]) for x in (theta, 0.7, 0.0))
+            want = evolution._family_block(sys, *grids, [field])[0, 0, 0, 0]
+            assert np.array_equal(state_at(sys, point, field).amplitudes, want[0])
+            assert np.array_equal(tangent_states(sys, point, field).vectors, want[1:])
+
+
+def test_single_points_build_no_block_at_chi_zero(monkeypatch):
+    calls, block = [], evolution._family_block
+
+    def counted(*args):
+        calls.append(args)
+        return block(*args)
+
+    monkeypatch.setattr(evolution, "_family_block", counted)
+    evolution._family_vectors.cache_clear()
+    sys, field = SpinSystem(4, 1), FieldConfig(1.1, Direction(0.9, 0.4))
+    # the metric and the speed do not depend on chi and are evaluated at chi = 0
+    for chi in (0.0, 0.8, -2.5):
+        for fld in (None, field):
+            metric_numeric(sys, CoordinatePoint(1.0, 0.3, chi), fld)
+            speed_numeric(sys, CoordinatePoint(1.2, 0.3, chi), fld)
+    assert calls == []
+    state_at(sys, CoordinatePoint(1.0, 0.3, 0.8), field)
+    assert len(calls) == 1

@@ -84,14 +84,16 @@ class TestFullSuite:
     def test_suite_shape_and_oracle_passes(self, monkeypatch):
         evolution._family_vectors.cache_clear()
         calls = counted_calls(monkeypatch, evolution, "_family_rows")
+        points = counted_calls(monkeypatch, evolution, "_point_rows")
         report = run_full_suite()
         assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
         assert report.overall
-        # every family build starts from its rows at chi = 0: one grid per oracle
+        # every grid build starts from its rows at chi = 0: one grid per oracle
         # check, 5 zero-field grids and one stacked grid for all 64 field
-        # directions, whose chi = 0 states also give the energy uncertainties;
-        # section7 adds its 7 single-point speeds
-        assert len(calls) == 5 + 1 + 7
+        # directions, whose chi = 0 states also give the energy uncertainties
+        assert len(calls) == 5 + 1
+        # section7's 7 single-point speeds, each built at chi = 0 without a grid
+        assert len(points) == 7
 
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
         validated, spins = [], []
