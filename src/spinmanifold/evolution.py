@@ -4,16 +4,17 @@ Every family state and tangent vector is built in the occupation basis
 of the symmetric subspace (dimension C(N+2s, 2s); see
 :mod:`spinmanifold.spin_ops`), and that is the only basis they are
 returned in.  psi and its three tangents are first built at chi = 0,
-for every field, from exact operator applications with no D x D array:
-the polarized product state is a spin coherent state in closed form,
-the theta and phi tangents apply -i Sum S^y and -i Sum S^z, and the chi
-tangent -2i G.  One U(chi) = exp(-2i chi G) then moves all four rows: it is a
-phase when G is diagonal (no field, or a field along z), goes through
-the eigenvectors of a dense D x D generator only for a field off the
-z axis (refused when its estimated bytes exceed the host's memory), and
-is the identity at chi = 0.  Fields off the z axis that share h/J and
-theta' share that generator up to a diagonal phase, the rotation by
-their azimuth, so one eigendecomposition serves each such family.
+for every field, by one builder, :func:`_rows`, from exact operator
+applications with no D x D array: the polarized product state is a spin
+coherent state in closed form, the theta and phi tangents apply
+-i Sum S^y and -i Sum S^z, and the chi tangent -2i G.  One
+U(chi) = exp(-2i chi G) then moves all four rows: it is a phase when G
+is diagonal (no field, or a field along z), goes through the
+eigenvectors of a dense D x D generator only for a field off the z axis
+(refused when its estimated bytes exceed the host's memory), and is the
+identity at chi = 0.  Fields off the z axis that share h/J and theta'
+share that generator up to a diagonal phase, the rotation by their
+azimuth, so one eigendecomposition serves each such family.
 :func:`family_grids` builds them on a whole (theta, phi, chi) grid for
 a whole list of fields in a few array operations, sharing everything
 but d_chi and U(chi) between the fields; :func:`family_grid` is its
@@ -22,10 +23,10 @@ one-field case.  The propagation is one step, a generator of the block's
 it, and a caller that reduces each slice as it comes (verify's oracle
 pass) never holds the block.  :func:`state_at` and :func:`tangent_states`
 read one point: at chi = 0, where the metric and the speed are taken,
-its four rows are built straight into one (4, D) array by the grid's
-operations in the grid's order, so they equal the size-1 grid's; at
-chi != 0 they are the size-1 grid's.  A product-basis vector, where one
-is needed, is gathered with
+its four rows are :func:`_rows` of a 0-d theta and phi, the grid's
+operations on one point, so they equal the size-1 grid's bit for bit;
+at chi != 0 they are the size-1 grid's.  A product-basis vector, where
+one is needed, is gathered with
 :func:`spinmanifold.spin_ops.product_to_occupation`.
 Global phases are never stripped: all comparisons downstream are gauge
 invariant.
@@ -104,19 +105,19 @@ class TangentStates:
 
 
 def _log_power(powers: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """powers * log(base), (T, D), for (D,) powers and a (T,) base in [0, 1]; a zero
-    power of a zero base counts as 1.  With no zero base this is the plain product:
+    """powers * log(base), base.shape + (D,), for (D,) powers and a base in [0, 1]; a
+    zero power of a zero base counts as 1.  With no zero base this is the plain product:
     a zero power then gives a signed zero, and adding that to the log prefactor, which
     is never -0, changes no bit."""
-    if base.all():
-        return powers * np.log(base)[:, None]
+    if np.count_nonzero(base) == base.size:  # cheaper than base.all() on a 0-d base
+        return powers * np.log(base)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(powers > 0, powers * np.log(base)[:, None], 0.0)
+        return np.where(powers > 0, powers * np.log(base)[..., None], 0.0)
 
 
 def _symmetric_product(basis: OccupationBasis, theta: np.ndarray) -> np.ndarray:
     """Polarized product states e^{-i theta Sum S^y} |s, ..., s> in the occupation basis,
-    one real row of length D per entry of an array theta.
+    one real row of length D per entry of an array theta (a 0-d theta gives one row).
 
     They are spin coherent states (Arecchi, Courtens, Gilmore & Thomas,
     PRA 6, 2211 (1972)): sqrt(M(n) prod_k C(2s, k)^{n_k})
@@ -134,8 +135,41 @@ def _symmetric_product(basis: OccupationBasis, theta: np.ndarray) -> np.ndarray:
         + _log_power(basis.down_powers, np.cos(half))
         + _log_power(basis.up_powers, np.sin(half))
     )
-    log_abs -= 0.5 * np.log(np.exp(2.0 * log_abs).sum(axis=1, keepdims=True))
+    log_abs -= 0.5 * np.log(np.exp(2.0 * log_abs).sum(axis=-1, keepdims=True))
     return np.exp(log_abs)
+
+
+def _rows(
+    sys: SpinSystem, theta: np.ndarray, phi: np.ndarray, fields: Sequence[Optional[FieldConfig]]
+) -> np.ndarray:
+    """psi, d_theta, d_phi and each field's d_chi at chi = 0, stacked on axis 0: shape
+    (3 + n_fields,) + theta.shape + phi.shape + (D,).
+
+    theta and phi are both 0-d, one point, whose rows are (3 + n_fields, D),
+    or both 1-D, a grid.  No field changes the first three rows:
+    d_theta = e^{-i phi Sum S^z} (-i Sum S^y) psi(theta, 0, 0) and
+    d_phi = -i Sum S^z psi.  d_chi = -2i G psi, from
+    :func:`~spinmanifold.spin_ops.apply_generator`; when no field has
+    h/J != 0, G is the Ising diagonal and d_chi = -2i Sum_{i<j} S_i^z S_j^z psi.
+    """
+    basis = occupation_basis(sys)
+    psi0 = _symmetric_product(basis, theta)
+    d_theta0 = apply_total_spin(basis, "y", psi0)
+    np.multiply(d_theta0, -1j, out=d_theta0)
+    if phi.ndim:  # a grid: phi's axis after theta's
+        psi0, d_theta0 = psi0[:, None], d_theta0[:, None]
+    minus_i_z = -1j * basis.total_z
+    phi_phases = np.exp(phi[..., None] * minus_i_z)
+    rows = np.empty((3 + len(fields),) + theta.shape + phi_phases.shape, dtype=complex)
+    psi = np.multiply(psi0, phi_phases, out=rows[0])
+    np.multiply(d_theta0, phi_phases, out=rows[1])
+    np.multiply(psi, minus_i_z, out=rows[2])
+    if all(f is None or f.ratio_h_over_j == 0.0 for f in fields):
+        g_psi = basis.ising_pair_sums * psi
+    else:
+        g_psi = apply_generator(basis, field_vectors(fields), psi)
+    np.multiply(g_psi, -2j, out=rows[3:])
+    return rows
 
 
 def _family_of(field: Optional[FieldConfig]):
@@ -200,14 +234,13 @@ def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldC
 
 def _chi_slices(
     basis: OccupationBasis,
-    common: np.ndarray,
-    d_chi: np.ndarray,
+    rows: np.ndarray,
     chi: np.ndarray,
     fields: Sequence[Optional[FieldConfig]],
 ):
     """Yield ``(members, c, vecs)``: psi, d_theta, d_phi and d_chi of the fields
-    ``members`` moved from chi = 0 (:func:`_family_rows`) to chi[c] by their U(chi),
-    stacked on axis 3 of ``vecs``, (len(members), n_theta, n_phi, 4, D).
+    ``members`` moved from a grid's rows at chi = 0 (:func:`_rows`) to chi[c] by their
+    U(chi), stacked on axis 3 of ``vecs``, (len(members), n_theta, n_phi, 4, D).
 
     A group of members is all the fields with a diagonal G together, or one
     family of fields off the z axis (:func:`_generator_spectrum`); each
@@ -220,6 +253,7 @@ def _chi_slices(
     at chi = 0 they are copied, as U(0) is the identity.  All the families
     share one stacked eigh.
     """
+    common, d_chi = np.moveaxis(rows[:3], 0, 2), rows[3:]  # (n_theta, n_phi, 3, D), per field
     diagonal = np.array([_family_of(f) is None for f in fields])
     off_axis = np.flatnonzero(~diagonal)
     groups = [np.flatnonzero(diagonal)] if diagonal.any() else []
@@ -259,51 +293,6 @@ def _chi_slices(
             yield members, c, out
 
 
-def _family_rows(
-    sys: SpinSystem,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    fields: Sequence[Optional[FieldConfig]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows at chi = 0: ``(common, d_chi)``, psi, d_theta and d_phi stacked on axis 2,
-    (n_theta, n_phi, 3, D), which no field changes, and each field's d_chi,
-    (n_fields, n_theta, n_phi, D)."""
-    basis = occupation_basis(sys)
-    psi0 = _symmetric_product(basis, theta)
-    minus_i_z = -1j * basis.total_z
-    phi_phases = np.exp(np.multiply.outer(phi, minus_i_z))
-    common = np.empty((theta.size, phi.size, 3, psi0.shape[1]), dtype=complex)
-    psi = np.multiply(psi0[:, None], phi_phases, out=common[:, :, 0])
-    d_theta0 = apply_total_spin(basis, "y", psi0)
-    np.multiply(d_theta0, -1j, out=d_theta0)
-    np.multiply(d_theta0[:, None], phi_phases, out=common[:, :, 1])
-    np.multiply(psi, minus_i_z, out=common[:, :, 2])
-    d_chi = apply_generator(basis, field_vectors(fields), psi)
-    d_chi *= -2j
-    return common, d_chi
-
-
-def _family_block(
-    sys: SpinSystem,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    chi: np.ndarray,
-    fields: Sequence[Optional[FieldConfig]],
-) -> np.ndarray:
-    """psi, d_theta, d_phi, d_chi stacked on axis 4: (n_fields, n_theta, n_phi, n_chi, 4, D),
-    filled slice by slice from :func:`_chi_slices`, or, on an all-zero chi grid, with the
-    rows at chi = 0."""
-    common, d_chi = _family_rows(sys, theta, phi, fields)
-    block = np.empty(d_chi.shape[:3] + (chi.size, 4, d_chi.shape[-1]), dtype=complex)
-    if not np.count_nonzero(chi):
-        block[..., :3, :] = common[:, :, None]
-        block[..., 3, :] = d_chi[:, :, :, None]
-        return block
-    for members, c, vecs in _chi_slices(occupation_basis(sys), common, d_chi, chi, fields):
-        block[members, :, :, c] = vecs
-    return block
-
-
 def _grid_axes(theta, phi, chi, fields):
     """theta, phi and chi as 1-D float arrays, after checking them and ``fields``."""
     theta, phi, chi = (np.array(x, dtype=float, ndmin=1) for x in (theta, phi, chi))
@@ -319,24 +308,18 @@ def _grid_axes(theta, phi, chi, fields):
     return theta, phi, chi
 
 
-def _family_stream(
-    sys: SpinSystem,
-    theta,
-    phi,
-    chi,
-    fields: Sequence[Optional[FieldConfig]],
-):
-    """:func:`family_grids` without its block: ``(common, slices)``, psi, d_theta and
-    d_phi at chi = 0, (n_theta, n_phi, 3, D), which no field changes, and the
-    :func:`_chi_slices` generator of the block, one (field group, chi) slice at a time.
+def _family_stream(sys: SpinSystem, theta, phi, chi, fields: Sequence[Optional[FieldConfig]]):
+    """:func:`family_grids` without its block: ``(rows, slices)``, the rows at chi = 0
+    of :func:`_rows`, (3 + n_fields, n_theta, n_phi, D), and the :func:`_chi_slices`
+    generator of the block, one (field group, chi) slice at a time.
 
     The grids are checked as :func:`family_grids` checks them.  A caller
     that reduces each slice as it comes holds the rows at chi = 0 and one
     slice, not the n_chi-fold block.
     """
     theta, phi, chi = _grid_axes(theta, phi, chi, fields)
-    common, d_chi = _family_rows(sys, theta, phi, fields)
-    return common, _chi_slices(occupation_basis(sys), common, d_chi, chi, fields)
+    rows = _rows(sys, theta, phi, fields)
+    return rows, _chi_slices(occupation_basis(sys), rows, chi, fields)
 
 
 def family_grids(
@@ -353,20 +336,27 @@ def family_grids(
     (n_fields, n_theta, n_phi, n_chi, D) and tangents (n_fields, n_theta,
     n_phi, n_chi, 3, D), the rows of the fifth axis being d_theta, d_phi,
     d_chi.  psi = U(chi) e^{-i phi Sum Sz} e^{-i theta Sum Sy} |s, ..., s>.
-    At chi = 0, d_theta = e^{-i phi Sum Sz} (-i Sum Sy) psi(theta, 0, 0),
-    d_phi = -i Sum Sz psi and d_chi = -2i G psi, all exact operator
-    applications (:func:`~spinmanifold.spin_ops.apply_total_spin` and
+    The rows at chi = 0 come from :func:`_rows`, all exact operator applications
+    (:func:`~spinmanifold.spin_ops.apply_total_spin` and
     :func:`~spinmanifold.spin_ops.apply_generator`); at chi they are
     U(chi) times those, since G commutes with U(chi).  psi, d_theta,
     d_phi and Sum S^x psi and Sum S^y psi are built once and shared by
-    every field.  An all-zero chi grid propagates nothing; otherwise the
-    fields with a diagonal G (none, h/J = 0 or along z) propagate by
+    every field.  The block is filled from :func:`_family_stream`'s slices:
+    the fields with a diagonal G (none, h/J = 0 or along z) propagate by
     phases, and the fields off the z axis by family, one dense generator
-    per h/J and theta', all diagonalized by one stacked eigh.
+    per h/J and theta', all diagonalized by one stacked eigh.  An all-zero
+    chi grid propagates nothing and takes the rows at chi = 0 as they are.
     """
-    theta, phi, chi = _grid_axes(theta, phi, chi, fields)
-    vecs = _family_block(sys, theta, phi, chi, fields)
-    return vecs[..., 0, :], vecs[..., 1:, :]
+    rows, slices = _family_stream(sys, theta, phi, chi, fields)  # chi checked: a number or 1-D
+    shape = (len(fields),) + rows.shape[1:3] + (np.size(chi), 4, rows.shape[-1])
+    block = np.empty(shape, dtype=complex)
+    if not np.count_nonzero(chi):
+        block[..., :3, :] = np.moveaxis(rows[:3], 0, 2)[:, :, None]
+        block[..., 3, :] = rows[3:, :, :, None]
+    else:
+        for members, c, vecs in slices:
+            block[members, :, :, c] = vecs
+    return block[..., 0, :], block[..., 1:, :]
 
 
 def family_grid(
@@ -382,49 +372,22 @@ def family_grid(
     return psi[0], tangents[0]
 
 
-def _point_rows(
-    sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig]
-) -> np.ndarray:
-    """psi, d_theta, d_phi, d_chi at (theta, phi) and chi = 0, (4, D): :func:`_family_rows`
-    for one theta, one phi and one field, built straight into one array.
-
-    The same operations run in the same order as on a grid, so every row
-    equals the grid's.  With no field, or h/J = 0, G is the Ising diagonal,
-    and d_chi = -2i Sum_{i<j} S_i^z S_j^z psi.
-    """
-    basis = occupation_basis(sys)
-    psi0 = _symmetric_product(basis, np.array([point.theta]))[0]
-    minus_i_z = -1j * basis.total_z
-    phase = np.exp(np.multiply(point.phi, minus_i_z))
-    rows = np.empty((4, psi0.size), dtype=complex)
-    psi = np.multiply(psi0, phase, out=rows[0])
-    d_theta0 = apply_total_spin(basis, "y", psi0)
-    np.multiply(d_theta0, -1j, out=d_theta0)
-    np.multiply(d_theta0, phase, out=rows[1])
-    np.multiply(psi, minus_i_z, out=rows[2])
-    if field is None or field.ratio_h_over_j == 0.0:
-        np.multiply(basis.ising_pair_sums, psi, out=rows[3])
-    else:
-        rows[3] = apply_generator(basis, field_vectors([field]), psi)[0]
-    rows[3] *= -2j
-    return rows
-
-
 @lru_cache(maxsize=1)
 def _family_vectors(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig]
 ) -> np.ndarray:
-    """Read-only rows psi, d_theta, d_phi, d_chi at one point: the size-1 :func:`family_grid`,
-    from :func:`_point_rows` at chi = 0, where nothing is propagated.
+    """Read-only rows psi, d_theta, d_phi, d_chi at one point, (4, D): at chi = 0, where
+    nothing is propagated, :func:`_rows` of a 0-d theta and phi, else the size-1
+    :func:`family_grid`.
 
     The last point is cached: the metric, the speed and verify ask for the
     state and the tangents of one point back to back.
     """
     if point.chi == 0.0:
-        vecs = _point_rows(sys, point, field)
+        vecs = _rows(sys, np.array(point.theta), np.array(point.phi), [field])
     else:
-        coords = (np.array([x]) for x in (point.theta, point.phi, point.chi))
-        vecs = _family_block(sys, *coords, [field])[0, 0, 0, 0]
+        psi, tangents = family_grid(sys, point.theta, point.phi, point.chi, field)
+        vecs = np.concatenate((psi[0, 0], tangents[0, 0, 0]))
     vecs.setflags(write=False)
     return vecs
 

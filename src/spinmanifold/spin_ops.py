@@ -133,7 +133,8 @@ class Direction:
             raise ValueError(f"polar angle must be in [0, pi], got {self.polar}")
         if not math.isfinite(self.azimuth):
             raise ValueError(f"azimuth must be finite, got {self.azimuth}")
-        object.__setattr__(self, "azimuth", self.azimuth % TWO_PI)
+        azimuth = self.azimuth % TWO_PI  # a tiny negative azimuth rounds up to 2 pi
+        object.__setattr__(self, "azimuth", azimuth if azimuth < TWO_PI else 0.0)
 
     def components(self) -> Tuple[float, float, float]:
         """(x, y, z); exactly (0, 0, +-1) at polar 0 and pi, where sin(pi) would leave ~1.2e-16."""

@@ -223,14 +223,14 @@ def run_oracle_checks(
     tangents of every field: each slice's metrics are written into one
     array, which is validated once, so the pass holds the chi = 0 rows, one
     slice and the metrics, never the n_chi-fold block.  The energy
-    uncertainties read the chi = 0 states from those rows, and the closed
-    form is evaluated once; each row is one :meth:`_Deviation.add_arrays`
-    reduction.
+    uncertainties read the chi = 0 states, the first of those rows, and
+    the closed form is evaluated once; each row is one
+    :meth:`_Deviation.add_arrays` reduction.
     """
     fields = grid.fields or [None]
-    common, slices = _family_stream(sys, grid.theta, grid.phi, grid.chi, fields)
-    de = _energy_uncertainties(sys, fields, common[:, :, None, 0])
-    g = np.empty((len(fields),) + common.shape[:2] + (np.size(grid.chi), 3, 3))
+    rows, slices = _family_stream(sys, grid.theta, grid.phi, grid.chi, fields)
+    de = _energy_uncertainties(sys, fields, rows[0, :, :, None])
+    g = np.empty((len(fields),) + rows.shape[1:3] + (np.size(grid.chi), 3, 3))
     for members, c, vecs in slices:
         g[members, :, :, c] = _metric_components(sys.gamma, vecs[..., 0, :], vecs[..., 1:, :])
     g = _validated_metrics(g)

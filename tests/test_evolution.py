@@ -12,6 +12,7 @@ from spinmanifold.evolution import (
     CoordinatePoint,
     StateVector,
     _symmetric_product,
+    family_grid,
     state_at,
     tangent_states,
 )
@@ -366,27 +367,27 @@ ONE_POINT_FIELDS = [
     "n,two_s", [(2, 1), (4, 1), (3, 3), (10, 1), (12, 1), (2000, 1), (20000, 1)]
 )
 def test_one_point_at_chi_zero_equals_the_size_one_block(n, two_s):
-    # a point at chi = 0 is built without the grid builder, in the grid's operations and
-    # order: its rows equal the size-1 block's (signed zeros aside: with no field, d_chi
-    # adds no zero field term to the Ising part)
+    # a point at chi = 0 is built without a grid, by the grid's row builder on a 0-d theta
+    # and phi: its rows equal the size-1 block's bit for bit, signed zeros included
     sys = SpinSystem(n, two_s)
     for theta in (0.0, math.pi, 1.234):
         for field in ONE_POINT_FIELDS:
             point = CoordinatePoint(theta, 0.7)
-            grids = (np.array([x]) for x in (theta, 0.7, 0.0))
-            want = evolution._family_block(sys, *grids, [field])[0, 0, 0, 0]
-            assert np.array_equal(state_at(sys, point, field).amplitudes, want[0])
-            assert np.array_equal(tangent_states(sys, point, field).vectors, want[1:])
+            psi, tangents = family_grid(sys, theta, 0.7, 0.0, field)
+            got = state_at(sys, point, field).amplitudes
+            assert np.array_equal(got.view(np.uint64), psi[0, 0, 0].view(np.uint64))
+            got = tangent_states(sys, point, field).vectors
+            assert np.array_equal(got.view(np.uint64), tangents[0, 0, 0].view(np.uint64))
 
 
 def test_single_points_build_no_block_at_chi_zero(monkeypatch):
-    calls, block = [], evolution._family_block
+    calls, grids = [], evolution.family_grids
 
     def counted(*args):
         calls.append(args)
-        return block(*args)
+        return grids(*args)
 
-    monkeypatch.setattr(evolution, "_family_block", counted)
+    monkeypatch.setattr(evolution, "family_grids", counted)
     evolution._family_vectors.cache_clear()
     sys, field = SpinSystem(4, 1), FieldConfig(1.1, Direction(0.9, 0.4))
     # the metric and the speed do not depend on chi and are evaluated at chi = 0

@@ -43,6 +43,7 @@ CASES = {
         "--theta-prime", repr(3 * math.pi / 4), "--phi-prime", "0.9",
     ],
     "verify_topology.txt": ["verify", "--only", "topology"],
+    "verify.txt": ["verify"],
 }
 
 

@@ -244,6 +244,13 @@ class TestDirectionAndFieldConfig:
         d = Direction(1.0, -math.pi)
         assert d.azimuth == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("azimuth", [-1e-20, -5e-324, -0.0, 2.0 * math.pi, -2.0 * math.pi])
+    def test_azimuth_stays_below_two_pi(self, azimuth):
+        # -1e-20 % 2 pi rounds to 2 pi itself, the same direction as azimuth 0
+        d = Direction(0.5, azimuth)
+        assert 0.0 <= d.azimuth < 2.0 * math.pi
+        assert d == Direction(0.5, 0.0)
+
     def test_polar_range(self):
         with pytest.raises(ValueError):
             Direction(3.5, 0.0)

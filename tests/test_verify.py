@@ -83,17 +83,19 @@ def counted_calls(monkeypatch, module, name) -> list:
 class TestFullSuite:
     def test_suite_shape_and_oracle_passes(self, monkeypatch):
         evolution._family_vectors.cache_clear()
-        calls = counted_calls(monkeypatch, evolution, "_family_rows")
-        points = counted_calls(monkeypatch, evolution, "_point_rows")
+        calls = counted_calls(monkeypatch, evolution, "_rows")
         report = run_full_suite()
         assert [(e.name, e.grid) for e in report.entries] == SUITE_SHAPE
         assert report.overall
+        grids = [args for args in calls if np.ndim(args[1]) == 1]
+        points = [args for args in calls if np.ndim(args[1]) == 0]
         # every grid build starts from its rows at chi = 0: one grid per oracle
         # check, 5 zero-field grids and one stacked grid for all 64 field
         # directions, whose chi = 0 states also give the energy uncertainties
-        assert len(calls) == 5 + 1
+        assert len(grids) == 5 + 1
         # section7's 7 single-point speeds, each built at chi = 0 without a grid
         assert len(points) == 7
+        assert len(calls) == 5 + 1 + 7
 
     def test_suite_builds_each_closed_form_stack_once(self, monkeypatch):
         validated, spins = [], []
@@ -147,7 +149,7 @@ class TestFullSuite:
         assert len(set(names)) == len(names)
 
     def test_only_one_oracle_check_builds_one_grid(self, monkeypatch):
-        calls = counted_calls(monkeypatch, evolution, "_family_rows")
+        calls = counted_calls(monkeypatch, evolution, "_rows")
         report = run_full_suite(only="metric_equivalence[N2_2s1]")
         assert [e.name for e in report.entries] == ["metric_equivalence[N2_2s1]"]
         assert [args[0] for args in calls] == [SpinSystem(2, 1)]
