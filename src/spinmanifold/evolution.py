@@ -7,27 +7,26 @@ returned in.  psi and its three tangents are first built at chi = 0,
 for every field, by one builder, :func:`_rows`, from exact operator
 applications with no D x D array: the polarized product state is a spin
 coherent state in closed form, the theta and phi tangents apply
--i Sum S^y and -i Sum S^z, and the chi tangent -2i G.  One
-U(chi) = exp(-2i chi G) then moves all four rows: it is a phase when G
-is diagonal (no field, or a field along z), goes through the
-eigenvectors of a dense D x D generator only for a field off the z axis
-(refused when its estimated bytes exceed the host's memory), and is the
-identity at chi = 0.  Fields off the z axis that share h/J and theta'
-share that generator up to a diagonal phase, the rotation by their
-azimuth, so one eigendecomposition serves each such family.
-:func:`family_grids` builds them on a whole (theta, phi, chi) grid for
-a whole list of fields in a few array operations, sharing everything
-but d_chi and U(chi) between the fields; :func:`family_grid` is its
-one-field case.  The propagation is one step, a generator of the block's
-(field group, chi) slices: :func:`family_grids` fills its block from
-it, and a caller that reduces each slice as it comes (verify's oracle
-pass) never holds the block.  :func:`state_at` and :func:`tangent_states`
-read one point: at chi = 0, where the metric and the speed are taken,
-its four rows are :func:`_rows` of a 0-d theta and phi, the grid's
-operations on one point, so they equal the size-1 grid's bit for bit;
-at chi != 0 they are the size-1 grid's.  A product-basis vector, where
-one is needed, is gathered with
-:func:`spinmanifold.spin_ops.product_to_occupation`.
+-i Sum S^y and -i Sum S^z, and the chi tangent -2i G.  One step,
+:func:`_chi_slices`, then moves the four rows to each chi by
+U(chi) = exp(-2i chi G), one (field group, chi) slice at a time, and no
+other code moves them.  At chi = 0 it copies them, as U(0) is the
+identity.  Elsewhere U(chi) is a phase for a diagonal G (no field, or a
+field along z), and off the z axis it goes through the eigenvectors of a
+dense D x D generator, refused when its estimated bytes exceed the
+host's memory.  Fields off the z axis that share h/J and theta' share
+that generator up to a diagonal phase, the rotation by their azimuth,
+so one eigendecomposition serves each such family, and all families
+share one stacked eigh; a chi grid with no nonzero entry builds none.
+:func:`family_grids` fills a whole (theta, phi, chi) block for a list
+of fields from those slices, sharing everything but d_chi and U(chi)
+between the fields; :func:`family_grid` is its one-field case, and a
+caller that reduces each slice as it comes (verify's oracle pass) never
+holds the block.  :func:`state_at` and :func:`tangent_states` read one
+point: its rows are :func:`_rows` of a 0-d theta and phi, moved at
+chi != 0 by the one slice of the same step, so they equal the size-1
+block's bit for bit.  A product-basis vector, where one is needed, is
+gathered with :func:`spinmanifold.spin_ops.product_to_occupation`.
 Global phases are never stripped: all comparisons downstream are gauge
 invariant.
 """
@@ -172,39 +171,41 @@ def _rows(
     return rows
 
 
-def _family_of(field: Optional[FieldConfig]):
-    """(h/J, theta') of a field off the z axis, the key of its family; None for a field
-    whose G is diagonal (none, h/J = 0 or along z)."""
-    if field is None or field.ratio_h_over_j == 0.0 or field.along_z:
-        return None
-    return field.ratio_h_over_j, field.direction.polar
-
-
-def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldConfig]]):
-    """``(evals, evecs, family)``: the spectra of the G_f of ``fields``, U(chi) = exp(-i 2 chi G_f).
+def _generator_groups(basis: OccupationBasis, fields: Sequence[Optional[FieldConfig]]):
+    """``[(members, energies, evecs)]``: the fields grouped by how U(chi) = exp(-2i chi G_f)
+    moves them, with the spectrum each group is moved by.
 
     G_f = Sum_{i<j} S_i^z S_j^z + b_f . Sum_j S_j, with b_f = (h/2J) n'_f
     (:func:`~spinmanifold.spin_ops.field_vectors`), depends on neither J nor
-    gamma.  Every G_f is diagonal, or none is.  When every G_f is diagonal,
-    ``evals`` (F, D) holds their diagonals and ``evecs`` and ``family`` are
-    None.  Otherwise every field is off the z axis, and the fields that
-    share h/J and theta', compared exactly, form a family: field f of
-    family k has G_f = R_f G_k R_f^dag with R_f = exp(-i phi'_f Sum S^z), a
-    diagonal phase in the occupation basis, and G_k the real symmetric
-    generator at phi' = 0, b = (h/2J)(sin theta', 0, cos theta') (Arecchi,
-    Courtens, Gilmore & Thomas, PRA 6, 2211 (1972)).  Only the K generators
-    G_k are built densely, and diagonalized by one stacked eigh, if their
-    estimated bytes fit in the host's physical memory (DimensionGuardError
-    before they are allocated): ``evals`` (K, D), ``evecs`` (K, D, D) real
-    and ``family`` (F,) the family of each field, in order of first
-    appearance.
+    gamma.  ``members`` holds the indices of a group's fields, in order.
+    The fields whose G_f is diagonal (none, h/J = 0 or along z) come first,
+    as one group: ``energies`` (len(members), D) holds each G_f's
+    diagonal, G_f applied to the all-ones vector, and ``evecs`` is None.
+    Then come the fields off the z axis, one group per family, the fields
+    that share h/J and theta', compared exactly, in order of first
+    appearance: field f of family k has G_f = R_f G_k R_f^dag with
+    R_f = exp(-i phi'_f Sum S^z), a diagonal phase in the occupation basis,
+    and G_k the real symmetric generator at phi' = 0,
+    b = (h/2J)(sin theta', 0, cos theta') (Arecchi, Courtens, Gilmore &
+    Thomas, PRA 6, 2211 (1972)); ``energies`` (D,) and ``evecs`` (D, D),
+    real, are G_k's spectrum.  Only the K generators G_k are built densely,
+    and diagonalized by one stacked eigh, if their estimated bytes fit in
+    the host's physical memory (DimensionGuardError before they are
+    allocated).
     """
     dim = basis.total_z.size
     families = {}
-    family = [families.setdefault(_family_of(f), len(families)) for f in fields]
-    if None in families:
-        # every G_f is diagonal, so G_f applied to the all-ones vector is its diagonal
-        return apply_generator(basis, field_vectors(fields), np.ones(dim)).real, None, None
+    for i, f in enumerate(fields):
+        off_axis = f is not None and f.ratio_h_over_j != 0.0 and not f.along_z
+        key = (f.ratio_h_over_j, f.direction.polar) if off_axis else None
+        families.setdefault(key, []).append(i)
+    groups = []
+    diagonal = families.pop(None, [])
+    if diagonal:
+        b = field_vectors([fields[i] for i in diagonal])
+        groups.append((np.array(diagonal), apply_generator(basis, b, np.ones(dim)).real, None))
+    if not families:
+        return groups
     # row o of G_k is G_k applied to basis vector o; with b_y = 0 it is real.  The rows
     # are built from blocks of ceil(D / W) rows of the identity, so that a block's
     # (rows, D, W) ladder gather is about one D x D array
@@ -216,7 +217,7 @@ def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldC
     # buffers and eigh work (239 kB at D <= 1001)
     k = len(families)
     needed = 8 * dim * (dim * (2 * k + 1) + step * (3 * k + 2)) + 2**18
-    build = f"the generators of {len(fields)} off-axis field(s), {len(families)} up to azimuth"
+    build = f"the generators of {len(fields) - len(diagonal)} off-axis field(s), {k} up to azimuth"
     _check_bytes(needed, build, "occupation-basis", dim)
     b = np.array([(h / 2.0 * math.sin(tp), 0.0, h / 2.0 * math.cos(tp)) for h, tp in families])
     g = np.empty((k, dim, dim))
@@ -229,67 +230,56 @@ def _generator_spectrum(basis: OccupationBasis, fields: Sequence[Optional[FieldC
         evals, evecs = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on a symmetric matrix
         raise RuntimeError("eigensolver failed on the field generator") from exc
-    return evals, evecs, np.array(family)
+    return groups + [(np.array(m), e, v) for m, e, v in zip(families.values(), evals, evecs)]
 
 
-def _chi_slices(
-    basis: OccupationBasis,
-    rows: np.ndarray,
-    chi: np.ndarray,
-    fields: Sequence[Optional[FieldConfig]],
-):
+def _chi_slices(basis: OccupationBasis, rows: np.ndarray, chi, fields):
     """Yield ``(members, c, vecs)``: psi, d_theta, d_phi and d_chi of the fields
     ``members`` moved from a grid's rows at chi = 0 (:func:`_rows`) to chi[c] by their
     U(chi), stacked on axis 3 of ``vecs``, (len(members), n_theta, n_phi, 4, D).
 
-    A group of members is all the fields with a diagonal G together, or one
-    family of fields off the z axis (:func:`_generator_spectrum`); each
-    group yields every chi in turn.  Every slice is written to one buffer,
-    reused: it holds only until the next slice is asked for.  The diagonal
-    fields go by phases, field by field.  Off the z axis,
-    U_f(chi) = R_f V_k exp(-2i chi E_k) V_k^T R_f^dag for field f of family
-    k: the phases R_f^dag and R_f go on the rows, and the rows of the whole
-    family pass through V_k in one matrix product, and back in one per chi;
-    at chi = 0 they are copied, as U(0) is the identity.  All the families
-    share one stacked eigh.
+    This is the only step that moves rows off chi = 0.  The groups are
+    :func:`_generator_groups`', built only when some chi is nonzero; an
+    all-zero chi grid takes every field as one group and builds no
+    generator.  Each group yields every chi in turn, and every slice is
+    written to one buffer, reused: it holds only until the next slice is
+    asked for.  At chi = 0 the rows are copied, as U(0) is the identity.
+    Elsewhere the diagonal fields go by phases, field by field, and off
+    the z axis U_f(chi) = R_f V_k exp(-2i chi E_k) V_k^T R_f^dag for field
+    f of family k: the phases R_f^dag and R_f go on the rows, and the rows
+    of the whole family pass through V_k in one matrix product, and back
+    in one per chi.
     """
     common, d_chi = np.moveaxis(rows[:3], 0, 2), rows[3:]  # (n_theta, n_phi, 3, D), per field
-    diagonal = np.array([_family_of(f) is None for f in fields])
-    off_axis = np.flatnonzero(~diagonal)
-    groups = [np.flatnonzero(diagonal)] if diagonal.any() else []
-    if off_axis.size:
-        evals, evecs, family = _generator_spectrum(basis, [fields[i] for i in off_axis])
-        groups += [off_axis[family == k] for k in range(len(evals))]
-    rows_shape = common.shape[:2] + (4, common.shape[-1])
-    buffer = np.empty((max(map(len, groups)),) + rows_shape, dtype=complex)
-    if diagonal.any():
-        members = groups[0]
-        energies = -2j * _generator_spectrum(basis, [fields[i] for i in members])[0]
+    groups = [(np.arange(len(fields)), None, None)]
+    if np.count_nonzero(chi):
+        groups = _generator_groups(basis, fields)
+    shape = common.shape[:2] + (4, rows.shape[-1])
+    buffer = np.empty((max(len(m) for m, _, _ in groups),) + shape, dtype=complex)
+
+    def unmoved(out, members):  # U(0) is the identity
+        out[:, :, :, :3] = common
+        for i, f in enumerate(members):
+            out[i, :, :, 3] = d_chi[f]
+
+    for members, energies, evecs in groups:
         out = buffer[: len(members)]
-        for c, chi_c in enumerate(chi):
-            for i, (f, phase) in enumerate(zip(members, np.exp(chi_c * energies))):
-                np.multiply(common, phase, out=out[i, :, :, :3])
-                np.multiply(d_chi[f], phase, out=out[i, :, :, 3])
-            yield members, c, out
-    if not off_axis.size:
-        return
-    azimuths = np.array([fields[i].direction.azimuth for i in off_axis])
-    unturns = np.exp(np.multiply.outer(azimuths, 1j * basis.total_z))[:, None]  # each R_f^dag
-    for k, (v, energies) in enumerate(zip(evecs, evals)):
-        members = off_axis[family == k]
-        own = np.empty((len(members),) + rows_shape, dtype=complex)
-        own[:, :, :, :3] = common
-        own[:, :, :, 3] = d_chi[members]
-        flat = own.reshape(len(members), -1, own.shape[-1])  # theta, phi and the 4 rows
-        unturn = unturns[family == k]
-        coeffs = np.multiply(flat, unturn).reshape(-1, flat.shape[-1]) @ v
-        out = buffer[: len(members)]
+        flat = out.reshape(len(members), -1, shape[-1])  # theta, phi and the 4 rows
+        if evecs is not None:
+            unmoved(out, members)
+            azimuths = [fields[i].direction.azimuth for i in members]
+            unturn = np.exp(np.multiply.outer(azimuths, 1j * basis.total_z))[:, None]  # R_f^dag
+            coeffs = np.multiply(flat, unturn).reshape(-1, shape[-1]) @ evecs
         for c, chi_c in enumerate(chi):
             if chi_c == 0.0:
-                out[...] = own
+                unmoved(out, members)
+            elif evecs is None:
+                for i, phase in enumerate(np.exp(chi_c * (-2j * energies))):
+                    np.multiply(common, phase, out=out[i, :, :, :3])
+                    np.multiply(d_chi[members[i]], phase, out=out[i, :, :, 3])
             else:
-                evolved = ((coeffs * np.exp(chi_c * (-2j * energies))) @ v.T).reshape(flat.shape)
-                np.multiply(evolved, unturn.conj(), out=out.reshape(flat.shape))
+                evolved = (coeffs * np.exp(chi_c * (-2j * energies))) @ evecs.T
+                np.multiply(evolved.reshape(flat.shape), unturn.conj(), out=flat)
             yield members, c, out
 
 
@@ -341,21 +331,15 @@ def family_grids(
     :func:`~spinmanifold.spin_ops.apply_generator`); at chi they are
     U(chi) times those, since G commutes with U(chi).  psi, d_theta,
     d_phi and Sum S^x psi and Sum S^y psi are built once and shared by
-    every field.  The block is filled from :func:`_family_stream`'s slices:
-    the fields with a diagonal G (none, h/J = 0 or along z) propagate by
-    phases, and the fields off the z axis by family, one dense generator
-    per h/J and theta', all diagonalized by one stacked eigh.  An all-zero
-    chi grid propagates nothing and takes the rows at chi = 0 as they are.
+    every field.  The block is filled from :func:`_family_stream`'s
+    slices, so the one step :func:`_chi_slices` decides every move off
+    chi = 0, an all-zero chi grid included.
     """
     rows, slices = _family_stream(sys, theta, phi, chi, fields)  # chi checked: a number or 1-D
     shape = (len(fields),) + rows.shape[1:3] + (np.size(chi), 4, rows.shape[-1])
     block = np.empty(shape, dtype=complex)
-    if not np.count_nonzero(chi):
-        block[..., :3, :] = np.moveaxis(rows[:3], 0, 2)[:, :, None]
-        block[..., 3, :] = rows[3:, :, :, None]
-    else:
-        for members, c, vecs in slices:
-            block[members, :, :, c] = vecs
+    for members, c, vecs in slices:
+        block[members, :, :, c] = vecs
     return block[..., 0, :], block[..., 1:, :]
 
 
@@ -376,18 +360,17 @@ def family_grid(
 def _family_vectors(
     sys: SpinSystem, point: CoordinatePoint, field: Optional[FieldConfig]
 ) -> np.ndarray:
-    """Read-only rows psi, d_theta, d_phi, d_chi at one point, (4, D): at chi = 0, where
-    nothing is propagated, :func:`_rows` of a 0-d theta and phi, else the size-1
-    :func:`family_grid`.
+    """Read-only rows psi, d_theta, d_phi, d_chi at one point, (4, D): :func:`_rows` of
+    a 0-d theta and phi, and at chi != 0 the one slice of :func:`_chi_slices` that moves
+    them there, so they equal the size-1 :func:`family_grid`'s bit for bit.
 
     The last point is cached: the metric, the speed and verify ask for the
     state and the tangents of one point back to back.
     """
-    if point.chi == 0.0:
-        vecs = _rows(sys, np.array(point.theta), np.array(point.phi), [field])
-    else:
-        psi, tangents = family_grid(sys, point.theta, point.phi, point.chi, field)
-        vecs = np.concatenate((psi[0, 0], tangents[0, 0, 0]))
+    vecs = _rows(sys, np.array(point.theta), np.array(point.phi), [field])
+    if point.chi != 0.0:
+        basis = occupation_basis(sys)
+        vecs = next(_chi_slices(basis, vecs[:, None, None], [point.chi], [field]))[2][0, 0, 0]
     vecs.setflags(write=False)
     return vecs
 
@@ -397,7 +380,8 @@ def state_at(
 ) -> StateVector:
     """Evolved family member at (theta, phi, chi), zero-field or dressed.
 
-    A C(N+2s, 2s)-dimensional occupation-basis vector.
+    A C(N+2s, 2s)-dimensional occupation-basis vector: psi at chi = 0 from
+    :func:`_rows`, moved to chi by :func:`_chi_slices` when chi != 0.
     """
     return StateVector(_family_vectors(sys, point, field)[0])
 
@@ -408,7 +392,7 @@ def tangent_states(
     """Analytic derivatives of the evolved state w.r.t. (theta, phi, chi).
 
     No finite differencing: each derivative is an operator applied to the
-    exactly propagated state (see :func:`family_grid`).  Occupation-basis
-    vectors, like :func:`state_at`.
+    state at chi = 0 (:func:`_rows`), moved to chi with it by
+    :func:`_chi_slices`.  Occupation-basis vectors, like :func:`state_at`.
     """
     return TangentStates(_family_vectors(sys, point, field)[1:])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys as _sysmod
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,6 +35,7 @@ from .fs_metric import (
 )
 from .spin_ops import (
     TWO_PI,
+    DimensionGuardError,
     Direction,
     FieldConfig,
     SpinSystem,
@@ -386,10 +388,23 @@ def run_full_suite(
     "speed_uncertainty[N3", "topology[N2_2s1]", ...); a row of the suite
     runs only when it has a kept check.  ``tolerance`` overrides each
     row's default tolerance.  Both are checked first, by :func:`select_checks`.
+    A row whose closed form or oracle raises ValueError (a metric that is
+    not positive semidefinite), ArithmeticError or LinAlgError reports
+    each of its checks as failed, with NaN deviations and the exception's
+    type as its grid, prints the reason on stderr and lets the other rows
+    run; a DimensionGuardError still aborts the suite.
     """
     selected = select_checks(only, tolerance)
     entries: List[CheckResult] = []
     for names, default, run in _SUITE:
         if any(name in selected for name in names):
-            entries += run(default if tolerance is None else tolerance)
+            tol = default if tolerance is None else tolerance
+            try:
+                entries += run(tol)
+            except DimensionGuardError:
+                raise
+            except (ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+                why = f"raised {type(exc).__name__}"
+                print(f"verify: {', '.join(names)} {why}: {exc}", file=_sysmod.stderr)
+                entries += [CheckResult(n, why, math.nan, math.nan, tol, False) for n in names]
     return VerificationReport([e for e in entries if e.name in selected])

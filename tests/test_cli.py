@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spinmanifold import analytic, cli
+from spinmanifold import analytic, cli, verify
 from spinmanifold.analytic import metric_closed_form_field, scalar_curvature, speed_extrema
 from spinmanifold.cli import (
     EXIT_BAD_CONFIG,
@@ -168,6 +168,41 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert lines[1].startswith("topology[N2_2s1] ") and lines[1].endswith(" PASS")
         assert lines[2] == "overall: PASS"
+
+    def test_a_closed_form_that_is_not_psd_fails_its_rows(self, capsys, tmp_path, monkeypatch):
+        # a closed form with g_chichi negated is not positive semidefinite: each row that
+        # reads it reports FAIL with the reason on stderr, the other rows still run, and
+        # verify exits 1 with the whole table and a deterministic JSON report
+        components = analytic._metric_components
+
+        def negated(*args, **kwargs):
+            g = components(*args, **kwargs)
+            g[..., 2, 2] *= -1.0
+            return g
+
+        monkeypatch.setattr(analytic, "_metric_components", negated)
+        reports, outputs = [], []
+        for run in range(2):
+            out = tmp_path / f"report{run}.json"
+            assert main(["verify", "--out", str(out)]) == EXIT_VERIFY_FAILED
+            reports.append(out.read_bytes())
+            outputs.append(capsys.readouterr())
+        assert reports[0] == reports[1] and outputs[0] == outputs[1]
+        captured = outputs[0]
+        lines = captured.out.splitlines()
+        names = verify.select_checks(None, None)
+        assert [line.split()[0] for line in lines[1:-1]] == names
+        failed = [line.split()[0] for line in lines[1:-1] if line.endswith(" FAIL")]
+        assert failed == [n for n in names if not n.startswith("topology")]
+        assert lines[-1] == "overall: FAIL"
+        assert "metric is not positive semidefinite" in captured.err
+        rows = json.loads(reports[0])
+        assert [r["name"] for r in rows] == names
+        for row in rows:
+            raised = not row["name"].startswith("topology")
+            assert row["pass"] is not raised
+            assert (row["grid"] == "raised ValueError") is raised
+            assert math.isnan(row["max_rel"]) is raised
 
 
 class TestFieldOptimize:

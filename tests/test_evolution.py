@@ -380,14 +380,31 @@ def test_one_point_at_chi_zero_equals_the_size_one_block(n, two_s):
             assert np.array_equal(got.view(np.uint64), tangents[0, 0, 0].view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "n,two_s", [(2, 1), (4, 1), (3, 3), (10, 1), (12, 1), (2000, 1), (20000, 1)]
+)
+def test_one_point_at_chi_nonzero_equals_the_size_one_block(n, two_s):
+    # off chi = 0 a point's rows are moved by the one slice of the grid's own step, so
+    # they equal the size-1 block's bit for bit, signed zeros included.  The two fields off
+    # the z axis only up to D = 84: their dense generator is 32 MB at D = 2001 and 3.2 GB
+    # at D = 20001, with one eigh per point and per block
+    sys = SpinSystem(n, two_s)
+    fields = ONE_POINT_FIELDS if sys.occupation_dim <= 84 else ONE_POINT_FIELDS[:4]
+    for theta in (0.0, math.pi, 1.234):
+        for chi in (0.8, -2.5, 1e-300):
+            for field in fields:
+                point = CoordinatePoint(theta, 0.7, chi)
+                psi, tangents = family_grid(sys, theta, 0.7, chi, field)
+                got = state_at(sys, point, field).amplitudes
+                assert np.array_equal(got.view(np.uint64), psi[0, 0, 0].view(np.uint64))
+                got = tangent_states(sys, point, field).vectors
+                assert np.array_equal(got.view(np.uint64), tangents[0, 0, 0].view(np.uint64))
+
+
 def test_single_points_build_no_block_at_chi_zero(monkeypatch):
-    calls, grids = [], evolution.family_grids
-
-    def counted(*args):
-        calls.append(args)
-        return grids(*args)
-
-    monkeypatch.setattr(evolution, "family_grids", counted)
+    calls = {"family_grids": [], "_generator_groups": []}
+    for name, recorded in calls.items():
+        monkeypatch.setattr(evolution, name, _counted(getattr(evolution, name), recorded))
     evolution._family_vectors.cache_clear()
     sys, field = SpinSystem(4, 1), FieldConfig(1.1, Direction(0.9, 0.4))
     # the metric and the speed do not depend on chi and are evaluated at chi = 0
@@ -395,6 +412,16 @@ def test_single_points_build_no_block_at_chi_zero(monkeypatch):
         for fld in (None, field):
             metric_numeric(sys, CoordinatePoint(1.0, 0.3, chi), fld)
             speed_numeric(sys, CoordinatePoint(1.2, 0.3, chi), fld)
-    assert calls == []
+    assert calls == {"family_grids": [], "_generator_groups": []}
+    # off chi = 0 a point is moved by the grid's step, with no block and one spectrum
     state_at(sys, CoordinatePoint(1.0, 0.3, 0.8), field)
-    assert len(calls) == 1
+    assert calls["family_grids"] == []
+    assert len(calls["_generator_groups"]) == 1
+
+
+def _counted(function, calls):
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    return counted

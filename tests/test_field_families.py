@@ -79,8 +79,9 @@ def test_verify_field_grid_takes_one_eigh_of_six_generators(monkeypatch):
 def test_repeated_fields_get_the_block_of_one_field(chi):
     # off the z axis, along +z (two azimuths) and -z, none and a zero ratio, some
     # repeated: each repeat is built on its own and equals its first, bit for bit, and
-    # every block is the one-field family_grid's (signed zeros aside: next to fields off
-    # the axis, a diagonal G adds exact zeros b_x Sum S^x psi); U(0) moves nothing
+    # every block is the one-field family_grid's, bit for bit but for the d_chi of the
+    # fields with h/J = 0 (next to fields with h/J != 0, -2i G psi adds exact zeros
+    # b . Sum S psi, so only their signed zeros differ); U(0) moves nothing
     sys, theta, phi = SpinSystem(4, 2), [0.4, 2.3], [0.7, 5.1]
     off, up = FieldConfig(1.0, Direction(0.9, 2.1)), FieldConfig(1.0, Direction(0.0, 0.3))
     down, zero = FieldConfig(1.0, Direction(math.pi, 1.2)), FieldConfig(0.0, Direction(0.9, 2.1))
@@ -91,9 +92,39 @@ def test_repeated_fields_get_the_block_of_one_field(chi):
         assert all(got[r].tobytes() == got[k].tobytes() for r in repeats)
     at_zero = stacked(*family_grid(sys, theta, phi, 0.0))[:, :, 0]
     for field, block in zip(fields, got):
-        assert np.array_equal(block, stacked(*family_grid(sys, theta, phi, chi, field)))
+        alone = stacked(*family_grid(sys, theta, phi, chi, field))
+        assert np.array_equal(block, alone)
+        rows = 3 if field is None or field.ratio_h_over_j == 0.0 else 4
+        assert block[..., :rows, :].tobytes() == alone[..., :rows, :].tobytes()
         for c in np.flatnonzero(np.array(chi) == 0.0):
-            assert np.array_equal(block[:, :, c, :3], at_zero[:, :, :3])
+            assert block[:, :, c, :3].tobytes() == at_zero[:, :, :3].tobytes()
+
+
+#: no field, h/J = 0 off the z axis, +z, -z and two families off the z axis
+CHI_ZERO_FIELDS = [
+    None,
+    FieldConfig(0.0, Direction(0.7, 2.1)),
+    FieldConfig(2.5, Direction(0.0, 1.2)),
+    FieldConfig(-1.3, Direction(math.pi, 0.4)),
+    FieldConfig(1.1, Direction(0.9, 0.4)),
+    FieldConfig(-0.6, Direction(2.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize("n,two_s", [(2, 1), (4, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "chi", [[0.0, 0.9], [0.9, 0.0, -2.5], [1e-300, 0.0, 0.0]], ids=["first", "middle", "twice"]
+)
+def test_chi_zero_slice_is_the_all_zero_grid_bit_for_bit(n, two_s, chi):
+    # U(0) is the identity in one place: for every field, alone or among the others, the
+    # chi = 0 slices of a grid equal the block of the all-zero chi grid, which builds no
+    # generator, signed zeros included
+    sys, theta, phi = SpinSystem(n, two_s), [0.0, 0.4, 2.3, math.pi], [0.0, 0.7, 5.1]
+    for fields in [CHI_ZERO_FIELDS] + [[f] for f in CHI_ZERO_FIELDS]:
+        got = stacked(*family_grids(sys, theta, phi, chi, fields))
+        at_zero = stacked(*family_grids(sys, theta, phi, 0.0, fields))[:, :, :, 0]
+        for c in np.flatnonzero(np.array(chi) == 0.0):
+            assert got[:, :, :, c].tobytes() == at_zero.tobytes(), (fields, c)
 
 
 def test_verify_grid_repeats_give_identical_blocks():

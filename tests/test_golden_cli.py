@@ -1,9 +1,10 @@
 """Byte-exact CLI outputs against committed golden files.
 
 The files under ``tests/golden/`` hold the standard output of each command
-below.  A refactor of the CLI or of the closed forms it calls must leave
-every byte unchanged.  Regenerate them, only for an intended output
-change, with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+in ``CASES`` and the ``--out`` file of each command in ``OUT_CASES``.  A
+refactor of the CLI or of the closed forms it calls must leave every byte
+unchanged.  Regenerate them, only for an intended output change, with
+``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import io
 import math
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -46,6 +48,11 @@ CASES = {
     "verify.txt": ["verify"],
 }
 
+#: golden file name -> CLI arguments, without --out, of a command whose --out file it holds
+OUT_CASES = {
+    "verify.json": ["verify"],
+}
+
 
 def _run(argv) -> bytes:
     out = io.StringIO()
@@ -55,16 +62,34 @@ def _run(argv) -> bytes:
     return out.getvalue().encode()
 
 
+def _run_out(argv, directory) -> bytes:
+    path = os.path.join(directory, "out")
+    _run([*argv, "--out", path])
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _golden(name) -> bytes:
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_byte_identical(name):
-    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
-        expected = fh.read()
-    assert _run(CASES[name]) == expected
+    assert _run(CASES[name]) == _golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_out_file_is_byte_identical(name, tmp_path):
+    assert _run_out(OUT_CASES[name], tmp_path) == _golden(name)
 
 
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, argv in CASES.items():
+    outputs = {name: _run(argv) for name, argv in CASES.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs.update((name, _run_out(argv, tmp)) for name, argv in OUT_CASES.items())
+    for name, data in outputs.items():
         with open(os.path.join(GOLDEN_DIR, name), "wb") as fh:
-            fh.write(_run(argv))
-    print(f"wrote {len(CASES)} files to {GOLDEN_DIR}", file=sys.stderr)
+            fh.write(data)
+    print(f"wrote {len(outputs)} files to {GOLDEN_DIR}", file=sys.stderr)

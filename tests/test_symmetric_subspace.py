@@ -22,7 +22,7 @@ from scipy.sparse.linalg import expm_multiply
 from spinmanifold import analytic, spin_ops, verify
 from spinmanifold.evolution import (
     CoordinatePoint,
-    _generator_spectrum,
+    _generator_groups,
     family_grid,
     family_grids,
     state_at,
@@ -304,13 +304,14 @@ def test_field_generator_is_restricted_hamiltonian(n, two_s, field):
     # propagates with, against V^dag H V / 2J from the dense product-space H
     sys = SpinSystem(n, two_s, coupling_j=-1.7)
     basis = occupation_basis(sys)
-    evals, evecs, family = _generator_spectrum(basis, [field])
-    if evecs is None:
-        rebuilt = np.diag(evals[0])
+    [(members, energies, evecs)] = _generator_groups(basis, [field])
+    assert members.tolist() == [0]
+    if evecs is None:  # the diagonal group: each field's diagonal
+        rebuilt = np.diag(energies[0])
     else:
         # the field's G is R G_0 R^dag, R = exp(-i phi' Sum S^z), G_0 its family's at phi' = 0
         turn = np.exp(-1j * field.direction.azimuth * basis.total_z)
-        g_0 = (evecs[family[0]] * evals[family[0]]) @ evecs[family[0]].T
+        g_0 = (evecs * energies) @ evecs.T
         rebuilt = turn[:, None] * g_0 * turn.conj()
     rows, weights = product_to_occupation(sys)
     v = np.zeros((sys.dim, sys.occupation_dim))
@@ -409,8 +410,8 @@ GUARDED_BUILDS = {
         lambda sys: spin_ops._occupation_basis(sys.n_sites, sys.two_s),
         lambda sys: 8 * sys.occupation_dim * sys.site_dim,
     ),
-    "_generator_spectrum": (
-        lambda sys: _generator_spectrum(occupation_basis(sys), OFF_AXIS_STACK[:1]),
+    "_generator_groups": (
+        lambda sys: _generator_groups(occupation_basis(sys), OFF_AXIS_STACK[:1]),
         lambda sys: 16 * sys.occupation_dim**2,
     ),
 }
@@ -437,7 +438,7 @@ def test_guarded_build_estimate_covers_its_traced_peak(monkeypatch, build, n, tw
 @pytest.mark.parametrize("n,two_s", [(200, 1), (12, 3), (3, 12)])
 def test_off_axis_generator_estimate_covers_its_traced_peak(monkeypatch, n, two_s):
     # D = 201, 455 and 455 (ladder widths 2, 6 and 6), one field off the z axis
-    assert_estimate_covers_traced_peak(monkeypatch, "_generator_spectrum", n, two_s)
+    assert_estimate_covers_traced_peak(monkeypatch, "_generator_groups", n, two_s)
 
 
 def assert_estimate_covers_traced_peak(monkeypatch, build, n, two_s):
@@ -490,9 +491,9 @@ def test_off_axis_stack_estimate_covers_its_traced_peak(monkeypatch, n, two_s, f
     # of 6 and D = 201 with 8 of one: the traced peak of the stacked build and eigh
     # stays within the estimate
     basis = occupation_basis(SpinSystem(n, two_s))
-    peak = traced_peak(lambda: _generator_spectrum(basis, fields))
+    peak = traced_peak(lambda: _generator_groups(basis, fields))
     monkeypatch.setattr(spin_ops, "_physical_memory_bytes", lambda: peak - 1)
-    assert refused(lambda: _generator_spectrum(basis, fields), f"{len(fields)} off-axis field")[0] >= peak
+    assert refused(lambda: _generator_groups(basis, fields), f"{len(fields)} off-axis field")[0] >= peak
 
 
 @pytest.mark.parametrize("n,two_s", [(3, 1), (2, 3), (3, 2), (4, 1)])
