@@ -38,7 +38,6 @@ from .analytic import (
     DegenerateDirection,
     chi_max_for,
     metric_closed_form,
-    metric_closed_form_array,
     metric_closed_form_field,
     metric_closed_form_field_array,
     scalar_curvature,
@@ -80,7 +79,6 @@ __all__ = [
     "DegenerateDirection",
     "chi_max_for",
     "metric_closed_form",
-    "metric_closed_form_array",
     "metric_closed_form_field",
     "metric_closed_form_field_array",
     "scalar_curvature",

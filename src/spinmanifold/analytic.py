@@ -10,7 +10,8 @@ minimal-speed field conditions.  The numeric oracle lives in
 Each closed form is written once in numpy's functions, which take a float
 as readily as an array, so a float and an array argument go through the
 same operations and give the same bits; a float argument gives a builtin
-float back.  Squares go through np.float_power, which is libm pow;
+float back, and to a metric form one metric where an array gives a
+stack.  Squares go through np.float_power, which is libm pow;
 numpy's ``**`` on an array would multiply instead, which differs in the
 last bit for about one square in a thousand.
 """
@@ -126,24 +127,23 @@ def _metric_components(sys: SpinSystem, theta, field=None) -> np.ndarray:
     return g.transpose(tuple(range(2, g.ndim)) + (0, 1))
 
 
-def metric_closed_form(sys: SpinSystem, theta: float) -> MetricTensor:
-    """Zero-field metric; every component depends on theta alone."""
+def metric_closed_form(sys: SpinSystem, theta) -> MetricTensor:
+    """Zero-field metric; every component depends on theta alone.
+
+    ``theta`` is a float, giving one 3x3 metric, or an array, giving the
+    (..., 3, 3) stack of the metrics at its points, validated once.
+    """
     return MetricTensor(_metric_components(sys, theta))
 
 
-def metric_closed_form_array(sys: SpinSystem, theta) -> np.ndarray:
-    """:func:`metric_closed_form` at every theta of an array: (..., 3, 3), validated once."""
-    return _validated_metrics(_metric_components(sys, np.asarray(theta, dtype=float)))
-
-
-def metric_closed_form_field(
-    sys: SpinSystem, theta: float, phi: float, field: FieldConfig
-) -> MetricTensor:
+def metric_closed_form_field(sys: SpinSystem, theta, phi, field: FieldConfig) -> MetricTensor:
     """Metric dressed by a uniform field of strength ratio h/J along n'.
 
     Reduces to the zero-field form at h/J = 0; the field couples the
     metric to phi through the two scalar products of n' with the rotated
-    frame vectors.
+    frame vectors.  ``theta`` and ``phi`` are floats, giving one 3x3
+    metric, or arrays that broadcast against each other, giving the stack
+    of their broadcast shape, as in :func:`metric_closed_form`.
     """
     d = field.direction
     return MetricTensor(
@@ -154,11 +154,12 @@ def metric_closed_form_field(
 def metric_closed_form_field_array(
     sys: SpinSystem, theta, phi, ratio_h_over_j, polar, azimuth=0.0
 ) -> np.ndarray:
-    """:func:`metric_closed_form_field` over arrays: (..., 3, 3), validated once.
+    """:func:`metric_closed_form_field` with the field's parameters as arrays too:
+    (..., 3, 3), validated once.
 
     theta, phi, h/J and the field's polar and azimuthal angles broadcast
-    against each other, so one call covers a (theta, phi) grid for one
-    field or a grid of field directions at one point.  The azimuth is
+    against each other, so one call covers a grid of field directions or
+    strengths, at one point or over a (theta, phi) grid.  The azimuth is
     reduced into [0, 2 pi) as :class:`~spinmanifold.spin_ops.Direction`
     does; the polar angle is used as given.  A NaN or infinite h/J or
     field angle raises ValueError, as FieldConfig and Direction do.

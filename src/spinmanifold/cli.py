@@ -198,15 +198,6 @@ def _sweep(cfg: argparse.Namespace, columns: List[str], curve_rows) -> int:
     return EXIT_OK
 
 
-def _g_chi_chi(sys: SpinSystem, fld: FieldConfig, phi: float, theta: np.ndarray) -> np.ndarray:
-    """Closed-form g_chichi at each theta, at azimuth phi, under the field fld."""
-    d = fld.direction
-    g = analytic.metric_closed_form_field_array(
-        sys, theta, phi, fld.ratio_h_over_j, d.polar, d.azimuth
-    )
-    return g[..., 2, 2]
-
-
 def cmd_curvature(cfg: argparse.Namespace) -> int:
     """Scalar curvature against theta, per curve."""
     def curve_rows(label, sys, fld):
@@ -229,10 +220,11 @@ def cmd_curvature(cfg: argparse.Namespace) -> int:
         if fld is None:
             values = analytic.scalar_curvature(sys, thetas)
         else:
+            def g_chi_chi(t):
+                return analytic.metric_closed_form_field(sys, t, cfg.phi, fld).g_chi_chi
+
             g_thth = sys.gamma**2 * sys.n_sites * sys.s / 2.0
-            values = analytic.curvature_numeric_from_profile(
-                g_thth, lambda t: _g_chi_chi(sys, fld, cfg.phi, t), thetas
-            )
+            values = analytic.curvature_numeric_from_profile(g_thth, g_chi_chi, thetas)
         return zip(thetas.tolist(), values.tolist())
 
     return _sweep(cfg, ["theta", "R"], curve_rows)
@@ -245,7 +237,8 @@ def cmd_speed(cfg: argparse.Namespace) -> int:
         if fld is None:
             speeds = analytic.speed_closed_form(sys, thetas)
         else:
-            speeds = speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, fld, cfg.phi, thetas))
+            g = analytic.metric_closed_form_field(sys, thetas, cfg.phi, fld)
+            speeds = speed_from_g_chi_chi(sys.coupling_j, g.g_chi_chi)
         return zip(thetas.tolist(), speeds.tolist())
 
     return _sweep(cfg, ["theta", "v"], curve_rows)

@@ -41,6 +41,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .spin_ops import (
+    Direction,
     FieldConfig,
     OccupationBasis,
     SpinSystem,
@@ -148,8 +149,9 @@ def _rows(
     or both 1-D, a grid.  No field changes the first three rows:
     d_theta = e^{-i phi Sum S^z} (-i Sum S^y) psi(theta, 0, 0) and
     d_phi = -i Sum S^z psi.  d_chi = -2i G psi, from
-    :func:`~spinmanifold.spin_ops.apply_generator`; when no field has
-    h/J != 0, G is the Ising diagonal and d_chi = -2i Sum_{i<j} S_i^z S_j^z psi.
+    :func:`~spinmanifold.spin_ops.apply_generator` for a field with h/J != 0;
+    for no field or h/J = 0, G is the Ising diagonal and
+    d_chi = -2i Sum_{i<j} S_i^z S_j^z psi, whatever the other fields are.
     """
     basis = occupation_basis(sys)
     psi0 = _symmetric_product(basis, theta)
@@ -163,10 +165,13 @@ def _rows(
     psi = np.multiply(psi0, phi_phases, out=rows[0])
     np.multiply(d_theta0, phi_phases, out=rows[1])
     np.multiply(psi, minus_i_z, out=rows[2])
-    if all(f is None or f.ratio_h_over_j == 0.0 for f in fields):
+    zero = [f is None or f.ratio_h_over_j == 0.0 for f in fields]
+    if all(zero):
         g_psi = basis.ising_pair_sums * psi
     else:
         g_psi = apply_generator(basis, field_vectors(fields), psi)
+        if any(zero):  # not Ising + exact zeros, whose signs hang on the other fields
+            g_psi[np.array(zero)] = basis.ising_pair_sums * psi
     np.multiply(g_psi, -2j, out=rows[3:])
     return rows
 
@@ -185,13 +190,13 @@ def _generator_groups(basis: OccupationBasis, fields: Sequence[Optional[FieldCon
     that share h/J and theta', compared exactly, in order of first
     appearance: field f of family k has G_f = R_f G_k R_f^dag with
     R_f = exp(-i phi'_f Sum S^z), a diagonal phase in the occupation basis,
-    and G_k the real symmetric generator at phi' = 0,
-    b = (h/2J)(sin theta', 0, cos theta') (Arecchi, Courtens, Gilmore &
-    Thomas, PRA 6, 2211 (1972)); ``energies`` (D,) and ``evecs`` (D, D),
-    real, are G_k's spectrum.  Only the K generators G_k are built densely,
-    and diagonalized by one stacked eigh, if their estimated bytes fit in
-    the host's physical memory (DimensionGuardError before they are
-    allocated).
+    and G_k the real symmetric generator at phi' = 0, whose b is
+    :func:`~spinmanifold.spin_ops.field_vectors`' (h/2J)(sin theta', 0,
+    cos theta') (Arecchi, Courtens, Gilmore & Thomas, PRA 6, 2211 (1972));
+    ``energies`` (D,) and ``evecs`` (D, D), real, are G_k's spectrum.  Only
+    the K generators G_k are built densely, and diagonalized by one stacked
+    eigh, if their estimated bytes fit in the host's physical memory
+    (DimensionGuardError before they are allocated).
     """
     dim = basis.total_z.size
     families = {}
@@ -206,7 +211,7 @@ def _generator_groups(basis: OccupationBasis, fields: Sequence[Optional[FieldCon
         groups.append((np.array(diagonal), apply_generator(basis, b, np.ones(dim)).real, None))
     if not families:
         return groups
-    # row o of G_k is G_k applied to basis vector o; with b_y = 0 it is real.  The rows
+    # row o of G_k is G_k applied to basis vector o; with b_y = +-0 it is real.  The rows
     # are built from blocks of ceil(D / W) rows of the identity, so that a block's
     # (rows, D, W) ladder gather is about one D x D array
     width = basis.ladder_rows.shape[1]
@@ -219,7 +224,7 @@ def _generator_groups(basis: OccupationBasis, fields: Sequence[Optional[FieldCon
     needed = 8 * dim * (dim * (2 * k + 1) + step * (3 * k + 2)) + 2**18
     build = f"the generators of {len(fields) - len(diagonal)} off-axis field(s), {k} up to azimuth"
     _check_bytes(needed, build, "occupation-basis", dim)
-    b = np.array([(h / 2.0 * math.sin(tp), 0.0, h / 2.0 * math.cos(tp)) for h, tp in families])
+    b = field_vectors([FieldConfig(h, Direction(tp)) for h, tp in families])
     g = np.empty((k, dim, dim))
     for start in range(0, dim, step):
         stop = min(start + step, dim)

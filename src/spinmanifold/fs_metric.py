@@ -104,7 +104,12 @@ def _validated_metric(g: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class MetricTensor:
-    """Symmetric 3x3 real metric over coordinates (theta, phi, chi)."""
+    """Symmetric 3x3 real metric over coordinates (theta, phi, chi), or a (..., 3, 3)
+    stack of them, each checked by :func:`_validated_metrics`.
+
+    ``g_chi_chi`` is a numpy float for one metric and an array of the
+    stack's shape for a stack.
+    """
 
     components: np.ndarray
 
@@ -112,8 +117,8 @@ class MetricTensor:
         self.components = _validated_metrics(np.asarray(self.components, dtype=float))
 
     @property
-    def g_chi_chi(self) -> float:
-        return self.components[2, 2]
+    def g_chi_chi(self):
+        return self.components[..., 2, 2][()]
 
 
 def _metric_components(gamma: float, psi: np.ndarray, tangents: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ def _closed_form_grid(sys: SpinSystem, grid: SweepGrid) -> np.ndarray:
     column, shape (n_fields, n_theta, n_phi, 1, 3, 3).
     """
     if not grid.fields:
-        return analytic.metric_closed_form_array(sys, grid.theta)[:, None, None]
+        return analytic.metric_closed_form(sys, grid.theta).components[:, None, None]
     ratio, polar, azimuth = np.array(
         [(f.ratio_h_over_j, f.direction.polar, f.direction.azimuth) for f in grid.fields]
     ).T[:, :, None, None]

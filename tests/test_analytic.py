@@ -496,7 +496,7 @@ _FIELD = FieldConfig(1.0, Direction(0.7, 0.3))
     [
         # np.linalg.LinAlgError is a ValueError too, so each case names its message
         (lambda: metric_closed_form(METHANE, math.nan), ValueError, "not finite"),
-        (lambda: analytic.metric_closed_form_array(METHANE, _NAN_THETAS), ValueError, "not finite"),
+        (lambda: metric_closed_form(METHANE, _NAN_THETAS), ValueError, "not finite"),
         (
             lambda: analytic.metric_closed_form_field_array(METHANE, _NAN_THETAS, 0.2, 1.0, 0.7),
             ValueError,

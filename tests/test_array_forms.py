@@ -14,14 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from spinmanifold import analytic
+from spinmanifold import analytic, fs_metric
 from spinmanifold.analytic import (
     OutOfRange,
     SingularPoint,
     curvature_from_speed,
     curvature_numeric_from_profile,
     metric_closed_form,
-    metric_closed_form_array,
     metric_closed_form_field,
     metric_closed_form_field_array,
     scalar_curvature,
@@ -62,7 +61,7 @@ FIELD_IDS = ["hJ0", "plus_z", "minus_z", "off_axis", "off_axis_negative"]
 class TestAgainstScalar:
     def test_metric(self, sys):
         expected = np.array([metric_closed_form(sys, float(t)).components for t in THETAS])
-        assert np.array_equal(metric_closed_form_array(sys, THETAS), expected)
+        assert np.array_equal(metric_closed_form(sys, THETAS).components, expected)
 
     @pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
     def test_field_metric_on_theta_phi_plane(self, sys, fld):
@@ -135,9 +134,30 @@ class TestAgainstScalar:
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("n_theta", [5, 3, 2])
+@pytest.mark.parametrize("fld", [None] + FIELDS[:4], ids=["none"] + FIELD_IDS[:4])
+def test_g_chi_chi_of_a_stack_is_each_metrics_entry(n_theta, fld):
+    # a stack's g_chi_chi is entry (2, 2) of each of its metrics, the float call's bits,
+    # not row 2 of its third metric (nor an IndexError below three metrics)
+    sys = SpinSystem(4, 1)
+    thetas = np.linspace(0.3, 2.9, n_theta)
+
+    def metric(theta, phi=0.9):
+        if fld is None:
+            return metric_closed_form(sys, theta)
+        return metric_closed_form_field(sys, theta, phi, fld)
+
+    assert type(metric(0.7).g_chi_chi) is np.float64
+    expected = np.array([[metric(t, p).g_chi_chi for p in PHIS.tolist()] for t in thetas.tolist()])
+    column, grid = metric(thetas), metric(thetas[:, None], PHIS)  # grid: (n_theta, 1) at no field
+    for g, want in ((column, expected[:, 1]), (grid, expected[:, : grid.components.shape[1]])):
+        assert np.array_equal(g.g_chi_chi, g.components[..., 2, 2])
+        assert g.g_chi_chi.tobytes() == want.tobytes()
+
+
 class TestShapesAndErrors:
     def test_scalar_theta_gives_one_matrix(self):
-        g = metric_closed_form_array(SpinSystem(3, 2), 0.7)
+        g = metric_closed_form(SpinSystem(3, 2), np.array(0.7)).components
         assert g.shape == (3, 3)
         assert np.array_equal(g, metric_closed_form(SpinSystem(3, 2), 0.7).components)
 
@@ -193,8 +213,9 @@ class TestShapesAndErrors:
             seen.append(g.shape)
             return check(g)
 
-        monkeypatch.setattr(analytic, "_validated_metrics", counted)
-        metric_closed_form_array(SpinSystem(3, 2), THETAS)
+        for module in (fs_metric, analytic):
+            monkeypatch.setattr(module, "_validated_metrics", counted)
+        metric_closed_form(SpinSystem(3, 2), THETAS)
         metric_closed_form_field_array(SpinSystem(3, 2), THETAS[:, None], PHIS, 1.0, 0.4, 0.0)
         assert seen == [(THETAS.size, 3, 3), (THETAS.size, PHIS.size, 3, 3)]
 

@@ -68,6 +68,14 @@ class TestMetricTensor:
         assert g.g_chi_chi == 3.0
         assert g.components[0, 2] == 0.0
 
+    def test_g_chi_chi_of_one_metric_or_a_stack(self):
+        # one metric gives a numpy float, the oracle's too; a stack gives each entry (2, 2)
+        for fld in (None, FieldConfig(1.5, Direction(1.1, 0.4))):
+            g = metric_numeric(SpinSystem(4, 1), CoordinatePoint(0.7, 0.2), fld)
+            assert type(g.g_chi_chi) is np.float64 and g.g_chi_chi == g.components[2, 2]
+        stack = MetricTensor(np.diag([1.0, 2.0, 3.0]) * np.arange(1.0, 3.0)[:, None, None])
+        assert np.array_equal(stack.g_chi_chi, [3.0, 6.0])
+
     def test_one_point_takes_no_lapack_factorization(self, monkeypatch):
         # a single 3x3 is validated in Python floats, on the oracle and the closed-form side
         def refuse(*args, **kwargs):

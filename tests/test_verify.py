@@ -357,7 +357,7 @@ def test_batched_checks_equal_the_per_field_loop(sys, grid):
         psi, tangents = evolution.family_grid(sys, grid.theta, grid.phi, grid.chi, fld)
         g = fs_metric.metric_from_vectors(sys.gamma, psi, tangents)
         if fld is None:
-            ref = analytic.metric_closed_form_array(sys, grid.theta)[:, None, None]
+            ref = analytic.metric_closed_form(sys, grid.theta).components[:, None, None]
         else:
             d = fld.direction
             ref = analytic.metric_closed_form_field_array(
