@@ -58,6 +58,13 @@ def _require_finite(name: str, x):
         raise ValueError(f"{name} must be finite, got {_first_where(x, bad)}")
 
 
+def _require_polar(theta):
+    """Raise ValueError naming the first theta, a float or an array, outside [0, pi] or NaN."""
+    outside = np.logical_not(np.greater_equal(theta, 0.0) & np.less_equal(theta, math.pi))
+    if np.count_nonzero(outside):
+        raise ValueError(f"theta must be in [0, pi], got {_first_where(theta, outside)}")
+
+
 def _field_scalar_products(st, ct, phi, polar, azimuth):
     """The two projections of n' used by the dressed metric.
 
@@ -180,15 +187,17 @@ def scalar_curvature(sys: SpinSystem, theta):
     curvature at each of its points.  The poles are conical singularities
     whenever N > 2 or s > 1/2; there the curvature is undefined and a
     SingularPoint is raised if any theta is a pole.  The lone smooth case
-    N = 2, s = 1/2 admits the endpoints.  A NaN or infinite theta raises
-    ValueError.
+    N = 2, s = 1/2 admits the endpoints.  A theta outside [0, pi], NaN or
+    infinite raises ValueError.
     """
     _require_finite("theta", theta)
     n, s = sys.n_sites, sys.s
     at_pole = (theta <= 0.0) | (theta >= math.pi)
-    if np.count_nonzero(at_pole) and not (n == 2 and sys.two_s == 1):
-        pole = _first_where(theta, at_pole)
-        raise SingularPoint(f"curvature undefined at theta={pole} for N={n}, s={s}")
+    if np.count_nonzero(at_pole):  # a theta past a pole is out of range, not singular
+        _require_polar(theta)
+        if not (n == 2 and sys.two_s == 1):
+            pole = _first_where(theta, at_pole)
+            raise SingularPoint(f"curvature undefined at theta={pole} for N={n}, s={s}")
     c2 = np.float_power(np.cos(theta), 2.0)
     k = 4.0 * (n - 1) * s - 1.0
     return _float_if_scalar(
@@ -390,9 +399,11 @@ def speed_closed_form(sys: SpinSystem, theta):
     """v = |J| sqrt(g_chichi); independent of phi and chi.
 
     ``theta`` is a float, giving a float, or an ndarray, giving the speed
-    at each of its points.  A NaN or infinite theta raises ValueError.
+    at each of its points.  A theta outside [0, pi], NaN or infinite
+    raises ValueError.
     """
     _require_finite("theta", theta)
+    _require_polar(theta)
     return _float_if_scalar(speed_from_g_chi_chi(sys.coupling_j, _g_chi_chi(sys, theta)))
 
 
@@ -518,8 +529,7 @@ def min_speed_field(
     ``reduction_applied``).  Raises ValueError for theta outside [0, pi]
     and for a NaN or infinite phi.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must be in [0, pi], got {theta}")
+    _require_polar(theta)
     _require_finite("phi", phi)
     n, s = sys.n_sites, sys.s
     a, b = _field_scalar_products(

@@ -50,7 +50,7 @@ _PRESETS = {
 }
 
 #: setting -> (type, default, help).  Each is a flag of the commands that read it
-#: and a key of their --config file; ratio is P/Q as a flag and [P, Q] in a file.
+#: and a key of their --config file.
 _SETTINGS = {
     "n": (int, 4, "number of spins N"),
     "two_s": (int, 1, "2s (1 for spin-1/2)"),
@@ -59,7 +59,6 @@ _SETTINGS = {
     "h_over_j": (float, None, "field ratio h/J"),
     "theta_prime": (float, 0.0, "field polar angle"),
     "phi_prime": (float, 0.0, "field azimuth"),
-    "ratio": (str, None, "declare h/J rational as P/Q"),
     "theta": (float, None, "initial-state polar angle"),
     "phi": (float, 0.0, "initial-state azimuth"),
     "samples": (int, 200, "sweep sample count"),
@@ -71,7 +70,7 @@ _SETTINGS = {
 }
 _CHOICES = {"preset": sorted(_PRESETS), "format": ("csv", "json")}
 _SYSTEM_FIELD = ("n", "two_s", "j", "gamma", "h_over_j", "theta_prime", "phi_prime")
-_SWEEP = _SYSTEM_FIELD + ("ratio", "phi", "samples", "preset", "format", "out")
+_SWEEP = _SYSTEM_FIELD + ("phi", "samples", "preset", "format", "out")
 
 
 def _fits(value, kind: type) -> bool:
@@ -85,10 +84,6 @@ def _config_value(key: str, value):
     kind, default, _ = _SETTINGS[key]
     if value is None and default is None:
         return None
-    if key == "ratio":  # written [P, Q]
-        if not (isinstance(value, list) and len(value) == 2 and all(_fits(v, int) for v in value)):
-            raise ConfigError(f"config key {key!r} must be a list of two integers, got {value!r}")
-        return tuple(value)
     if not _fits(value, kind):
         raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
     if key in _CHOICES and value not in _CHOICES[key]:
@@ -116,27 +111,16 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
     command = flags.pop("command")
     keys = _COMMANDS[command][1]
     given = _read_config(flags.pop("config"), command, keys) if "config" in flags else {}
-    if "ratio" in flags:
-        try:
-            p, q = flags["ratio"].split("/")
-            flags["ratio"] = (int(p), int(q))
-        except ValueError:
-            raise ConfigError(f"--ratio must look like P/Q, got {flags['ratio']!r}")
     given.update(flags)
     given = {key: value for key, value in given.items() if value is not None}  # null: unset
     unread, why = (), ""  # settings that the sweep would ignore
     if "preset" in given:  # no preset curve reads phi
-        unread, why = _SYSTEM_FIELD + ("ratio", "phi"), "a preset fixes system, field and phi"
-    elif "preset" in keys and not {"h_over_j", "ratio"} & given.keys():
-        unread, why = ("theta_prime", "phi_prime", "phi"), "no field without --h-over-j or --ratio"
+        unread, why = _SYSTEM_FIELD + ("phi",), "a preset fixes system, field and phi"
+    elif "preset" in keys and "h_over_j" not in given:
+        unread, why = ("theta_prime", "phi_prime", "phi"), "no field without --h-over-j"
     unread = ["--" + key.replace("_", "-") for key in unread if key in given]
     if unread:
         raise ConfigError(f"{why}; drop {', '.join(unread)}")
-    if "ratio" in given:
-        p, q = given["ratio"]
-        if q <= 0:
-            raise ConfigError(f"ratio denominator must be positive, got {p}/{q}")
-        given.setdefault("h_over_j", p / q)
     if given.get("samples", 2) < 2:
         raise ConfigError("samples must be >= 2")
     for name in ("theta", "phi"):
@@ -176,7 +160,7 @@ def _preset_curves(cfg: argparse.Namespace):
     sys = SpinSystem(cfg.n, cfg.two_s, cfg.j, cfg.gamma)
     if cfg.h_over_j is None:
         return [("", sys, None)]
-    fld = FieldConfig(cfg.h_over_j, Direction(cfg.theta_prime, cfg.phi_prime), cfg.ratio)
+    fld = FieldConfig(cfg.h_over_j, Direction(cfg.theta_prime, cfg.phi_prime))
     return [("", sys, None if fld.ratio_h_over_j == 0.0 else fld)]
 
 

@@ -149,8 +149,9 @@ class FieldConfig:
     """Uniform magnetic field: strength ratio h/J and direction angles.
 
     ``rational_ratio`` optionally declares h/J = p/q with coprime integers;
-    rationality is never inferred from the float value.  The tag controls
-    the evolution period when the field points along z.
+    rationality is never inferred from the float value.  Only
+    :func:`~spinmanifold.analytic.chi_max_for` reads the tag, for the
+    evolution period of a field along z; no CLI command sets it.
     """
 
     ratio_h_over_j: float

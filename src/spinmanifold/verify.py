@@ -103,14 +103,13 @@ class SweepGrid:
         n_theta: int = 25,
         n_phi: int = 8,
         n_chi: int = 8,
-        fields: Optional[Sequence[FieldConfig]] = None,
     ) -> "SweepGrid":
         theta = np.concatenate(
             [[0.0], np.linspace(0.05, math.pi - 0.05, n_theta), [math.pi]]
         )
         phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
         chi = np.linspace(0.0, analytic.chi_max_for(sys.two_s), n_chi)
-        return cls(theta=theta, phi=phi, chi=chi, fields=fields)
+        return cls(theta=theta, phi=phi, chi=chi)
 
 
 class _Deviation:
@@ -325,9 +324,10 @@ TOPOLOGY_SYSTEMS = (
 )
 
 
-def _direction_grid(n_polar: int = 8, n_azimuth: int = 8):
-    for tp in np.linspace(0.0, math.pi, n_polar):
-        for pp in np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False):
+def _direction_grid():
+    """The 64 field directions of the field check: 8 polar angles on [0, pi] by 8 azimuths."""
+    for tp in np.linspace(0.0, math.pi, 8):
+        for pp in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
             yield Direction(float(tp), float(pp))
 
 

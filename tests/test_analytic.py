@@ -87,6 +87,8 @@ class TestScalarCurvature:
     def test_methane_pole_limit_value(self):
         with pytest.raises(SingularPoint):
             scalar_curvature(METHANE, 0.0)
+        with pytest.raises(SingularPoint, match="curvature undefined at theta=3.14"):
+            scalar_curvature(METHANE, np.array([1.0, math.pi]))
         # the formula limit at theta -> 0 is 7 (smooth away from the tip)
         assert scalar_curvature(METHANE, 1e-9) == pytest.approx(7.0, abs=1e-6)
 
@@ -94,6 +96,7 @@ class TestScalarCurvature:
         sys = SpinSystem(2, 1)
         assert scalar_curvature(sys, math.pi / 2) == pytest.approx(0.0)
         scalar_curvature(sys, 0.0)  # endpoints allowed for N=2, s=1/2
+        assert np.all(np.isfinite(scalar_curvature(sys, np.array([0.0, math.pi]))))
 
     @pytest.mark.parametrize("theta", [0.3, 0.9, 1.4])
     def test_symmetry_about_waist(self, theta):
@@ -538,3 +541,30 @@ _FIELD = FieldConfig(1.0, Direction(0.7, 0.3))
 def test_non_finite_input_is_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("form", [scalar_curvature, speed_closed_form])
+@pytest.mark.parametrize(
+    "sys,theta,shown",
+    [
+        (SpinSystem(4, 1), 7.0, "7.0"),
+        (SpinSystem(4, 1), -0.1, "-0.1"),
+        (SpinSystem(4, 1), np.array([0.5, math.pi + 1e-9, 7.0]), repr(math.pi + 1e-9)),
+        # the smooth case admits the poles, but nothing past them
+        (SpinSystem(2, 1), np.array([0.0, math.pi, -math.pi]), repr(-math.pi)),
+    ],
+    ids=["past_pi", "below_zero", "array", "smooth_case"],
+)
+def test_theta_outside_zero_pi_is_rejected(form, sys, theta, shown):
+    with pytest.raises(ValueError) as exc:
+        form(sys, theta)
+    assert not isinstance(exc.value, SingularPoint)
+    assert str(exc.value) == f"theta must be in [0, pi], got {shown}"
+
+
+def test_curvature_integral_checks_no_range(monkeypatch):
+    # its panels never reach a pole, so the range check is never run on them
+    calls = []
+    monkeypatch.setattr(analytic, "_require_polar", lambda theta: calls.append(theta))
+    assert gauss_bonnet_euler(ManifoldSpec.for_system(SpinSystem(4, 1))) == pytest.approx(2.0)
+    assert calls == []

@@ -68,6 +68,14 @@ class TestCurvatureCommand:
                     scalar_curvature(sys, float(r["theta"])), rel=1e-9
                 )
 
+    def test_fig6_stencil_may_step_past_the_poles(self, tmp_path):
+        # at 20000 samples the first theta is within two stencil steps of 0,
+        # where only the closed-form metric is evaluated, not checked for range
+        out = tmp_path / "fig6.csv"
+        argv = ["curvature", "--preset", "fig6", "--samples", "20000", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 3 * 19998
+
     def test_singular_endpoints_omitted_with_note(self, capsys):
         assert main(["curvature", "--preset", "methane", "--samples", "11"]) == EXIT_OK
         captured = capsys.readouterr()
@@ -326,7 +334,7 @@ def test_out_of_range_input_is_a_config_error(capsys, argv, message):
 
 SWEEPS = ("curvature", "speed", "curvature-vs-speed")
 SWEEP_FLAGS = {"--config", "--n", "--two-s", "--j", "--gamma", "--h-over-j", "--theta-prime",
-               "--phi-prime", "--ratio", "--phi", "--samples", "--preset", "--format", "--out"}
+               "--phi-prime", "--phi", "--samples", "--preset", "--format", "--out"}
 
 
 class TestCommandFlags:
@@ -346,7 +354,10 @@ class TestCommandFlags:
                                "--theta-prime", "--phi-prime", "--theta", "--phi", "--out",
                                "--scan-direction"},
         }
-        assert sum(map(len, flags.values())) == 56
+        assert sum(map(len, flags.values())) == 53
+
+    def test_every_setting_is_read_by_some_command(self):
+        assert set(cli._SETTINGS) == {key for _, keys in cli._COMMANDS.values() for key in keys}
 
     @pytest.mark.parametrize(
         "argv",
@@ -379,7 +390,7 @@ class TestCommandFlags:
             for setting in [
                 ("n", "3", 3), ("two_s", "2", 2), ("j", "2", 2.0), ("gamma", "2", 2.0),
                 ("h_over_j", "1", 1.0), ("theta_prime", "0.5", 0.5),
-                ("phi_prime", "0.5", 0.5), ("ratio", "1/2", [1, 2]), ("phi", "0.5", 0.5),
+                ("phi_prime", "0.5", 0.5), ("phi", "0.5", 0.5),
             ]
             if (command, setting[0]) != ("curvature-vs-speed", "phi")
         ],
@@ -424,7 +435,7 @@ class TestCommandFlags:
             assert main(argv) == EXIT_BAD_CONFIG
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: no field without --h-over-j or --ratio; drop {flag}\n"
+            assert captured.err == f"error: no field without --h-over-j; drop {flag}\n"
 
     def test_invalid_direction_without_a_field_is_refused(self, capsys):
         argv = ["speed", "--n", "2", "--two-s", "1", "--samples", "3",
@@ -432,11 +443,16 @@ class TestCommandFlags:
         assert main(argv) == EXIT_BAD_CONFIG
         assert "drop --theta-prime, --phi-prime" in capsys.readouterr().err
 
-    def test_ratio_in_the_config_is_a_field(self, capsys, tmp_path):
+    def test_ratio_in_the_config_is_an_unknown_key(self, capsys, tmp_path):
+        # h/J is given as --h-over-j or h_over_j only
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"ratio": [3, 1]}))
-        argv = ["speed", "--n", "4", "--two-s", "2", "--samples", "7", "--theta-prime", "0.5"]
-        assert same_output(capsys, argv + ["--config", str(cfg)], argv + ["--h-over-j", "3"])
+        for command in SWEEPS:
+            argv = [command, "--n", "4", "--two-s", "2", "--samples", "7", "--config", str(cfg)]
+            assert main(argv) == EXIT_BAD_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: unknown config key 'ratio' for {command}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -545,14 +561,14 @@ class TestConfigHandling:
             (
                 "speed",
                 {"n": 5, "two_s": 3, "j": 2.0, "gamma": 3.0, "h_over_j": 4.0,
-                 "theta_prime": 0.1, "phi_prime": 0.2, "ratio": [1, 1], "phi": 0.4,
+                 "theta_prime": 0.1, "phi_prime": 0.2, "phi": 0.4,
                  "samples": 7, "out": "file.csv", "format": "json"},
                 ["--n", "2", "--two-s", "1", "--j", "1.5", "--gamma", "2.5",
                  "--h-over-j", "0.5", "--theta-prime", "1.1", "--phi-prime", "1.2",
-                 "--ratio", "1/2", "--phi", "1.4", "--samples", "9", "--out", "flag.csv",
+                 "--phi", "1.4", "--samples", "9", "--out", "flag.csv",
                  "--format", "csv"],
                 dict(n=2, two_s=1, j=1.5, gamma=2.5, h_over_j=0.5, theta_prime=1.1,
-                     phi_prime=1.2, ratio=(1, 2), phi=1.4, samples=9, preset=None,
+                     phi_prime=1.2, phi=1.4, samples=9, preset=None,
                      out="flag.csv", format="csv"),
             ),
             (
@@ -560,7 +576,7 @@ class TestConfigHandling:
                 {"samples": 7, "preset": "fig1", "out": "file.csv", "format": "json"},
                 ["--samples", "9", "--preset", "fig6", "--out", "flag.csv", "--format", "csv"],
                 dict(n=4, two_s=1, j=1.0, gamma=1.0, h_over_j=None, theta_prime=0.0,
-                     phi_prime=0.0, ratio=None, phi=0.0, samples=9, preset="fig6",
+                     phi_prime=0.0, phi=0.0, samples=9, preset="fig6",
                      out="flag.csv", format="csv"),
             ),
             (
@@ -590,8 +606,6 @@ class TestConfigHandling:
             ({"j": "1.0"}, "config key 'j' must be float"),
             ({"format": "xml"}, "unknown format 'xml'"),
             ({"preset": 1}, "config key 'preset' must be str"),
-            ({"ratio": [1, "2"]}, "config key 'ratio' must be a list of two integers"),
-            ({"ratio": [1, 2, 3]}, "config key 'ratio' must be a list of two integers"),
         ],
     )
     def test_wrong_value_type_in_config_rejected(self, capsys, tmp_path, data, message):
@@ -607,20 +621,25 @@ class TestConfigHandling:
         assert "config key 'theta' must be float" in capsys.readouterr().err
 
     def test_config_accepts_int_for_float_and_null_for_optional(self, tmp_path):
-        # theta is read by field-optimize only, ratio by the sweeps only
+        # theta is read by field-optimize only, preset by the sweeps only
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"j": 2, "h_over_j": None, "theta": 1}))
         got = _load_config(_build_parser().parse_args(["field-optimize", "--config", str(cfg)]))
         assert (got.j, got.h_over_j, got.theta) == (2, None, 1)
-        cfg.write_text(json.dumps({"j": 2, "h_over_j": None, "ratio": None}))
+        cfg.write_text(json.dumps({"j": 2, "h_over_j": None, "preset": None}))
         got = _load_config(_build_parser().parse_args(["speed", "--config", str(cfg)]))
-        assert (got.j, got.h_over_j, got.ratio) == (2, None, None)
+        assert (got.j, got.h_over_j, got.preset) == (2, None, None)
 
     def test_bad_ratio_rejected(self, capsys):
-        assert main(["speed", "--n", "2", "--two-s", "1", "--ratio", "abc"]) == EXIT_BAD_CONFIG
-        argv = ["speed", "--n", "4", "--two-s", "2", "--theta-prime", "0", "--ratio", "3/0"]
-        assert main(argv) == EXIT_BAD_CONFIG
-        assert "denominator must be positive" in capsys.readouterr().err
+        # no command takes --ratio, whatever its value: h/J is --h-over-j
+        for command in SWEEPS:
+            for value in ("3/1", "abc", "3/0"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--n", "4", "--two-s", "2", "--h-over-j", "3", "--ratio", value])
+                assert exc.value.code == EXIT_BAD_CONFIG
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.endswith(f"error: unrecognized arguments: --ratio {value}\n")
 
     def test_bad_samples_rejected(self, capsys):
         assert main(["speed", "--samples", "1"]) == EXIT_BAD_CONFIG

@@ -29,7 +29,6 @@ CASES = {
     "curvature_vs_speed_fig1.csv": ["curvature-vs-speed", "--preset", "fig1"],
     "speed_field_n4_2s2.csv": [
         "speed", "--n", "4", "--two-s", "2", "--h-over-j", "3", "--theta-prime", "0",
-        "--ratio", "3/1",
     ],
     "speed_field_offaxis_n4_2s2.csv": [
         "speed", "--n", "4", "--two-s", "2", "--h-over-j", "1.5", "--theta-prime", "1.1",
