@@ -71,8 +71,10 @@ def _field_scalar_products(st, ct, phi, polar, azimuth):
     Takes sin theta, cos theta, phi and the field angles (floats or
     broadcastable arrays) and returns
     (n'.n(theta + pi/2), n'.n(theta = pi/2, phi + pi/2)).
+    sin theta' is exactly 0 at pi, as in :meth:`Direction.components`, so a
+    field along -z leaves no trace of phi - phi' (np.sin(pi) is 1.2e-16).
     """
-    stp, ctp = np.sin(polar), np.cos(polar)
+    stp, ctp = np.where(np.equal(polar, math.pi), 0.0, np.sin(polar)), np.cos(polar)
     dphi = phi - azimuth
     a = ct * stp * np.cos(dphi) - st * ctp
     b = -stp * np.sin(dphi)

@@ -50,7 +50,7 @@ _PRESETS = {
 }
 
 #: setting -> (type, default, help).  Each is a flag of the commands that read it
-#: and a key of their --config file.
+#: and a key of their --config file; a command that does not read it sees its default.
 _SETTINGS = {
     "n": (int, 4, "number of spins N"),
     "two_s": (int, 1, "2s (1 for spin-1/2)"),
@@ -66,11 +66,9 @@ _SETTINGS = {
     "format": (str, "csv", "output format"),
     "out": (str, None, "output path (default stdout)"),
     "only": (str, None, "restrict to checks with this name prefix"),
-    "tolerance": (float, None, "override all check tolerances"),
 }
 _CHOICES = {"preset": sorted(_PRESETS), "format": ("csv", "json")}
-_SYSTEM_FIELD = ("n", "two_s", "j", "gamma", "h_over_j", "theta_prime", "phi_prime")
-_SWEEP = _SYSTEM_FIELD + ("phi", "samples", "preset", "format", "out")
+_PRESET_FIXES = ("n", "two_s", "j", "gamma", "h_over_j", "theta_prime", "phi_prime", "phi")
 
 
 def _fits(value, kind: type) -> bool:
@@ -106,7 +104,7 @@ def _read_config(path: str, command: str, keys) -> dict:
 
 
 def _load_config(args: argparse.Namespace) -> argparse.Namespace:
-    """The command's settings: the table's defaults, then the --config file, then the flags."""
+    """Every setting: the table's defaults, then the command's --config file, then its flags."""
     flags = dict(vars(args))
     command = flags.pop("command")
     keys = _COMMANDS[command][1]
@@ -115,7 +113,7 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
     given = {key: value for key, value in given.items() if value is not None}  # null: unset
     unread, why = (), ""  # settings that the sweep would ignore
     if "preset" in given:  # no preset curve reads phi
-        unread, why = _SYSTEM_FIELD + ("phi",), "a preset fixes system, field and phi"
+        unread, why = _PRESET_FIXES, "a preset fixes system, field and phi"
     elif "preset" in keys and "h_over_j" not in given:
         unread, why = ("theta_prime", "phi_prime", "phi"), "no field without --h-over-j"
     unread = ["--" + key.replace("_", "-") for key in unread if key in given]
@@ -126,7 +124,7 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
     for name in ("theta", "phi"):
         if not math.isfinite(given.get(name, 0.0)):
             raise ConfigError(f"{name} must be finite, got {given[name]}")
-    return argparse.Namespace(**{**{key: _SETTINGS[key][1] for key in keys}, **given})
+    return argparse.Namespace(**{**{key: _SETTINGS[key][1] for key in _SETTINGS}, **given})
 
 
 def _open_out(path: Optional[str]):
@@ -158,10 +156,8 @@ def _preset_curves(cfg: argparse.Namespace):
     if cfg.preset is not None:
         return _PRESETS[cfg.preset]
     sys = SpinSystem(cfg.n, cfg.two_s, cfg.j, cfg.gamma)
-    if cfg.h_over_j is None:
-        return [("", sys, None)]
-    fld = FieldConfig(cfg.h_over_j, Direction(cfg.theta_prime, cfg.phi_prime))
-    return [("", sys, None if fld.ratio_h_over_j == 0.0 else fld)]
+    fld = FieldConfig(cfg.h_over_j or 0.0, Direction(cfg.theta_prime, cfg.phi_prime))
+    return [("", sys, fld if fld.ratio_h_over_j else None)]
 
 
 def _sweep(cfg: argparse.Namespace, columns: List[str], curve_rows) -> int:
@@ -190,9 +186,8 @@ def cmd_curvature(cfg: argparse.Namespace) -> int:
         if fld is not None and not fld.along_z:
             d = fld.direction
             raise ConfigError(
-                f"curvature with a field off the z axis (theta'={d.polar:g}, "
-                f"phi'={d.azimuth:g}) is not implemented; only the formula for a field "
-                "along z (theta' = 0 or pi) is"
+                f"curvature with a field off the z axis (theta'={d.polar:g}) is not "
+                "implemented; only the formula for a field along z (theta' = 0 or pi) is"
             )
         thetas = np.linspace(0.0, math.pi, cfg.samples)
         if not (sys.n_sites == 2 and sys.two_s == 1 and fld is None):
@@ -252,9 +247,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     """Run the oracle verification suite."""
     # bad options must not truncate an existing --out, and a path that cannot
     # be written must fail before the suite runs
-    select_checks(cfg.only, cfg.tolerance)
+    select_checks(cfg.only)
     with _open_out(cfg.out) as fh:
-        report = run_full_suite(only=cfg.only, tolerance=cfg.tolerance)
+        report = run_full_suite(only=cfg.only)
         print(report.format_table())
         if cfg.out:
             fh.write(report.to_json() + "\n")
@@ -301,11 +296,15 @@ def cmd_field_optimize(cfg: argparse.Namespace) -> int:
 
 #: command -> (function, the settings it reads); all but verify take --config
 _COMMANDS = {
-    "curvature": (cmd_curvature, _SWEEP),
-    "speed": (cmd_speed, _SWEEP),
-    "curvature-vs-speed": (cmd_curvature_vs_speed, tuple(k for k in _SWEEP if k != "phi")),
-    "verify": (cmd_verify, ("only", "tolerance", "out")),
-    "field-optimize": (cmd_field_optimize, _SYSTEM_FIELD + ("theta", "phi", "out")),
+    "curvature": (cmd_curvature, ("n", "two_s", "gamma", "h_over_j", "theta_prime", "samples",
+                                  "preset", "format", "out")),
+    "speed": (cmd_speed, ("n", "two_s", "j", "gamma", "h_over_j", "theta_prime", "phi_prime",
+                          "phi", "samples", "preset", "format", "out")),
+    "curvature-vs-speed": (cmd_curvature_vs_speed, ("n", "two_s", "j", "gamma", "samples",
+                                                    "preset", "format", "out")),
+    "verify": (cmd_verify, ("only", "out")),
+    "field-optimize": (cmd_field_optimize, ("n", "two_s", "j", "gamma", "h_over_j",
+                                            "theta_prime", "phi_prime", "theta", "phi", "out")),
 }
 
 

@@ -8,7 +8,7 @@ its absolute deviation is below the 1e-12 floor or its relative deviation
 (denominator max(|a|, |b|, 1e-12)) is below the check tolerance.
 
 The suite is one table, ``_SUITE``, with one row per runner call in report
-order: the names of the checks it reports, their default tolerance and the
+order: the names of the checks it reports, their tolerance and the
 call.  :func:`select_checks` and :func:`run_full_suite` read only that
 table, and a row runs only when one of its names is selected.
 """
@@ -346,7 +346,7 @@ def _oracle_names(tag: str) -> Tuple[str, str]:
 
 
 #: the suite in report order, one row per runner call: (the names of the checks it reports,
-#: their default tolerance, run(tol)).  Each run looks its runner up when it is called, so a
+#: their tolerance, run(tol)).  Each run looks its runner up when it is called, so a
 #: runner replaced on this module after import (a tracing wrapper) is the one that runs.
 _SUITE = (
     *(
@@ -365,40 +365,33 @@ _SUITE = (
 )
 
 
-def select_checks(only: Optional[str], tolerance: Optional[float]) -> List[str]:
+def select_checks(only: Optional[str]) -> List[str]:
     """The names of the suite's checks that ``only`` selects, in report order.
 
-    Raises ValueError, before any check runs, for a tolerance that is NaN,
-    infinite or negative and for an ``only`` that selects no check.
+    Raises ValueError, before any check runs, for an ``only`` that selects no check.
     """
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     selected = [n for names, _, _ in _SUITE for n in names if only is None or n.startswith(only)]
     if not selected:
         raise ValueError(f"no verify check name starts with {only!r}")
     return selected
 
 
-def run_full_suite(
-    only: Optional[str] = None, tolerance: Optional[float] = None
-) -> VerificationReport:
-    """Run the selected checks and assemble the report.
+def run_full_suite(only: Optional[str] = None) -> VerificationReport:
+    """Run the selected checks, each row at its own tolerance, and assemble the report.
 
     ``only`` keeps the checks whose name starts with it ("metric",
     "speed_uncertainty[N3", "topology[N2_2s1]", ...); a row of the suite
-    runs only when it has a kept check.  ``tolerance`` overrides each
-    row's default tolerance.  Both are checked first, by :func:`select_checks`.
+    runs only when it has a kept check.  It is checked first, by :func:`select_checks`.
     A row whose closed form or oracle raises ValueError (a metric that is
     not positive semidefinite), ArithmeticError or LinAlgError reports
     each of its checks as failed, with NaN deviations and the exception's
     type as its grid, prints the reason on stderr and lets the other rows
     run; a DimensionGuardError still aborts the suite.
     """
-    selected = select_checks(only, tolerance)
+    selected = select_checks(only)
     entries: List[CheckResult] = []
-    for names, default, run in _SUITE:
+    for names, tol, run in _SUITE:
         if any(name in selected for name in names):
-            tol = default if tolerance is None else tolerance
             try:
                 entries += run(tol)
             except DimensionGuardError:

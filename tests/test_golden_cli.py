@@ -36,7 +36,7 @@ CASES = {
     ],
     "curvature_field_n4_2s2.json": [
         "curvature", "--format", "json", "--n", "4", "--two-s", "2", "--h-over-j", "1",
-        "--theta-prime", "0", "--phi-prime", "0.3", "--phi", "0.9", "--samples", "40",
+        "--theta-prime", "0", "--samples", "40",
     ],
     "field_optimize_scan.json": [
         "field-optimize", "--scan-direction", "--n", "4", "--two-s", "2", "--h-over-j", "1",

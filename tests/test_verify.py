@@ -144,7 +144,7 @@ class TestFullSuite:
         assert report.overall
 
     def test_select_checks_lists_the_report_names(self):
-        names = select_checks(None, None)
+        names = select_checks(None)
         assert names == [name for name, _ in SUITE_SHAPE]
         assert len(set(names)) == len(names)
 
@@ -171,20 +171,11 @@ class TestFullSuite:
         with pytest.raises(ValueError, match="'bogus'"):
             run_full_suite(only="bogus")
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
-    def test_bad_tolerance_raises(self, tolerance):
-        with pytest.raises(ValueError, match="tolerance"):
-            run_full_suite(only="topology", tolerance=tolerance)
-
     def test_only_filter(self):
         report = run_full_suite(only="topology")
         assert report.entries
         assert all(e.name.startswith("topology") for e in report.entries)
         assert report.overall
-
-    def test_tolerance_override_forces_failure(self):
-        report = run_full_suite(only="topology", tolerance=1e-15)
-        assert not report.overall
 
     def test_report_json_schema(self):
         report = run_full_suite(only="section7")
